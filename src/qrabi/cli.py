@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +39,7 @@ from .output import (
     write_json,
     write_manifest,
 )
-from .plotting import emit_plot
+from .plotting import emit_plot, gnuplot_script
 from .spectra import SweepError, find_avoided_crossings, sweep_spectrum
 from .wigner import QuadratureGrid, ground_state_wigner
 
@@ -333,12 +334,26 @@ def _write_table(out: Path, name: str, spec_doc: dict, columns, rows, formats) -
 
 
 def _emit_wigner(out: Path, name: str, w, spec_doc: dict, formats) -> None:
-    columns, rows = wigner_table(w)
-    _write_table(out, name, spec_doc, columns, rows, formats)
+    if "csv" in formats or "json" in formats:
+        columns, rows = wigner_table(w)
+        _write_table(out, name, spec_doc, columns, rows, formats)
     if "svg" in formats:
         emit_plot(w, "svg", out / f"{name}.svg")
     if "gnuplot" in formats:
         emit_plot(w, "gnuplot", out / f"{name}.gp")
+
+
+def _copy_wigner(out: Path, source: str, name: str, formats) -> None:
+    """Write panel ``name`` as a byte copy of the written panel ``source``;
+    only the gnuplot script differs, as it names its own data file."""
+    suffixes = {"csv": ".csv", "json": ".json", "svg": ".svg", "gnuplot": ".dat"}
+    for fmt in formats:
+        suffix = suffixes[fmt]
+        shutil.copyfile(out / f"{source}{suffix}", out / f"{name}{suffix}")
+    if "gnuplot" in formats:
+        (out / f"{name}.gp").write_text(
+            gnuplot_script(f"{name}.dat"), encoding="utf-8", newline="\n"
+        )
 
 
 def _run_spectrum(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
@@ -411,25 +426,18 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
         if "svg" in spec.formats:
             emit_plot(sweep, "svg", out / f"{name}.svg")
 
-    # fig4/fig5: Wigner panels per coupling; fig6/fig7: the g = 10 surfaces
-    wigner_cache: dict[tuple[int, bool, float], object] = {}
-    for name, nmax, dia in (
-        ("fig4a", 2, False),
-        ("fig4b", 2, True),
-        ("fig5a", 15, False),
-        ("fig5b", 15, True),
+    # fig4/fig5: Wigner panels per coupling; fig6/fig7: the g = 10 surfaces,
+    # which are copies of the g = 10 panels
+    for name, surface, nmax, dia in (
+        ("fig4a", "fig6a", 2, False),
+        ("fig4b", "fig6b", 2, True),
+        ("fig5a", "fig7a", 15, False),
+        ("fig5b", "fig7b", 15, True),
     ):
         for g in wigner_gs:
             w = ground_state_wigner(preset_cfg(nmax, g, dia), quad)
-            wigner_cache[(nmax, dia, g)] = w
             _emit_wigner(out, f"{name}_g{_g_label(g)}", w, spec_doc, spec.formats)
-    for name, nmax, dia in (
-        ("fig6a", 2, False),
-        ("fig6b", 2, True),
-        ("fig7a", 15, False),
-        ("fig7b", 15, True),
-    ):
-        _emit_wigner(out, name, wigner_cache[(nmax, dia, 10.0)], spec_doc, spec.formats)
+        _copy_wigner(out, f"{name}_g{_g_label(10.0)}", surface, spec.formats)
 
     # fig8: entropy sweeps for both truncations
     for name, nmax in (("fig8a", 2), ("fig8b", 15)):

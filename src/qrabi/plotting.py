@@ -9,10 +9,18 @@ from pathlib import Path
 import numpy as np
 
 from .entanglement import EntropySweep
+from .output import wigner_table
 from .spectra import SpectrumSweep
 from .wigner import WignerGrid
 
-__all__ = ["emit_plot", "spectrum_svg", "entropy_svg", "wigner_svg", "wigner_gnuplot"]
+__all__ = [
+    "emit_plot",
+    "spectrum_svg",
+    "entropy_svg",
+    "wigner_svg",
+    "wigner_gnuplot",
+    "gnuplot_script",
+]
 
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 64, 16, 16, 48
@@ -189,16 +197,9 @@ def emit_plot(data, fmt: str, path: Path) -> None:
     raise ValueError(f"unsupported plot format {fmt!r}")
 
 
-def wigner_gnuplot(w: WignerGrid, data_filename: str) -> tuple[str, str]:
-    """Gnuplot surface script plus its grid-format data file."""
-    q = w.grid.q_axis()
-    p = w.grid.p_axis()
-    blocks = []
-    for i in range(w.grid.n_p):
-        rows = [f"{q[j]:.12g} {p[i]:.12g} {w.values[i, j]:.12g}" for j in range(w.grid.n_q)]
-        blocks.append("\n".join(rows))
-    data = "\n\n".join(blocks) + "\n"
-    script = "\n".join(
+def gnuplot_script(data_filename: str) -> str:
+    """Gnuplot surface script that plots the grid file ``data_filename``."""
+    return "\n".join(
         [
             "# run with: gnuplot -p <this file>",
             "set xlabel 'q'",
@@ -211,4 +212,13 @@ def wigner_gnuplot(w: WignerGrid, data_filename: str) -> tuple[str, str]:
             "",
         ]
     )
-    return script, data
+
+
+def wigner_gnuplot(w: WignerGrid, data_filename: str) -> tuple[str, str]:
+    """Gnuplot surface script plus its grid-format data file, whose cells
+    are those of the CSV Wigner table."""
+    _, rows = wigner_table(w)
+    lines = list(rows.lines(" "))
+    n_q = w.grid.n_q
+    blocks = ("\n".join(lines[i : i + n_q]) for i in range(0, len(lines), n_q))
+    return gnuplot_script(data_filename), "\n\n".join(blocks) + "\n"
