@@ -1,6 +1,9 @@
 """Minimal self-contained plot emitters: SVG line plots and heatmaps plus
 gnuplot surface scripts.  No external runtime is needed to produce the
-files; styling is deliberately plain."""
+files; styling is deliberately plain.
+
+A heatmap formats its axis positions once per panel and one colour string
+per distinct colour, then joins the cell elements from those pieces."""
 
 from __future__ import annotations
 
@@ -135,34 +138,33 @@ def entropy_svg(sweep: EntropySweep) -> str:
     return _document(parts)
 
 
-def _diverging_color(v: float, vmax: float) -> str:
-    # symmetric scale centered at zero so negativity is visible
-    t = min(abs(v) / vmax, 1.0) if vmax > 0 else 0.0
-    if v >= 0:
-        r, g, b = 255 - t * (255 - 178), 255 - t * (255 - 24), 255 - t * (255 - 43)
-    else:
-        r, g, b = 255 - t * (255 - 33), 255 - t * (255 - 102), 255 - t * (255 - 172)
-    return f"#{int(r):02x}{int(g):02x}{int(b):02x}"
+def _diverging_codes(values: np.ndarray) -> np.ndarray:
+    """24-bit RGB code of each value on a symmetric scale centered at zero,
+    so negativity is visible: white at 0, red at +vmax, blue at -vmax."""
+    vmax = float(np.max(np.abs(values)))
+    t = np.minimum(np.abs(values) / vmax, 1.0) if vmax > 0 else np.zeros(values.shape)
+    ends = np.where((values >= 0)[..., None], (178, 24, 43), (33, 102, 172))
+    rgb = (255 - t[..., None] * (255 - ends)).astype(np.int64)
+    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
 
 
 def wigner_svg(w: WignerGrid) -> str:
     """Heatmap of the Wigner values with a diverging scale centered at 0."""
-    q = w.grid.q_axis()
-    p = w.grid.p_axis()
     frame = _Frame(w.grid.q_min, w.grid.q_max, w.grid.p_min, w.grid.p_max)
-    vmax = float(np.max(np.abs(w.values)))
     cell_w = (_W - _ML - _MR) / w.grid.n_q
     cell_h = (_H - _MT - _MB) / w.grid.n_p
+    # cell corners; the frame maps apply elementwise, so each text is the
+    # one a scalar map would give
+    xs = frame.x(w.grid.q_axis()) - cell_w / 2
+    ys = frame.y(w.grid.p_axis()) - cell_h / 2
+    heads = [f'<rect x="{_fmt(x)}" y="' for x in xs.tolist()]
+    size = f'" width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}" fill="'
+    codes, cells = np.unique(_diverging_codes(w.values), return_inverse=True)
+    colors = [f'#{c:06x}"/>' for c in codes.tolist()]
     parts = []
-    for i in range(w.grid.n_p):
-        y = frame.y(p[i]) - cell_h / 2
-        for j in range(w.grid.n_q):
-            x = frame.x(q[j]) - cell_w / 2
-            color = _diverging_color(float(w.values[i, j]), vmax)
-            parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell_w + 0.5)}" '
-                f'height="{_fmt(cell_h + 0.5)}" fill="{color}"/>'
-            )
+    for y, row in zip(ys.tolist(), cells.reshape(w.values.shape).tolist()):
+        mid = _fmt(y) + size
+        parts.extend([head + mid + colors[c] for head, c in zip(heads, row)])
     parts.extend(_axes(frame, "q", "p"))
     return _document(parts)
 

@@ -78,12 +78,18 @@ class CrossingReport:
 
 @dataclass(frozen=True)
 class TruncationCheck:
-    """Change in the lowest eigenvalues when the Fock cutoff is doubled."""
+    """Change in the lowest eigenvalues when the Fock cutoff is doubled.
+
+    ``top_fock_population`` is the weight of Fock state n_max - 1 in the
+    n_max ground state.  It is reported only: ``converged`` looks at the
+    eigenvalues, which can settle while the state is still cut off.
+    """
 
     n_max: int
     n_max_doubled: int
     max_shift: float
     converged: bool
+    top_fock_population: float
 
 
 def _matrix_of(h: Hamiltonian | Operator) -> np.ndarray:
@@ -191,11 +197,14 @@ def check_truncation(cfg: ModelConfig, k_levels: int, tol: float) -> TruncationC
     """Compare the lowest ``k_levels`` eigenvalues at n_max and 2 n_max.
 
     The basis is considered converged when no level moves by more than
-    ``tol`` under doubling.
+    ``tol`` under doubling.  The top-Fock population of the n_max ground
+    state comes with the report.
     """
     n = cfg.trunc.n_max
     doubled = dataclasses.replace(cfg, trunc=FockTruncation(2 * n))
-    lo = scipy.linalg.eigvalsh(build_full(cfg).op.data)[:k_levels]
+    values, vectors = scipy.linalg.eigh(build_full(cfg).op.data)
     hi = scipy.linalg.eigvalsh(build_full(doubled).op.data)[:k_levels]
-    shift = float(np.max(np.abs(lo - hi)))
-    return TruncationCheck(n, 2 * n, shift, shift < tol)
+    shift = float(np.max(np.abs(values[:k_levels] - hi)))
+    # qubit-major basis: Fock state n - 1 of both qubit states
+    top = float(np.sum(np.abs(vectors[:, 0].reshape(2, n)[:, -1]) ** 2))
+    return TruncationCheck(n, 2 * n, shift, shift < tol, top)

@@ -19,7 +19,9 @@ from qrabi.output import (
     write_csv,
     write_json,
 )
-from qrabi.plotting import wigner_gnuplot
+from qrabi.plotting import (
+    _H, _MB, _ML, _MR, _MT, _W, _Frame, _axes, _document, _fmt, wigner_gnuplot, wigner_svg,
+)
 from qrabi.spectra import CrossingReport, SpectrumSweep
 from qrabi.wigner import QuadratureGrid, WignerGrid, ground_state_wigner
 
@@ -186,6 +188,65 @@ def test_dat_prints_negative_zero_as_zero():
     assert all("-0 " not in line and not line.endswith(" -0") for line in dat.split("\n"))
 
 
+# Reference: the per-cell heatmap renderer the array-wise one replaced.
+
+def ref_diverging_color(v: float, vmax: float) -> str:
+    t = min(abs(v) / vmax, 1.0) if vmax > 0 else 0.0
+    if v >= 0:
+        r, g, b = 255 - t * (255 - 178), 255 - t * (255 - 24), 255 - t * (255 - 43)
+    else:
+        r, g, b = 255 - t * (255 - 33), 255 - t * (255 - 102), 255 - t * (255 - 172)
+    return f"#{int(r):02x}{int(g):02x}{int(b):02x}"
+
+
+def ref_wigner_svg(w: WignerGrid) -> str:
+    q = w.grid.q_axis()
+    p = w.grid.p_axis()
+    frame = _Frame(w.grid.q_min, w.grid.q_max, w.grid.p_min, w.grid.p_max)
+    vmax = float(np.max(np.abs(w.values)))
+    cell_w = (_W - _ML - _MR) / w.grid.n_q
+    cell_h = (_H - _MT - _MB) / w.grid.n_p
+    parts = []
+    for i in range(w.grid.n_p):
+        y = frame.y(p[i]) - cell_h / 2
+        for j in range(w.grid.n_q):
+            x = frame.x(q[j]) - cell_w / 2
+            color = ref_diverging_color(float(w.values[i, j]), vmax)
+            parts.append(
+                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell_w + 0.5)}" '
+                f'height="{_fmt(cell_h + 0.5)}" fill="{color}"/>'
+            )
+    parts.extend(_axes(frame, "q", "p"))
+    return _document(parts)
+
+
+def heatmap_grids():
+    rng = np.random.default_rng(11)
+    # both signs reach vmax, so t is clamped at 1 on either branch
+    clamp = np.array([[0.3, -0.3, 0.15], [-0.15, 0.0, -0.0]])
+    qrma = ModelConfig(g=3.0, include_diamagnetic=True, trunc=FockTruncation(15))
+    return [
+        pytest.param(small_wigner(), id="small"),
+        pytest.param(WignerGrid(QuadratureGrid(-1.0, 1.0, -2.0, 2.0, 5, 4), np.zeros((4, 5))),
+                     id="zero"),
+        pytest.param(WignerGrid(QuadratureGrid(0.0, 1.0, 0.0, 1.0, 3, 2), clamp), id="clamp"),
+        pytest.param(WignerGrid(QuadratureGrid(-4.5, 2.0, -1.0, 6.0, 37, 11),
+                                rng.uniform(-0.2, 0.3, (11, 37))), id="37x11"),
+        pytest.param(WignerGrid(QuadratureGrid(), rng.uniform(-1 / np.pi, 1 / np.pi, (201, 201))),
+                     id="random"),
+        pytest.param(ground_state_wigner(qrma, QuadratureGrid()), id="qrma_g3_nmax15"),
+    ]
+
+
+@pytest.mark.parametrize("w", heatmap_grids())
+def test_wigner_svg_matches_per_cell_reference(w):
+    got, want = wigner_svg(w), ref_wigner_svg(w)
+    if got != want:  # name the first differing line, not a megabyte diff
+        lines = zip(got.split("\n"), want.split("\n"))
+        i, (a, b) = next((i, ab) for i, ab in enumerate(lines) if ab[0] != ab[1])
+        pytest.fail(f"line {i}: {a!r} != reference {b!r}")
+
+
 def test_copied_wigner_panel_equals_emitted_panel(tmp_path):
     cfg = ModelConfig(omega_c=1.0, omega_0=1.0, g=1.0, trunc=FockTruncation(3))
     w = ground_state_wigner(cfg, QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 9, 7))
@@ -225,10 +286,27 @@ PINNED = {
         "entropy.csv": "05663ba83fa88c0374aa6c8c676e5916a69198d316b25cf56ce87299cc3c14b4",
         "entropy.json": "ec0dcab00fb20102cf96afaabf699e9e8e950d7e9303909a66fcf0a86455ff6d",
     },
+    # the plot files, recorded before the heatmap was rendered array-wise
+    ("wigner", "--nmax", "3", "--g", "1", "--n-q", "9", "--n-p", "7",
+     "--format", "svg,gnuplot"): {
+        "manifest.json": "274a767b99d49bb202a7afb3247a0269e04930070031c18a50008ef7bb5e22b0",
+        "wigner.dat": "885fbed8d9a3d829a0e340bf9c692390ec7bdb7b25c7ebfa53912dbeb53b832e",
+        "wigner.gp": "2e562470fd083a71916faa8685f4f4789a20c962875bf84976a2e05283a8f224",
+        "wigner.svg": "e3f8d12c3a99db244f70856b1ea1cc4b4fa7b0943868053931974974c5e061fe",
+    },
+    ("spectrum", "--nmax", "2", "--levels", "4", "--g-steps", "5", "--format", "svg"): {
+        "manifest.json": "098846665f0b2db849a5ec35a8552abee1c167d15145482aee2c1406eca22e27",
+        "spectrum.svg": "89903a3bd098abb3fa0e36698ecf4c204a3f7727a9094f7d4dec002748c5cf27",
+    },
+    ("entropy", "--nmax", "2", "--g-steps", "5", "--format", "svg"): {
+        "entropy.svg": "1553c9b1cac50a6c5fc7e63f2f430bd9ffcd7236226492ddd22ae9284697214e",
+        "manifest.json": "f03255d52fdd488cdd977ce658c696e1aa0163bd1ad1cb24ac7ce63b81789eef",
+    },
 }
 
 
-@pytest.mark.parametrize("argv", list(PINNED), ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", list(PINNED),
+                         ids=lambda a: f"{a[0]}-svg" if "svg" in a[-1] else a[0])
 def test_pinned_artifact_bytes(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     command = argv[0]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,14 @@ def test_truncation_convergence_report():
     assert report.converged and report.max_shift < 1e-8
     shallow = check_truncation(ModelConfig(g=2.0, trunc=FockTruncation(2)), 4, 1e-8)
     assert not shallow.converged
+
+
+def test_truncation_check_reports_top_fock_population():
+    # g = 3, D = 9: the lowest level settles under doubling at n_max = 30
+    # while the top Fock state still holds 1e-5 of the ground state
+    cfg = ModelConfig(g=3.0, include_diamagnetic=True, trunc=FockTruncation(30))
+    report = check_truncation(cfg, 1, 1e-4)
+    assert report.converged and report.max_shift == pytest.approx(7.75e-5, rel=1e-3)
+    assert report.top_fock_population == pytest.approx(1.06e-5, rel=1e-2)
+    deeper = check_truncation(dataclasses.replace(cfg, trunc=FockTruncation(40)), 1, 1e-4)
+    assert deeper.top_fock_population == pytest.approx(3.9e-7, rel=1e-2)
