@@ -21,7 +21,6 @@ from .model import (
     diamagnetic_constant,
     model_tag,
     parity_operator,
-    with_coupling,
 )
 from .operators import (
     FockTruncation,

@@ -160,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default ./qrabi_out)")
         p.add_argument("--format", help="comma list of csv,json,svg,gnuplot (default csv)")
         p.add_argument("--threads", type=int,
-                       help="sweep parallelism (default: hardware parallelism)")
+                       help="echoed into the artifacts only: sweeps are batched, so "
+                            "the value changes no result (default: CPU count)")
 
     def add_sweep(p: argparse.ArgumentParser) -> None:
         p.add_argument("--g-min", dest="g_min", type=float, help="sweep start (default 0)")
@@ -358,7 +359,7 @@ def _copy_wigner(out: Path, source: str, name: str, formats) -> None:
 
 def _run_spectrum(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
     cfg = _model_config(spec, g=0.0)
-    sweep = sweep_spectrum(cfg, _g_grid(spec), spec.levels, workers=spec.threads)
+    sweep = sweep_spectrum(cfg, _g_grid(spec), spec.levels)
     columns, rows = spectrum_table(sweep)
     _write_table(out, "spectrum", spec_doc, columns, rows, spec.formats)
     if "svg" in spec.formats:
@@ -367,7 +368,7 @@ def _run_spectrum(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
 
 def _run_crossings(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
     cfg = _model_config(spec, g=0.0)
-    sweep = sweep_spectrum(cfg, _g_grid(spec), spec.levels, workers=spec.threads)
+    sweep = sweep_spectrum(cfg, _g_grid(spec), spec.levels)
     reports = [find_avoided_crossings(sweep, (k, k + 1)) for k in range(spec.levels - 1)]
     columns, rows = crossings_table(reports)
     _write_table(out, "crossings", spec_doc, columns, rows, spec.formats)
@@ -375,7 +376,7 @@ def _run_crossings(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
 
 def _run_entropy(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
     cfg = _model_config(spec, g=0.0)
-    sweep = entropy_sweep(cfg, _g_grid(spec), workers=spec.threads)
+    sweep = entropy_sweep(cfg, _g_grid(spec))
     columns, rows = entropy_table(sweep)
     _write_table(out, "entropy", spec_doc, columns, rows, spec.formats)
     if "svg" in spec.formats:
@@ -419,8 +420,7 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
         ("fig2b", 15, True),
     ):
         levels = min(8, 2 * nmax)
-        sweep = sweep_spectrum(preset_cfg(nmax, 0.0, dia), grid_34, levels,
-                               workers=spec.threads)
+        sweep = sweep_spectrum(preset_cfg(nmax, 0.0, dia), grid_34, levels)
         columns, rows = spectrum_table(sweep)
         _write_table(out, name, spec_doc, columns, rows, spec.formats)
         if "svg" in spec.formats:
@@ -441,7 +441,7 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
 
     # fig8: entropy sweeps for both truncations
     for name, nmax in (("fig8a", 2), ("fig8b", 15)):
-        sweep = entropy_sweep(preset_cfg(nmax, 0.0, False), grid_34, workers=spec.threads)
+        sweep = entropy_sweep(preset_cfg(nmax, 0.0, False), grid_34)
         columns, rows = entropy_table(sweep)
         _write_table(out, name, spec_doc, columns, rows, spec.formats)
         if "svg" in spec.formats:
@@ -468,10 +468,7 @@ def run(spec: ExperimentSpec) -> int:
     except OSError as exc:
         print(f"qrabi: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except SweepError as exc:
-        print(f"qrabi: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (SweepError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"qrabi: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

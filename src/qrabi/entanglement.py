@@ -7,14 +7,13 @@ qubit-cavity state has S = 1 exactly.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, build_full, with_coupling
+from .model import ModelConfig
 from .operators import Operator
-from .spectra import Hamiltonian, SweepError, eigensystem
+from .spectra import Hamiltonian, eigensystem, solve_parity_blocks
 
 __all__ = [
     "PureState",
@@ -23,6 +22,7 @@ __all__ = [
     "ground_state",
     "partial_trace",
     "von_neumann_entropy",
+    "parity_ground_states",
     "entropy_sweep",
     "expectation",
 ]
@@ -155,19 +155,20 @@ class EntropySweep:
         return zip(self.g_grid, self.s_qrm, self.s_qrma)
 
 
-def _point_entropy(base: ModelConfig, g: float, dia: bool) -> tuple[float, bool]:
-    cfg = dataclasses.replace(with_coupling(base, g), include_diamagnetic=dia)
-    try:
-        state = ground_state(build_full(cfg))
-        reduced = partial_trace(state.to_density(), keep="qubit")
-        return von_neumann_entropy(reduced), state.quasi_degenerate
-    except SweepError:
-        raise
-    except Exception as exc:
-        raise SweepError(g, exc) from exc
+def parity_ground_states(base: ModelConfig, grid: np.ndarray):
+    """``(psi, parity, quasi_degenerate)`` per coupling of ``grid``: the
+    lowest vector of the parity sector with the lower lowest level, in the
+    chain basis of ``model.parity_blocks``, so its parity is definite even in
+    a degenerate doublet.  An exact tie goes to parity -1, the sector of the
+    g = 0 ground state; the flag is set as in ``ground_state``."""
+    values, vectors = solve_parity_blocks(base, grid, np.linalg.eigh)
+    sector = np.argmin(values[:, :, 0], axis=0)  # index 0 (parity -1) wins a tie
+    e0, e1 = np.sort(np.hstack(values), axis=1)[:, :2].T
+    flagged = (e1 - e0) < DEGENERACY_RTOL * (1.0 + np.abs(e0))
+    return vectors[sector, np.arange(grid.size), :, 0], 2 * sector - 1, flagged
 
 
-def entropy_sweep(base: ModelConfig, g_grid, workers: int | None = None) -> EntropySweep:
+def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
     """Entanglement entropy of the ground state for both model variants.
 
     ``base.include_diamagnetic`` is ignored: the table always contains one
@@ -177,19 +178,16 @@ def entropy_sweep(base: ModelConfig, g_grid, workers: int | None = None) -> Entr
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("g_grid must be a non-empty 1-D sequence")
 
-    def point(g: float) -> tuple[float, bool, float, bool]:
-        s0, f0 = _point_entropy(base, g, dia=False)
-        s1, f1 = _point_entropy(base, g, dia=True)
-        return s0, f0, s1, f1
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, grid))
-    else:
-        results = [point(g) for g in grid]
-
-    s_qrm, flag_qrm, s_qrma, flag_qrma = map(np.array, zip(*results))
-    return EntropySweep(grid, s_qrm, s_qrma, flag_qrm.astype(bool), flag_qrma.astype(bool))
+    columns = []
+    for dia in (False, True):
+        cfg = dataclasses.replace(base, include_diamagnetic=dia)
+        psi, _, flagged = parity_ground_states(cfg, grid)
+        # the qubit state is diagonal: weights of the even and odd chain states
+        lam = np.stack([(psi[:, 0::2] ** 2).sum(axis=1), (psi[:, 1::2] ** 2).sum(axis=1)], 1)
+        logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
+        columns += [np.maximum(0.0, -(lam * logs).sum(axis=1)), flagged]
+    s_qrm, flag_qrm, s_qrma, flag_qrma = columns
+    return EntropySweep(grid, s_qrm, s_qrma, flag_qrm, flag_qrma)
 
 
 def expectation(op: Operator, state: PureState) -> complex:

@@ -1,21 +1,20 @@
 """Hermitian eigendecomposition, coupling sweeps, and avoided-crossing
 detection.
 
-Sweeps are data parallel across grid points: each point is an independent
-dense diagonalization, and rows are assembled in grid order regardless of
-scheduling, so results are reproducible bit for bit for a given build.
+Sweeps solve the real parity blocks of the model (``model.parity_blocks``)
+over the whole grid in one batched call; each matrix is solved on its own,
+so a grid point's result does not depend on the rest of the grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .model import Hamiltonian, ModelConfig, build_full, model_tag, with_coupling
+from .model import Hamiltonian, ModelConfig, build_full, model_tag, parity_blocks
 from .operators import FockTruncation, Operator, is_hermitian
 
 __all__ = [
@@ -25,6 +24,7 @@ __all__ = [
     "TruncationCheck",
     "SweepError",
     "eigensystem",
+    "solve_parity_blocks",
     "sweep_spectrum",
     "find_avoided_crossings",
     "check_truncation",
@@ -92,33 +92,36 @@ class TruncationCheck:
     top_fock_population: float
 
 
-def _matrix_of(h: Hamiltonian | Operator) -> np.ndarray:
+def eigensystem(h: Hamiltonian | Operator) -> EigenSystem:
+    """Dense Hermitian eigendecomposition, eigenvalues ascending."""
     op = h.op if isinstance(h, Hamiltonian) else h
     if not is_hermitian(op, 1e-10):
         raise ValueError("matrix is not Hermitian within 1e-10")
-    return op.data
-
-
-def eigensystem(h: Hamiltonian | Operator) -> EigenSystem:
-    """Dense Hermitian eigendecomposition, eigenvalues ascending."""
-    values, vectors = scipy.linalg.eigh(_matrix_of(h))
+    values, vectors = scipy.linalg.eigh(op.data)
     return EigenSystem(values, vectors)
 
 
-def _lowest_levels(cfg: ModelConfig, g: float, k: int) -> np.ndarray:
+def solve_parity_blocks(base: ModelConfig, grid: np.ndarray, solver):
+    """``solver`` on the stacked ``parity_blocks`` of ``base`` over ``grid``.
+    ``SweepError`` names the first point that is negative or gives a
+    non-finite Hamiltonian (checked before solving), or fails to solve."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        blocks = parity_blocks(base, grid)
+    bad = ~((grid >= 0) & np.isfinite(blocks).all(axis=(0, 2, 3)))
+    if bad.any():
+        raise SweepError(grid[bad][0], ValueError("need g >= 0 and a finite Hamiltonian"))
     try:
-        h = build_full(with_coupling(cfg, g))
-        return scipy.linalg.eigvalsh(h.op.data)[:k]
-    except Exception as exc:  # re-raise with the offending grid point
-        raise SweepError(g, exc) from exc
+        return solver(blocks)
+    except np.linalg.LinAlgError:
+        for g, point in zip(grid, blocks.swapaxes(0, 1)):
+            try:
+                solver(point)
+            except np.linalg.LinAlgError as exc:
+                raise SweepError(g, exc) from exc
+        raise
 
 
-def sweep_spectrum(
-    base: ModelConfig,
-    g_grid,
-    k_levels: int,
-    workers: int | None = None,
-) -> SpectrumSweep:
+def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
     """Lowest ``k_levels`` eigenvalues of the full model at each coupling.
 
     Parameters
@@ -129,8 +132,6 @@ def sweep_spectrum(
         Strictly ascending, non-empty coupling values (units of omega_c).
     k_levels : int
         Number of levels per grid point; at most 2 * n_max.
-    workers : int, optional
-        Thread count for the data-parallel sweep; None or 1 runs serially.
     """
     grid = np.asarray(g_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -141,13 +142,8 @@ def sweep_spectrum(
     if not 1 <= k_levels <= dim:
         raise ValueError(f"k_levels must be in [1, {dim}], got {k_levels}")
 
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda g: _lowest_levels(base, g, k_levels), grid))
-    else:
-        rows = [_lowest_levels(base, g, k_levels) for g in grid]
-
-    return SpectrumSweep(grid, np.vstack(rows), model_tag(base))
+    levels = np.sort(np.hstack(solve_parity_blocks(base, grid, np.linalg.eigvalsh)), axis=1)
+    return SpectrumSweep(grid, levels[:, :k_levels], model_tag(base))
 
 
 def _parabola_min(xs: np.ndarray, ys: np.ndarray, i: int) -> tuple[float, float]:

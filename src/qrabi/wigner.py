@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .entanglement import DensityMatrix, ground_state, partial_trace
-from .model import ModelConfig, build_full
+from .entanglement import DensityMatrix, parity_ground_states
+from .model import ModelConfig
 
 __all__ = [
     "QuadratureGrid",
@@ -186,10 +186,13 @@ def marginal_variance(w: WignerGrid, axis: str) -> float:
 
 
 def ground_state_wigner(cfg: ModelConfig, grid: QuadratureGrid) -> WignerGrid:
-    """Wigner function of the reduced cavity ground state of the model."""
-    state = ground_state(build_full(cfg))
-    reduced = partial_trace(state.to_density(), keep="cavity")
-    return wigner(reduced, grid)
+    """Wigner function of the reduced cavity ground state of the model.  The
+    state has definite parity (``parity_ground_states``), so the reduced
+    state is rho_c[n, n'] = psi_n psi_n' for n = n' (mod 2), else 0."""
+    psi = parity_ground_states(cfg, np.array([cfg.g]))[0][0]
+    n = np.arange(psi.size)
+    same_parity = (n[:, None] - n) % 2 == 0
+    return wigner(DensityMatrix(np.outer(psi, psi) * same_parity, (psi.size,)), grid)
 
 
 def wigner_characteristic(

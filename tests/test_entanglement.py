@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qrabi import (
     tensor,
     von_neumann_entropy,
 )
+from qrabi.entanglement import parity_ground_states
 
 
 def random_pure_state(rng, n):
@@ -183,13 +186,27 @@ def test_entropy_sweep_endpoints_and_flags():
     assert degenerate.degenerate_qrm[0] and degenerate.degenerate_qrma[0]
 
 
-def test_entropy_sweep_serial_parallel_identical():
-    cfg = ModelConfig(trunc=FockTruncation(6))
-    grid = np.linspace(0.0, 2.0, 9)
-    a = entropy_sweep(cfg, grid, workers=1)
-    b = entropy_sweep(cfg, grid, workers=4)
-    assert np.array_equal(a.s_qrm, b.s_qrm)
-    assert np.array_equal(a.s_qrma, b.s_qrma)
+@pytest.mark.parametrize("d_override", [None, 0.37])
+@pytest.mark.parametrize("omega_0", [1.0, 0.83])
+@pytest.mark.parametrize("nmax", [2, 15, 30])
+def test_entropy_sweep_matches_pointwise_dense_solve(nmax, omega_0, d_override):
+    base = ModelConfig(omega_0=omega_0, d_override=d_override, trunc=FockTruncation(nmax))
+    grid = np.linspace(0.0, 3.0, 13)
+    sweep = entropy_sweep(base, grid)
+    compared = 0
+    for dia, entropies, flags in ((False, sweep.s_qrm, sweep.degenerate_qrm),
+                                  (True, sweep.s_qrma, sweep.degenerate_qrma)):
+        for g, s, flagged in zip(grid, entropies, flags):
+            h = build_full(dataclasses.replace(base, g=g, include_diamagnetic=dia))
+            gap = np.diff(eigensystem(h).values[:2])[0]
+            if gap <= 1e-8:
+                # a degenerate doublet: the dense solver may mix the parities
+                continue
+            dense = von_neumann_entropy(partial_trace(ground_state(h).to_density(), "qubit"))
+            assert abs(s - dense) <= 1e-12
+            assert not flagged
+            compared += 1
+    assert compared >= 13
 
 
 def test_entropy_sweep_error_carries_grid_point():
@@ -198,6 +215,51 @@ def test_entropy_sweep_error_carries_grid_point():
     with pytest.raises(SweepError) as err:
         entropy_sweep(ModelConfig(trunc=FockTruncation(4)), [float("nan")])
     assert np.isnan(err.value.g)
+    for grid, bad in (([0.5, -0.5], -0.5), ([0.0, float("inf"), 1.0], float("inf"))):
+        with pytest.raises(SweepError) as err:
+            entropy_sweep(ModelConfig(trunc=FockTruncation(4)), grid)
+        assert err.value.g == bad
+        assert repr(bad) in str(err.value)
+
+
+def test_entropy_sweep_batched_failure_names_the_grid_point(monkeypatch):
+    from qrabi import SweepError
+
+    eigh = np.linalg.eigh
+
+    def failing_eigh(blocks):
+        # the g X coupling puts g at [0, 1] of every block
+        if np.any(blocks[..., 0, 1] == 0.75):
+            raise np.linalg.LinAlgError("no convergence")
+        return eigh(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(SweepError) as err:
+        entropy_sweep(ModelConfig(trunc=FockTruncation(4)), [0.5, 0.75, 1.0])
+    assert err.value.g == 0.75
+
+
+def test_deep_strong_ground_state_has_definite_parity():
+    # at g = 6 the lowest doublet is degenerate to machine precision; a
+    # dense solve of the full matrix returns a mixture of both parities
+    # (S = 0.787 bits), while either parity state has S = 1 bit up to the
+    # overlap of the two displaced vacua
+    cfg = ModelConfig(omega_0=1.0, g=6.0, trunc=FockTruncation(200))
+    sweep = entropy_sweep(cfg, [6.0])
+    assert abs(sweep.s_qrm[0] - 1.0) < 1e-3
+    assert sweep.degenerate_qrm[0]
+
+
+def test_parity_sector_tie_rule():
+    # omega_0 = 0 makes both blocks identical: the tie goes to parity -1,
+    # the sector of the g = 0 ground state |g, 0>
+    grid = np.linspace(0.0, 3.0, 7)
+    _, parity, flagged = parity_ground_states(
+        ModelConfig(omega_0=0.0, trunc=FockTruncation(8)), grid
+    )
+    assert np.all(parity == -1) and np.all(flagged)
+    psi, parity, _ = parity_ground_states(ModelConfig(trunc=FockTruncation(8)), grid[:1])
+    assert parity[0] == -1 and abs(psi[0, 0]) == 1.0
 
 
 def test_expectation_dims_check():

@@ -14,7 +14,6 @@ from qrabi import (
     is_hermitian,
     model_tag,
     parity_operator,
-    with_coupling,
 )
 
 
@@ -170,8 +169,7 @@ def test_config_validation():
         ModelConfig(d_override=-0.5)
 
 
-def test_with_coupling_and_tag():
+def test_model_tag():
     cfg = ModelConfig(g=0.0, trunc=FockTruncation(3))
-    assert with_coupling(cfg, 1.5).g == 1.5
     assert model_tag(cfg) == "QRM"
     assert model_tag(dataclasses.replace(cfg, include_diamagnetic=True)) == "QRMA"

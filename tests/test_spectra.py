@@ -14,6 +14,8 @@ from qrabi import (
     find_avoided_crossings,
     sweep_spectrum,
 )
+from qrabi.model import parity_blocks
+from qrabi.spectra import solve_parity_blocks
 
 
 def test_eigensystem_diagonal_matrix():
@@ -68,12 +70,33 @@ def test_sweep_rows_sorted_and_finite():
     assert np.all(np.diff(sweep.levels, axis=1) >= -1e-12)
 
 
-def test_sweep_matches_serial_and_parallel():
-    cfg = ModelConfig(trunc=FockTruncation(10))
-    grid = np.linspace(0, 2, 21)
-    serial = sweep_spectrum(cfg, grid, 6, workers=1)
-    parallel = sweep_spectrum(cfg, grid, 6, workers=4)
-    assert np.array_equal(serial.levels, parallel.levels)
+# (include_diamagnetic, d_override) x n_max x omega_0
+MODEL_CASES = [
+    (dia, d, nmax, omega_0)
+    for dia, d in ((False, None), (True, None), (True, 0.37))
+    for nmax in (2, 15, 30)
+    for omega_0 in (1.0, 0.83)
+]
+
+
+@pytest.mark.parametrize("dia,d_override,nmax,omega_0", MODEL_CASES)
+def test_sweep_matches_pointwise_dense_solve(dia, d_override, nmax, omega_0):
+    cfg = ModelConfig(omega_0=omega_0, include_diamagnetic=dia, d_override=d_override,
+                      trunc=FockTruncation(nmax))
+    grid = np.linspace(0, 3, 13)
+    sweep = sweep_spectrum(cfg, grid, 2 * nmax)
+    for g, levels in zip(grid, sweep.levels):
+        dense = eigensystem(build_full(dataclasses.replace(cfg, g=g))).values
+        assert np.all(np.abs(levels - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+
+
+@pytest.mark.parametrize("dia,d_override,nmax,omega_0", MODEL_CASES)
+def test_parity_blocks_are_exactly_symmetric(dia, d_override, nmax, omega_0):
+    cfg = ModelConfig(omega_0=omega_0, include_diamagnetic=dia, d_override=d_override,
+                      trunc=FockTruncation(nmax))
+    blocks = parity_blocks(cfg, np.linspace(0, 10, 41))
+    assert blocks.shape == (2, 41, nmax, nmax) and blocks.dtype == np.float64
+    assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
 
 
 def test_sweep_gap_decreases_for_small_truncation():
@@ -121,6 +144,34 @@ def test_sweep_error_carries_grid_point():
         sweep_spectrum(cfg, [float("nan")], 2)
     assert np.isnan(err.value.g)
     assert "nan" in str(err.value)
+    # the first bad point is named, before anything is solved
+    for grid, bad in (([-0.5, 0.0, 1.0], -0.5), ([0.0, 1.0, float("inf")], float("inf"))):
+        with pytest.raises(SweepError) as err:
+            sweep_spectrum(cfg, grid, 2)
+        assert err.value.g == bad
+        assert repr(bad) in str(err.value)
+    # D = g^2 overflows: the Hamiltonian is not finite
+    dia = dataclasses.replace(cfg, include_diamagnetic=True)
+    with pytest.raises(SweepError) as err:
+        sweep_spectrum(dia, [1.0, 1e200], 2)
+    assert err.value.g == 1e200
+
+
+def test_batched_solve_failure_names_the_grid_point():
+    from qrabi import SweepError
+
+    def solver(blocks):
+        # the g X coupling puts g at [0, 1] of every block
+        if np.any(blocks[..., 0, 1] == 0.75):
+            raise np.linalg.LinAlgError("no convergence")
+        return np.linalg.eigvalsh(blocks)
+
+    cfg = ModelConfig(trunc=FockTruncation(4))
+    assert solve_parity_blocks(cfg, np.array([0.5, 1.0]), solver).shape == (2, 2, 4)
+    with pytest.raises(SweepError) as err:
+        solve_parity_blocks(cfg, np.array([0.5, 0.75, 1.0]), solver)
+    assert err.value.g == 0.75
+    assert isinstance(err.value.cause, np.linalg.LinAlgError)
 
 
 def test_crossing_flat_levels_boundary_flag():

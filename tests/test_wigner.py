@@ -10,8 +10,11 @@ from qrabi import (
     ModelConfig,
     QuadratureGrid,
     WignerGrid,
+    build_full,
+    ground_state,
     ground_state_wigner,
     marginal_variance,
+    partial_trace,
     wigner,
     wigner_characteristic,
     wigner_marginal,
@@ -244,6 +247,26 @@ def test_ground_state_wigner_vacuum():
     w = ground_state_wigner(cfg, grid)
     qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis())
     assert np.max(np.abs(w.values - np.exp(-(qq**2) - pp**2) / np.pi)) <= 1e-10
+
+
+def test_deep_strong_ground_state_wigner_is_inversion_symmetric():
+    # a ground state of definite parity gives W(q, p) = W(-q, -p); at g = 6
+    # a dense solve mixes the degenerate doublet and breaks the symmetry
+    cfg = ModelConfig(omega_0=1.0, g=6.0, trunc=FockTruncation(200))
+    w = ground_state_wigner(cfg, QuadratureGrid(-10, 10, -10, 10, 21, 21))
+    assert np.max(np.abs(w.values)) > 0.1
+    assert np.max(np.abs(w.values - w.values[::-1, ::-1])) <= 1e-12
+
+
+def test_ground_state_wigner_matches_dense_reduced_state():
+    # away from a degenerate doublet the per-sector state is the dense one
+    for cfg in (ModelConfig(g=1.3, trunc=FockTruncation(12)),
+                ModelConfig(omega_0=0.83, g=2.0, include_diamagnetic=True,
+                            trunc=FockTruncation(15))):
+        grid = QuadratureGrid(-5, 5, -4, 4, 41, 33)
+        reduced = partial_trace(ground_state(build_full(cfg)).to_density(), "cavity")
+        dense = wigner(reduced, grid).values
+        assert np.max(np.abs(ground_state_wigner(cfg, grid).values - dense)) <= 1e-12
 
 
 def test_squeezed_ground_state_variances():
