@@ -39,7 +39,7 @@ from .output import (
     write_json,
     write_manifest,
 )
-from .plotting import emit_plot, gnuplot_script
+from .plotting import _write_gnuplot, emit_plot, gnuplot_script
 from .spectra import SweepError, find_avoided_crossings, sweep_spectrum
 from .wigner import QuadratureGrid, ground_state_wigner
 
@@ -338,10 +338,12 @@ def _emit_wigner(out: Path, name: str, w, spec_doc: dict, formats) -> None:
     if "csv" in formats or "json" in formats:
         columns, rows = wigner_table(w)
         _write_table(out, name, spec_doc, columns, rows, formats)
+        if "gnuplot" in formats:  # the .dat shares the table's cells
+            _write_gnuplot(out / f"{name}.gp", rows, w.grid.n_q)
+    elif "gnuplot" in formats:
+        emit_plot(w, "gnuplot", out / f"{name}.gp")
     if "svg" in formats:
         emit_plot(w, "svg", out / f"{name}.svg")
-    if "gnuplot" in formats:
-        emit_plot(w, "gnuplot", out / f"{name}.gp")
 
 
 def _copy_wigner(out: Path, source: str, name: str, formats) -> None:

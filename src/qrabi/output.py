@@ -13,8 +13,8 @@ float repr: integer-valued floats end in ``.0`` (CSV ``-6``, JSON
 columns are ``1``/``0`` in CSV and ``true``/``false`` in JSON.
 
 Tables are held column-wise (:class:`Column`, :class:`Rows`) and each
-column's cell text is formatted once, then shared by the CSV and JSON
-writers and by the gnuplot data file.
+distinct value of a column is formatted once, then shared by the CSV and
+JSON writers and by the gnuplot data file.
 """
 
 from __future__ import annotations
@@ -68,26 +68,27 @@ class Column:
         return self.values.size * self.repeat * self.tile
 
     @functools.cached_property
-    def _text(self) -> str:
-        """CSV cells of the distinct values, one per line, formatted once.
-
-        Held as one string, which is cheap to keep and to free; each writer
-        splits it into cells."""
+    def _distinct(self) -> tuple[str, np.ndarray]:
+        """CSV cells of the distinct values, each formatted once, as one
+        string that is cheap to keep and to free (each writer splits it),
+        and the index of each value's cell."""
         if self.values.dtype.kind in "biu":
             fmt, values = "%d\n", self.values
         else:
             fmt, values = "%.12g\n", self.values + 0.0  # + 0.0 canonicalizes -0.0
-        return fmt * values.size % tuple(values.tolist())
+        distinct, inverse = np.unique(values, return_inverse=True)
+        return fmt * distinct.size % tuple(distinct.tolist()), inverse
 
     def cells(self, json_numbers: bool = False) -> list[str]:
         """Cell text of every row, as CSV or as JSON numbers."""
-        text = self._text.splitlines()
+        text = self._distinct[0].splitlines()
         if json_numbers:
             kind = self.values.dtype.kind
             if kind == "b":
                 text = ["true" if c == "1" else "false" for c in text]
             elif kind not in "iu":
                 text = list(map(_json_number, text))
+        text = np.array(text, dtype=object)[self._distinct[1]].tolist()
         if self.repeat > 1:
             text = [c for c in text for _ in range(self.repeat)]
         return text * self.tile

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .entanglement import EntropySweep
-from .output import wigner_table
+from .output import Rows, wigner_table
 from .spectra import SpectrumSweep
 from .wigner import WignerGrid
 
@@ -191,10 +191,7 @@ def emit_plot(data, fmt: str, path: Path) -> None:
     if fmt == "gnuplot":
         if not isinstance(data, WignerGrid):
             raise ValueError(f"no gnuplot rendering for {type(data).__name__}")
-        dat = path.with_suffix(".dat")
-        script, grid_text = wigner_gnuplot(data, dat.name)
-        path.with_suffix(".gp").write_text(script, encoding="utf-8", newline="\n")
-        dat.write_text(grid_text, encoding="utf-8", newline="\n")
+        _write_gnuplot(path, wigner_table(data)[1], data.grid.n_q)
         return
     raise ValueError(f"unsupported plot format {fmt!r}")
 
@@ -219,8 +216,16 @@ def gnuplot_script(data_filename: str) -> str:
 def wigner_gnuplot(w: WignerGrid, data_filename: str) -> tuple[str, str]:
     """Gnuplot surface script plus its grid-format data file, whose cells
     are those of the CSV Wigner table."""
-    _, rows = wigner_table(w)
+    return gnuplot_script(data_filename), _wigner_dat(wigner_table(w)[1], w.grid.n_q)
+
+
+def _wigner_dat(rows: Rows, n_q: int) -> str:
     lines = list(rows.lines(" "))
-    n_q = w.grid.n_q
     blocks = ("\n".join(lines[i : i + n_q]) for i in range(0, len(lines), n_q))
-    return gnuplot_script(data_filename), "\n\n".join(blocks) + "\n"
+    return "\n\n".join(blocks) + "\n"
+
+
+def _write_gnuplot(path: Path, rows: Rows, n_q: int) -> None:
+    dat = path.with_suffix(".dat")
+    path.with_suffix(".gp").write_text(gnuplot_script(dat.name), encoding="utf-8", newline="\n")
+    dat.write_text(_wigner_dat(rows, n_q), encoding="utf-8", newline="\n")

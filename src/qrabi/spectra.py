@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import Hamiltonian, ModelConfig, build_full, model_tag, parity_blocks
+from .model import Hamiltonian, ModelConfig, model_tag, parity_blocks
 from .operators import FockTruncation, Operator, is_hermitian
 
 __all__ = [
@@ -194,13 +194,14 @@ def check_truncation(cfg: ModelConfig, k_levels: int, tol: float) -> TruncationC
 
     The basis is considered converged when no level moves by more than
     ``tol`` under doubling.  The top-Fock population of the n_max ground
-    state comes with the report.
+    state, taken from its parity block, comes with the report.
     """
     n = cfg.trunc.n_max
     doubled = dataclasses.replace(cfg, trunc=FockTruncation(2 * n))
-    values, vectors = scipy.linalg.eigh(build_full(cfg).op.data)
-    hi = scipy.linalg.eigvalsh(build_full(doubled).op.data)[:k_levels]
-    shift = float(np.max(np.abs(values[:k_levels] - hi)))
-    # qubit-major basis: Fock state n - 1 of both qubit states
-    top = float(np.sum(np.abs(vectors[:, 0].reshape(2, n)[:, -1]) ** 2))
+    grid = np.array([cfg.g])
+    values, vectors = solve_parity_blocks(cfg, grid, np.linalg.eigh)
+    hi = np.sort(solve_parity_blocks(doubled, grid, np.linalg.eigvalsh).ravel())[:k_levels]
+    shift = float(np.max(np.abs(np.sort(values.ravel())[:k_levels] - hi)))
+    # Fock state n - 1 of the ground sector (parity -1 on a tie)
+    top = float(vectors[np.argmin(values[:, 0, 0]), 0, -1, 0] ** 2)
     return TruncationCheck(n, 2 * n, shift, shift < tol, top)

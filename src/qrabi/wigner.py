@@ -10,6 +10,9 @@ The Fock-basis series over displaced-parity matrix elements is summed with
 a Clenshaw recurrence over associated Laguerre polynomials, which stays
 stable for any practical cutoff (no factorials are formed).  A direct
 characteristic-function quadrature is provided as a slow cross-check.
+The model's reduced ground state is real and commutes with parity, so its
+W(q, p) = W(q, -p) = W(-q, p) exactly: ``ground_state_wigner`` evaluates
+one quadrant of a grid symmetric about both axes and mirrors it.
 """
 
 from __future__ import annotations
@@ -130,11 +133,13 @@ def wigner(rho: DensityMatrix, grid: QuadratureGrid) -> WignerGrid:
     n = rho.dims[0]
     if n < 2:
         raise ValueError(f"cavity dimension must be >= 2, got {n}")
+    return WignerGrid(grid, _clenshaw(rho.data, grid.q_axis(), grid.p_axis()))
 
-    q = grid.q_axis()
-    p = grid.p_axis()
-    amax = np.sqrt(2.0 * (max(abs(grid.q_min), abs(grid.q_max)) ** 2
-                          + max(abs(grid.p_min), abs(grid.p_max)) ** 2))
+
+def _clenshaw(data: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """W of the cavity matrix ``data`` at (q[j], p[i]) as ``[i, j]``."""
+    n = data.shape[0]
+    amax = np.sqrt(2.0 * (np.max(np.abs(q)) ** 2 + np.max(np.abs(p)) ** 2))
     if n * np.log(max(amax, 1.0)) > _LOG_OVERFLOW:
         raise ValueError(
             f"grid extent {amax:.3g} with n_max {n} would overflow the "
@@ -147,13 +152,14 @@ def wigner(rho: DensityMatrix, grid: QuadratureGrid) -> WignerGrid:
 
     # off-diagonals enter twice (rho is Hermitian); the real part at the
     # end supplies the conjugate diagonals
-    scaled = rho.data * (2.0 - np.eye(n))
+    scaled = data * (2.0 - np.eye(n))
     w = np.full(a2.shape, scaled[0, n - 1], dtype=complex)
     for level in range(n - 2, -1, -1):
-        w = _laguerre_series(level, b, np.diag(scaled, level)) + w * a2 / np.sqrt(level + 1.0)
+        w = w * a2 / np.sqrt(level + 1.0)
+        if np.diag(scaled, level).any():  # an all-zero diagonal adds nothing
+            w = _laguerre_series(level, b, np.diag(scaled, level)) + w
 
-    values = w.real * np.exp(-0.5 * b) / np.pi
-    return WignerGrid(grid, values)
+    return w.real * np.exp(-0.5 * b) / np.pi
 
 
 def wigner_normalization(w: WignerGrid) -> float:
@@ -191,8 +197,13 @@ def ground_state_wigner(cfg: ModelConfig, grid: QuadratureGrid) -> WignerGrid:
     state is rho_c[n, n'] = psi_n psi_n' for n = n' (mod 2), else 0."""
     psi = parity_ground_states(cfg, np.array([cfg.g]))[0][0]
     n = np.arange(psi.size)
-    same_parity = (n[:, None] - n) % 2 == 0
-    return wigner(DensityMatrix(np.outer(psi, psi) * same_parity, (psi.size,)), grid)
+    rho = np.outer(psi, psi) * ((n[:, None] - n) % 2 == 0)
+    q, p = grid.q_axis(), grid.p_axis()
+    if grid.q_min != -grid.q_max or grid.p_min != -grid.p_max:
+        return WignerGrid(grid, _clenshaw(rho, q, p))
+    # index k of an axis of m points mirrors onto quadrant index max(k, m - 1 - k) - m // 2
+    iq, ip = (np.maximum(k, k[::-1]) - k.size // 2 for k in (np.arange(q.size), np.arange(p.size)))
+    return WignerGrid(grid, _clenshaw(rho, q[q.size // 2 :], p[p.size // 2 :])[np.ix_(ip, iq)])
 
 
 def wigner_characteristic(

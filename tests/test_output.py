@@ -100,6 +100,26 @@ def test_float_edge_cases_documented_text(tmp_path):
     )
 
 
+def test_repeated_values_match_reference(tmp_path):
+    # each distinct value is formatted once; interleaved repeats, both signed
+    # zeros and every nan must still get their own cell
+    distinct = np.array([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+                         -2.5e-310, 1.2e-305, 1.5e13, -1.5e13, 0.1])
+    rng = np.random.default_rng(3)
+    a = np.concatenate([np.tile(distinct, 3), np.repeat(distinct, 2),
+                        distinct[rng.integers(0, distinct.size, 200)]])
+    b = -a[::-1]
+    csv, js = write_both(tmp_path, ["a", "b"], Rows(Column(a), Column(b)))
+    ref_rows = [[x, y] for x, y in zip(a, b)]
+    assert csv == ref_csv(["a", "b"], ref_rows).encode()
+    assert js == ref_json(SPEC, ["a", "b"], ref_rows).encode()
+    # the same repeats inside a repeated and tiled column
+    csv, js = write_both(tmp_path, ["a"], Rows(Column(a[:40], repeat=3, tile=2)))
+    ref_rows = [[x] for x in np.repeat(a[:40], 3)] * 2
+    assert csv == ref_csv(["a"], ref_rows).encode()
+    assert js == ref_json(SPEC, ["a"], ref_rows).encode()
+
+
 def test_random_floats_match_reference(tmp_path):
     rng = np.random.default_rng(7)
     n = 4000

@@ -14,6 +14,7 @@ from qrabi import (
     find_avoided_crossings,
     sweep_spectrum,
 )
+from qrabi.entanglement import parity_ground_states
 from qrabi.model import parity_blocks
 from qrabi.spectra import solve_parity_blocks
 
@@ -235,3 +236,12 @@ def test_truncation_check_reports_top_fock_population():
     assert report.top_fock_population == pytest.approx(1.06e-5, rel=1e-2)
     deeper = check_truncation(dataclasses.replace(cfg, trunc=FockTruncation(40)), 1, 1e-4)
     assert deeper.top_fock_population == pytest.approx(3.9e-7, rel=1e-2)
+
+
+def test_truncation_check_top_fock_of_definite_parity_ground_state():
+    # at g = 6 the doublet is degenerate to machine precision, so a dense
+    # solve returns a parity-mixed vector; the check reads the top Fock
+    # weight of the definite-parity ground state instead
+    cfg = ModelConfig(g=6.0, trunc=FockTruncation(200))
+    psi = parity_ground_states(cfg, np.array([cfg.g]))[0][0]
+    assert check_truncation(cfg, 1, 1e-4).top_fock_population == psi[-1] ** 2

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -20,6 +21,9 @@ from qrabi import (
     wigner_marginal,
     wigner_normalization,
 )
+from qrabi.entanglement import parity_ground_states
+
+wigner_module = importlib.import_module("qrabi.wigner")
 
 
 def fock_density(n_max, k):
@@ -303,3 +307,122 @@ def test_wigner_grid_invariants():
         WignerGrid(grid, np.full((5, 5), np.nan))
     with pytest.raises(ValueError):
         WignerGrid(grid, np.full((5, 5), 1.0))  # above 1/pi bound
+
+
+def reduced_ground_state(cfg):
+    """The parity ground state and its reduced cavity state."""
+    psi = parity_ground_states(cfg, np.array([cfg.g]))[0][0]
+    n = np.arange(psi.size)
+    return psi, DensityMatrix(np.outer(psi, psi) * ((n[:, None] - n) % 2 == 0), (psi.size,))
+
+
+@pytest.mark.parametrize("grid", [QuadratureGrid(),
+                                  QuadratureGrid(-2.0, 2.0, -1.5, 1.5, 5, 4),
+                                  QuadratureGrid(-3.0, 3.0, -2.5, 2.5, 8, 7)],
+                         ids=["201x201", "5x4", "8x7"])
+@pytest.mark.parametrize("dia", [False, True], ids=["QRM", "QRMA"])
+@pytest.mark.parametrize("n_max", [2, 15, 30])
+def test_mirrored_ground_state_wigner_matches_full_grid(grid, dia, n_max):
+    # W(q, p) = W(q, -p) = W(-q, p) exactly, so one quadrant and its
+    # mirror images give the full-grid values, exactly symmetric
+    for g in (0.5, 3.0):
+        cfg = ModelConfig(g=g, include_diamagnetic=dia, trunc=FockTruncation(n_max))
+        w = ground_state_wigner(cfg, grid).values
+        full = wigner(reduced_ground_state(cfg)[1], grid).values
+        assert np.max(np.abs(w - full)) <= 2e-15
+        assert np.array_equal(w, w[::-1, :]) and np.array_equal(w, w[:, ::-1])
+
+
+def test_ground_state_wigner_mirrors_only_symmetric_grids(monkeypatch):
+    axes = []
+    clenshaw = wigner_module._clenshaw
+    monkeypatch.setattr(wigner_module, "_clenshaw",
+                        lambda data, q, p: axes.append((q, p)) or clenshaw(data, q, p))
+    cfg = ModelConfig(g=1.0, trunc=FockTruncation(15))
+    rho = reduced_ground_state(cfg)[1]
+
+    symmetric = QuadratureGrid(-3.0, 3.0, -2.5, 2.5, 8, 7)
+    ground_state_wigner(cfg, symmetric)
+    q, p = axes.pop()
+    assert np.array_equal(q, symmetric.q_axis()[4:]) and np.array_equal(p, symmetric.p_axis()[3:])
+
+    for grid in (QuadratureGrid(-4.5, 2.0, -3.0, 3.0, 37, 31),
+                 QuadratureGrid(-3.0, 3.0, -1.0, 6.0, 31, 37)):
+        w = ground_state_wigner(cfg, grid).values
+        q, p = axes.pop()
+        assert np.array_equal(q, grid.q_axis()) and np.array_equal(p, grid.p_axis())
+        assert np.max(np.abs(w - wigner(rho, grid).values)) <= 2e-15
+
+
+def test_ground_state_wigner_rejects_overflowing_grid():
+    cfg = ModelConfig(g=1.0, trunc=FockTruncation(40))
+    for grid in (QuadratureGrid(-1e9, 1e9, -1e9, 1e9, 11, 11),
+                 QuadratureGrid(-1e9, 1e8, -1e9, 1e9, 11, 11)):
+        with pytest.raises(ValueError, match="overflow"):
+            ground_state_wigner(cfg, grid)
+
+
+def clenshaw_every_level(rho, grid):
+    """The Clenshaw loop with a Laguerre pass at every level, all-zero
+    diagonals included."""
+    n = rho.dims[0]
+    qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis())
+    a2 = np.sqrt(2.0) * (qq + 1j * pp)
+    b = a2.real**2 + a2.imag**2
+    scaled = rho.data * (2.0 - np.eye(n))
+    w = np.full(a2.shape, scaled[0, n - 1], dtype=complex)
+    for level in range(n - 2, -1, -1):
+        w = (wigner_module._laguerre_series(level, b, np.diag(scaled, level))
+             + w * a2 / np.sqrt(level + 1.0))
+    return w.real * np.exp(-0.5 * b) / np.pi
+
+
+def test_skipped_zero_diagonals_leave_values_unchanged():
+    rng = np.random.default_rng(5)
+    n = 12
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    dense = m @ m.conj().T / np.trace(m @ m.conj().T).real
+    k = np.arange(n)
+    even = dense * ((k[:, None] - k) % 2 == 0)  # the parity-symmetrized state
+    grid = QuadratureGrid(-4.5, 4.0, -3.0, 5.0, 41, 37)
+    for data in (dense, even):
+        rho = DensityMatrix(data, (n,))
+        assert np.max(np.abs(wigner(rho, grid).values - clenshaw_every_level(rho, grid))) <= 1e-15
+
+
+def test_ground_state_wigner_matches_mpmath_quadrature():
+    # W(q, p) = (1/pi) int <q - y|rho|q + y> e^{2ipy} dy at 40 digits for the
+    # same truncated state; rho = sum of |phi><phi| over the even and odd
+    # parts phi of psi is real, so only the cosine part remains
+    mp = pytest.importorskip("mpmath")
+    cfg = ModelConfig(g=1.0, trunc=FockTruncation(15))
+    grid = QuadratureGrid()
+    w = ground_state_wigner(cfg, grid).values
+    psi = reduced_ground_state(cfg)[0]
+    q_axis, p_axis = grid.q_axis(), grid.p_axis()
+    with mp.workdps(40):
+        n = psi.size
+        up = [0, 0] + [mp.sqrt(mp.mpf(2) / k) for k in range(2, n)]
+        down = [0, 0] + [mp.sqrt(mp.mpf(k - 1) / k) for k in range(2, n)]
+        parts = [[mp.mpf(c) if k % 2 == r else 0 for k, c in enumerate(psi.tolist())]
+                 for r in (0, 1)]
+
+        def hermite_functions(x):
+            h = [mp.exp(-x * x / 2) / mp.pi ** mp.mpf(0.25)]
+            h.append(mp.sqrt(2) * x * h[0])
+            for k in range(2, n):
+                h.append(up[k] * x * h[k - 1] - down[k] * h[k - 2])
+            return h
+
+        # (q, p) indices on the 201 x 201 grid over [-6, 6]^2, tails included
+        for j, i in [(100, 100), (0, 0), (150, 190), (117, 83), (60, 140), (200, 100),
+                     (35, 170)]:
+            q, p = mp.mpf(q_axis[j]), mp.mpf(p_axis[i])
+
+            def integrand(y):
+                a, b = hermite_functions(q + y), hermite_functions(q - y)
+                return sum(mp.fdot(phi, a) * mp.fdot(phi, b) for phi in parts) * mp.cos(2 * p * y)
+
+            # even in y, and below 1e-60 of its peak beyond |y| = 14
+            exact = 2 * mp.quad(integrand, mp.linspace(0, 14, 4), method="gauss-legendre") / mp.pi
+            assert abs(float((w[i, j] - exact) / exact)) <= 1e-9, (q_axis[j], p_axis[i])
