@@ -335,13 +335,11 @@ def _write_table(out: Path, name: str, spec_doc: dict, columns, rows, formats) -
 
 
 def _emit_wigner(out: Path, name: str, w, spec_doc: dict, formats) -> None:
-    if "csv" in formats or "json" in formats:
+    if {"csv", "json", "gnuplot"} & set(formats):
         columns, rows = wigner_table(w)
         _write_table(out, name, spec_doc, columns, rows, formats)
         if "gnuplot" in formats:  # the .dat shares the table's cells
             _write_gnuplot(out / f"{name}.gp", rows, w.grid.n_q)
-    elif "gnuplot" in formats:
-        emit_plot(w, "gnuplot", out / f"{name}.gp")
     if "svg" in formats:
         emit_plot(w, "svg", out / f"{name}.svg")
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .model import ModelConfig
 from .operators import Operator
-from .spectra import Hamiltonian, eigensystem, solve_parity_blocks
+from .spectra import Hamiltonian, eigensystem, ground_sector, solve_parity_blocks
 
 __all__ = [
     "PureState",
@@ -159,10 +159,10 @@ def parity_ground_states(base: ModelConfig, grid: np.ndarray):
     """``(psi, parity, quasi_degenerate)`` per coupling of ``grid``: the
     lowest vector of the parity sector with the lower lowest level, in the
     chain basis of ``model.parity_blocks``, so its parity is definite even in
-    a degenerate doublet.  An exact tie goes to parity -1, the sector of the
-    g = 0 ground state; the flag is set as in ``ground_state``."""
+    a degenerate doublet (a tie as in ``spectra.ground_sector``); the flag
+    is set as in ``ground_state``."""
     values, vectors = solve_parity_blocks(base, grid, np.linalg.eigh)
-    sector = np.argmin(values[:, :, 0], axis=0)  # index 0 (parity -1) wins a tie
+    sector = ground_sector(values)
     e0, e1 = np.sort(np.hstack(values), axis=1)[:, :2].T
     flagged = (e1 - e0) < DEGENERACY_RTOL * (1.0 + np.abs(e0))
     return vectors[sector, np.arange(grid.size), :, 0], 2 * sector - 1, flagged

@@ -221,8 +221,7 @@ def wigner_gnuplot(w: WignerGrid, data_filename: str) -> tuple[str, str]:
 
 def _wigner_dat(rows: Rows, n_q: int) -> str:
     lines = list(rows.lines(" "))
-    blocks = ("\n".join(lines[i : i + n_q]) for i in range(0, len(lines), n_q))
-    return "\n\n".join(blocks) + "\n"
+    return "\n\n".join("\n".join(lines[i : i + n_q]) for i in range(0, len(lines), n_q)) + "\n"
 
 
 def _write_gnuplot(path: Path, rows: Rows, n_q: int) -> None:

@@ -25,6 +25,7 @@ __all__ = [
     "SweepError",
     "eigensystem",
     "solve_parity_blocks",
+    "ground_sector",
     "sweep_spectrum",
     "find_avoided_crossings",
     "check_truncation",
@@ -121,6 +122,11 @@ def solve_parity_blocks(base: ModelConfig, grid: np.ndarray, solver):
         raise
 
 
+def ground_sector(values: np.ndarray) -> np.ndarray:
+    """Ground sector per point of ``solve_parity_blocks`` levels; ties go to parity -1."""
+    return np.argmin(values[:, :, 0], axis=0)
+
+
 def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
     """Lowest ``k_levels`` eigenvalues of the full model at each coupling.
 
@@ -202,6 +208,5 @@ def check_truncation(cfg: ModelConfig, k_levels: int, tol: float) -> TruncationC
     values, vectors = solve_parity_blocks(cfg, grid, np.linalg.eigh)
     hi = np.sort(solve_parity_blocks(doubled, grid, np.linalg.eigvalsh).ravel())[:k_levels]
     shift = float(np.max(np.abs(np.sort(values.ravel())[:k_levels] - hi)))
-    # Fock state n - 1 of the ground sector (parity -1 on a tie)
-    top = float(vectors[np.argmin(values[:, 0, 0]), 0, -1, 0] ** 2)
+    top = float(vectors[ground_sector(values)[0], 0, -1, 0] ** 2)
     return TruncationCheck(n, 2 * n, shift, shift < tol, top)

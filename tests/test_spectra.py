@@ -16,7 +16,7 @@ from qrabi import (
 )
 from qrabi.entanglement import parity_ground_states
 from qrabi.model import parity_blocks
-from qrabi.spectra import solve_parity_blocks
+from qrabi.spectra import ground_sector, solve_parity_blocks
 
 
 def test_eigensystem_diagonal_matrix():
@@ -245,3 +245,10 @@ def test_truncation_check_top_fock_of_definite_parity_ground_state():
     cfg = ModelConfig(g=6.0, trunc=FockTruncation(200))
     psi = parity_ground_states(cfg, np.array([cfg.g]))[0][0]
     assert check_truncation(cfg, 1, 1e-4).top_fock_population == psi[-1] ** 2
+
+
+def test_ground_sector_picks_lower_block_and_breaks_ties_to_parity_minus_one():
+    # (2 sectors, 3 grid points, 2 levels): lower in -1, lower in +1, exact tie
+    values = np.array([[[0.0, 5.0], [1.0, 2.0], [3.0, 4.0]],
+                       [[1.0, 2.0], [0.5, 9.0], [3.0, 3.5]]])
+    assert ground_sector(values).tolist() == [0, 1, 0]
