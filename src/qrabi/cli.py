@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import os
 import shutil
 import sys
@@ -281,6 +282,9 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def _validate_spec(spec: ExperimentSpec) -> None:
+    for name, value in dataclasses.asdict(spec).items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if spec.omega_c <= 0:
         raise ConfigError("omega_c must be > 0")
     if spec.omega_0 < 0 or spec.g < 0 or spec.g_min < 0:
@@ -339,7 +343,7 @@ def _emit_wigner(out: Path, name: str, w, spec_doc: dict, formats) -> None:
         columns, rows = wigner_table(w)
         _write_table(out, name, spec_doc, columns, rows, formats)
         if "gnuplot" in formats:  # the .dat shares the table's cells
-            _write_gnuplot(out / f"{name}.gp", rows, w.grid.n_q)
+            _write_gnuplot(out / f"{name}.gp", rows)
     if "svg" in formats:
         emit_plot(w, "svg", out / f"{name}.svg")
 
@@ -427,7 +431,9 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
             emit_plot(sweep, "svg", out / f"{name}.svg")
 
     # fig4/fig5: Wigner panels per coupling; fig6/fig7: the g = 10 surfaces,
-    # which are copies of the g = 10 panels
+    # which are copies of the g = 10 panels.  All panels share quad, so one
+    # with the W values of a written panel is a copy of it (sha256 -> name).
+    written: dict[bytes, str] = {}
     for name, surface, nmax, dia in (
         ("fig4a", "fig6a", 2, False),
         ("fig4b", "fig6b", 2, True),
@@ -436,7 +442,12 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
     ):
         for g in wigner_gs:
             w = ground_state_wigner(preset_cfg(nmax, g, dia), quad)
-            _emit_wigner(out, f"{name}_g{_g_label(g)}", w, spec_doc, spec.formats)
+            panel = f"{name}_g{_g_label(g)}"
+            source = written.setdefault(hashlib.sha256(w.values.tobytes()).digest(), panel)
+            if source == panel:
+                _emit_wigner(out, panel, w, spec_doc, spec.formats)
+            else:
+                _copy_wigner(out, source, panel, spec.formats)
         _copy_wigner(out, f"{name}_g{_g_label(10.0)}", surface, spec.formats)
 
     # fig8: entropy sweeps for both truncations

@@ -14,7 +14,10 @@ columns are ``1``/``0`` in CSV and ``true``/``false`` in JSON.
 
 Tables are held column-wise (:class:`Column`, :class:`Rows`) and each
 distinct value of a column is formatted once, then shared by the CSV and
-JSON writers and by the gnuplot data file.
+JSON writers and by the gnuplot data file.  The q, p text of a Wigner
+table is the same for every panel on a grid, so it is formatted once per
+run into a skeleton per body format, and a panel fills in only its w
+cells.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .entanglement import EntropySweep
 from .spectra import CrossingReport, SpectrumSweep
-from .wigner import WignerGrid
+from .wigner import QuadratureGrid, WignerGrid
 
 __all__ = [
     "Column",
@@ -94,6 +97,11 @@ class Column:
         return text * self.tile
 
 
+# format -> (cell separator, row separator, p-block separator, JSON numbers)
+_BODY = {"csv": (",", "\n", "\n", False), "json": (", ", "], [", "], [", True),
+         "dat": (" ", "\n", "\n\n", False)}
+
+
 class Rows:
     """Table body stored column-wise; ``len()`` is the row count."""
 
@@ -107,16 +115,42 @@ class Rows:
         """Each row's cells joined by ``sep``, in row order."""
         return map(sep.join, zip(*(c.cells(json_numbers) for c in self.columns)))
 
+    def body(self, fmt: str) -> str:
+        """Rows as csv, json or dat text, without header, brackets or final newline."""
+        sep, row_sep, _, json_numbers = _BODY[fmt]
+        return row_sep.join(self.lines(sep, json_numbers))
+
+
+class _GridRows(Rows):
+    """Rows of a Wigner table; their q, p text is the grid's cached skeleton."""
+
+    def __init__(self, w: WignerGrid) -> None:
+        n_q, n_p = w.grid.n_q, w.grid.n_p
+        q, p = Column(w.grid.q_axis(), tile=n_p), Column(w.grid.p_axis(), repeat=n_q)
+        super().__init__(q, p, Column(w.values.ravel()))
+        self.grid = w.grid
+
+    def body(self, fmt: str) -> str:
+        return _skeleton(self.grid, fmt) % tuple(self.columns[2].cells(_BODY[fmt][3]))
+
+
+@functools.lru_cache(maxsize=3)
+def _skeleton(grid: QuadratureGrid, fmt: str) -> str:
+    """Body of a Wigner table on ``grid`` with a ``%s`` in place of each w cell."""
+    sep, row_sep, block_sep, json_numbers = _BODY[fmt]
+    q, p = ([c.replace("%", "%%") for c in Column(axis).cells(json_numbers)]
+            for axis in (grid.q_axis(), grid.p_axis()))
+    return block_sep.join(row_sep.join(f"{qc}{sep}{pc}{sep}%s" for qc in q) for pc in p)
+
 
 def write_csv(path: Path, columns: list[str], rows: Rows) -> None:
-    lines = [",".join(columns), *rows.lines(",")]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    body = rows.body("csv") + "\n" if len(rows) else ""
+    path.write_text(",".join(columns) + "\n" + body, encoding="utf-8", newline="\n")
 
 
 def write_json(path: Path, spec: dict, columns: list[str], rows: Rows) -> None:
     head = json.dumps({"spec": spec, "columns": columns})
-    body = "], [".join(rows.lines(", ", json_numbers=True))
-    body = f"[{body}]" if len(rows) else ""
+    body = f"[{rows.body('json')}]" if len(rows) else ""
     text = f'{head[:-1]}, "rows": [{body}]}}\n'
     path.write_text(text, encoding="utf-8", newline="\n")
 
@@ -143,13 +177,7 @@ def entropy_table(sweep: EntropySweep) -> tuple[list[str], Rows]:
 
 def wigner_table(w: WignerGrid) -> tuple[list[str], Rows]:
     """Long-form q, p, w rows; p varies slowest, q fastest."""
-    n_q, n_p = w.grid.n_q, w.grid.n_p
-    rows = Rows(
-        Column(w.grid.q_axis(), tile=n_p),
-        Column(w.grid.p_axis(), repeat=n_q),
-        Column(w.values.ravel()),
-    )
-    return ["q", "p", "w"], rows
+    return ["q", "p", "w"], _GridRows(w)
 
 
 def crossings_table(reports: list[CrossingReport]) -> tuple[list[str], Rows]:

@@ -2,11 +2,13 @@
 gnuplot surface scripts.  No external runtime is needed to produce the
 files; styling is deliberately plain.
 
-A heatmap formats its axis positions once per panel and one colour string
-per distinct colour, then joins the cell elements from those pieces."""
+A heatmap's cell geometry and axes are formatted once per run into a
+skeleton per grid; a panel formats one colour string per distinct colour
+and fills them in."""
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import numpy as np
 from .entanglement import EntropySweep
 from .output import Rows, wigner_table
 from .spectra import SpectrumSweep
-from .wigner import WignerGrid
+from .wigner import QuadratureGrid, WignerGrid
 
 __all__ = [
     "emit_plot",
@@ -148,25 +150,26 @@ def _diverging_codes(values: np.ndarray) -> np.ndarray:
     return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
 
 
-def wigner_svg(w: WignerGrid) -> str:
-    """Heatmap of the Wigner values with a diverging scale centered at 0."""
-    frame = _Frame(w.grid.q_min, w.grid.q_max, w.grid.p_min, w.grid.p_max)
-    cell_w = (_W - _ML - _MR) / w.grid.n_q
-    cell_h = (_H - _MT - _MB) / w.grid.n_p
+@functools.lru_cache(maxsize=2)
+def _heatmap_skeleton(grid: QuadratureGrid) -> str:
+    """SVG heatmap on ``grid`` with a ``%s`` in place of each cell colour."""
+    frame = _Frame(grid.q_min, grid.q_max, grid.p_min, grid.p_max)
+    cell_w = (_W - _ML - _MR) / grid.n_q
+    cell_h = (_H - _MT - _MB) / grid.n_p
     # cell corners; the frame maps apply elementwise, so each text is the
     # one a scalar map would give
-    xs = frame.x(w.grid.q_axis()) - cell_w / 2
-    ys = frame.y(w.grid.p_axis()) - cell_h / 2
-    heads = [f'<rect x="{_fmt(x)}" y="' for x in xs.tolist()]
-    size = f'" width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}" fill="'
-    codes, cells = np.unique(_diverging_codes(w.values), return_inverse=True)
-    colors = [f'#{c:06x}"/>' for c in codes.tolist()]
-    parts = []
-    for y, row in zip(ys.tolist(), cells.reshape(w.values.shape).tolist()):
-        mid = _fmt(y) + size
-        parts.extend([head + mid + colors[c] for head, c in zip(heads, row)])
-    parts.extend(_axes(frame, "q", "p"))
-    return _document(parts)
+    xs = [_fmt(x) for x in (frame.x(grid.q_axis()) - cell_w / 2).tolist()]
+    ys = [_fmt(y) for y in (frame.y(grid.p_axis()) - cell_h / 2).tolist()]
+    size = f'" width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}" fill="#%s"/>'
+    rects = [f'<rect x="{x}" y="{y}{size}' for y in ys for x in xs]
+    return _document(rects + [part.replace("%", "%%") for part in _axes(frame, "q", "p")])
+
+
+def wigner_svg(w: WignerGrid) -> str:
+    """Heatmap of the Wigner values with a diverging scale centered at 0."""
+    codes, cells = np.unique(_diverging_codes(w.values).ravel(), return_inverse=True)
+    colors = np.array([f"{c:06x}" for c in codes.tolist()], dtype=object)[cells]
+    return _heatmap_skeleton(w.grid) % tuple(colors.tolist())
 
 
 def emit_plot(data, fmt: str, path: Path) -> None:
@@ -191,7 +194,7 @@ def emit_plot(data, fmt: str, path: Path) -> None:
     if fmt == "gnuplot":
         if not isinstance(data, WignerGrid):
             raise ValueError(f"no gnuplot rendering for {type(data).__name__}")
-        _write_gnuplot(path, wigner_table(data)[1], data.grid.n_q)
+        _write_gnuplot(path, wigner_table(data)[1])
         return
     raise ValueError(f"unsupported plot format {fmt!r}")
 
@@ -216,15 +219,10 @@ def gnuplot_script(data_filename: str) -> str:
 def wigner_gnuplot(w: WignerGrid, data_filename: str) -> tuple[str, str]:
     """Gnuplot surface script plus its grid-format data file, whose cells
     are those of the CSV Wigner table."""
-    return gnuplot_script(data_filename), _wigner_dat(wigner_table(w)[1], w.grid.n_q)
+    return gnuplot_script(data_filename), wigner_table(w)[1].body("dat") + "\n"
 
 
-def _wigner_dat(rows: Rows, n_q: int) -> str:
-    lines = list(rows.lines(" "))
-    return "\n\n".join("\n".join(lines[i : i + n_q]) for i in range(0, len(lines), n_q)) + "\n"
-
-
-def _write_gnuplot(path: Path, rows: Rows, n_q: int) -> None:
+def _write_gnuplot(path: Path, rows: Rows) -> None:
     dat = path.with_suffix(".dat")
     path.with_suffix(".gp").write_text(gnuplot_script(dat.name), encoding="utf-8", newline="\n")
-    dat.write_text(_wigner_dat(rows, n_q), encoding="utf-8", newline="\n")
+    dat.write_text(rows.body("dat") + "\n", encoding="utf-8", newline="\n")

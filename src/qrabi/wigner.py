@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .entanglement import DensityMatrix, parity_ground_states
 from .model import ModelConfig
@@ -220,7 +219,8 @@ def wigner_characteristic(
     d^2 lam with gamma = (q + i p)/sqrt(2), over a disk |lam| <= lam_max in
     polar coordinates (Gauss-Legendre radially, uniform angularly).  The
     displacement operators are matrix exponentials in an enlarged Fock
-    space so their low-index block matches the untruncated operator, and
+    space so their low-index block matches the untruncated operator, taken
+    for every radius from one eigendecomposition of the generator, and
     rotation of lam through a phase is applied analytically.  Much slower
     per value than ``wigner``; intended as an independent spot check.
     """
@@ -231,7 +231,9 @@ def wigner_characteristic(
     # lam_max^2 + O(lam_max) before its tail is negligible
     embed = n + int(np.ceil(lam_max**2 + 4.0 * lam_max)) + 10
     ladder = np.diag(np.sqrt(np.arange(1, embed, dtype=float)), k=1)
-    generator = ladder.T - ladder  # D(r) = expm(r * generator) for real r
+    # D(r) = expm(r G) for real r, with G = a† - a real antisymmetric: iG is
+    # Hermitian, so with iG = V diag(lam) V†, expm(r G) = V diag(e^{-i r lam}) V†
+    lam, vecs = np.linalg.eigh(1j * (ladder.T - ladder))
 
     nodes, gl_weights = np.polynomial.legendre.leggauss(n_radial)
     radii = 0.5 * lam_max * (nodes + 1.0)
@@ -245,7 +247,7 @@ def wigner_characteristic(
 
     chis = np.empty((n_radial, n_angular), dtype=complex)
     for i, r in enumerate(radii):
-        block = scipy.linalg.expm(r * generator)[:n, :n]
+        block = ((vecs[:n] * np.exp(-1j * r * lam)) @ vecs[:n].conj().T).real
         chis[i] = np.einsum("km,tkm->t", rho.data.T * block, phases)
 
     cos_t, sin_t = np.cos(theta), np.sin(theta)

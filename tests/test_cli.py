@@ -2,9 +2,13 @@ import json
 import os
 import stat
 
+import numpy as np
 import pytest
 
+from qrabi import cli
 from qrabi.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from qrabi.plotting import gnuplot_script
+from qrabi.wigner import QuadratureGrid
 
 
 def run_cli(*args):
@@ -151,6 +155,20 @@ def test_config_errors(tmp_path):
     assert run_cli("spectrum", "--format", "gnuplot", "--out", str(tmp_path)) == EXIT_CONFIG
     assert run_cli("spectrum", "--format", "tsv", "--out", str(tmp_path)) == EXIT_CONFIG
     assert run_cli("entropy", "--g-min", "2", "--g-max", "1", "--out", str(tmp_path)) == EXIT_CONFIG
+    # non-finite values are refused before any output is written, as flags
+    # and from a config file
+    for command, key, value in (
+        ("wigner", "g", "nan"), ("spectrum", "g_max", "inf"), ("wigner", "q_max", "inf"),
+        ("wigner", "p_min", "-inf"), ("entropy", "omega_c", "nan"),
+        ("spectrum", "d_override", "nan"), ("reproduce-paper", "omega0", "inf"),
+    ):
+        out = tmp_path / f"{command}-{key}"
+        flag = "--" + key.replace("_", "-")
+        assert run_cli(command, f"{flag}={value}", "--out", str(out)) == EXIT_CONFIG
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -179,8 +197,6 @@ def test_io_failure_exit_code(tmp_path):
 
 
 def test_emit_plot_rejects_unsupported_kind(tmp_path):
-    import numpy as np
-
     from qrabi import SpectrumSweep, emit_plot
 
     sweep = SpectrumSweep(np.linspace(0, 1, 3), np.zeros((3, 2)), "QRM")
@@ -200,3 +216,51 @@ def test_io_failure_out_path_is_file(tmp_path):
         "--nmax", "2", "--out", str(target),
     )
     assert code == EXIT_IO
+
+
+def test_reproduce_paper_copies_only_repeated_panels(tmp_path, monkeypatch):
+    # a small grid in place of the preset's 201 x 201 keeps the run short
+    monkeypatch.setattr(cli, "QuadratureGrid", lambda *a: QuadratureGrid(-3, 3, -3, 3, 9, 7))
+    panels, copies = [], {}
+    real_gsw, real_copy = cli.ground_state_wigner, cli._copy_wigner
+
+    def recording_gsw(cfg, grid):
+        panels.append(real_gsw(cfg, grid))
+        return panels[-1]
+
+    def recording_copy(out, source, name, formats):
+        copies[name] = source
+        real_copy(out, source, name, formats)
+
+    monkeypatch.setattr(cli, "ground_state_wigner", recording_gsw)
+    monkeypatch.setattr(cli, "_copy_wigner", recording_copy)
+    out = tmp_path / "bundle"
+    formats = ("csv", "json", "svg", "gnuplot")
+    assert run_cli("reproduce-paper", "--format", ",".join(formats), "--threads", "1",
+                   "--out", str(out)) == EXIT_OK
+
+    names = [f"{fig}_g{cli._g_label(g)}" for fig in ("fig4a", "fig4b", "fig5a", "fig5b")
+             for g in (0.0, 0.5, 1.0, 3.0, 7.0, 10.0)]
+    assert len(panels) == len(names)
+    # a panel is a copy exactly when its values equal an earlier panel's
+    emitted = {}
+    for name, w in zip(names, panels):
+        source = next((s for s, v in emitted.items() if np.array_equal(v, w.values)), None)
+        assert copies.get(name) == source, name
+        if source is None:
+            emitted[name] = w.values
+    vacuum = ["fig4a_g0", "fig4b_g0", "fig5a_g0", "fig5b_g0"]
+    assert all(copies[name] == "fig4a_g0" for name in vacuum[1:])
+    surfaces = {"fig6a": "fig4a_g10", "fig6b": "fig4b_g10", "fig7a": "fig5a_g10",
+                "fig7b": "fig5b_g10"}
+    assert {name: copies[name] for name in surfaces} == surfaces
+
+    # the vacuum panels equal a direct emission; every script names its own data
+    spec_doc = json.loads((out / "fig4a_g0.json").read_text())["spec"]
+    cli._emit_wigner(tmp_path, "direct", panels[0], spec_doc, formats)
+    for name in vacuum:
+        for suffix in (".csv", ".json", ".svg", ".dat"):
+            assert (out / f"{name}{suffix}").read_bytes() == \
+                (tmp_path / f"direct{suffix}").read_bytes(), name + suffix
+    for name in names + list(surfaces):
+        assert (out / f"{name}.gp").read_text() == gnuplot_script(f"{name}.dat")

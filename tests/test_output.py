@@ -194,10 +194,15 @@ def test_wigner_table_and_dat_match_reference(tmp_path):
 
     script, dat = wigner_gnuplot(w, "w.dat")
     assert "splot 'w.dat' using 1:2:3" in script
+    assert dat == ref_dat(w)
+
+
+def ref_dat(w: WignerGrid) -> str:
+    q, p = w.grid.q_axis(), w.grid.p_axis()
     blocks = ["\n".join(f"{ref_format_float(q[j])} {ref_format_float(pv)} "
                         f"{ref_format_float(w.values[i, j])}" for j in range(len(q)))
               for i, pv in enumerate(p)]
-    assert dat == "\n\n".join(blocks) + "\n"
+    return "\n\n".join(blocks) + "\n"
 
 
 def test_dat_prints_negative_zero_as_zero():
@@ -258,13 +263,81 @@ def heatmap_grids():
     ]
 
 
-@pytest.mark.parametrize("w", heatmap_grids())
-def test_wigner_svg_matches_per_cell_reference(w):
-    got, want = wigner_svg(w), ref_wigner_svg(w)
+def assert_same_text(got, want):
     if got != want:  # name the first differing line, not a megabyte diff
         lines = zip(got.split("\n"), want.split("\n"))
-        i, (a, b) = next((i, ab) for i, ab in enumerate(lines) if ab[0] != ab[1])
+        i, (a, b) = next(((i, ab) for i, ab in enumerate(lines) if ab[0] != ab[1]),
+                         (None, (len(got), len(want))))
         pytest.fail(f"line {i}: {a!r} != reference {b!r}")
+
+
+@pytest.mark.parametrize("w", heatmap_grids())
+def test_wigner_svg_matches_per_cell_reference(w):
+    assert_same_text(wigner_svg(w), ref_wigner_svg(w))
+
+
+def assert_wigner_files_match_reference(tmp_path, w, spec=SPEC):
+    columns, rows = wigner_table(w)
+    write_csv(tmp_path / "t.csv", columns, rows)
+    write_json(tmp_path / "t.json", spec, columns, rows)
+    ref_rows = [[qv, pv, w.values[i, j]] for i, pv in enumerate(w.grid.p_axis())
+                for j, qv in enumerate(w.grid.q_axis())]
+    assert_same_text((tmp_path / "t.csv").read_text(), ref_csv(columns, ref_rows))
+    assert_same_text((tmp_path / "t.json").read_text(), ref_json(spec, columns, ref_rows))
+    assert_same_text(wigner_gnuplot(w, "t.dat")[1], ref_dat(w))
+    assert_same_text(wigner_svg(w), ref_wigner_svg(w))
+
+
+def skeleton_grids():
+    rng = np.random.default_rng(5)
+    qrm = ModelConfig(g=1.0, trunc=FockTruncation(15))
+    return [
+        pytest.param(ground_state_wigner(qrm, QuadratureGrid()), id="preset_g1_nmax15"),
+        pytest.param(small_wigner(), id="small"),
+        pytest.param(WignerGrid(QuadratureGrid(-4.5, 2.0, -1.0, 6.0, 37, 11),
+                                rng.uniform(-0.2, 0.3, (11, 37))), id="37x11"),
+        pytest.param(WignerGrid(QuadratureGrid(-1.0, 1.0, -1.0, 1.0, 2, 2),
+                                np.array([[0.1, -0.0], [1e-05, -0.2]])), id="2x2"),
+    ]
+
+
+@pytest.mark.parametrize("w", skeleton_grids())
+def test_wigner_skeleton_writers_match_reference(tmp_path, w):
+    # every Wigner format is written from a per-grid skeleton; the per-cell
+    # writers above are the reference
+    assert_wigner_files_match_reference(tmp_path, w)
+
+
+def test_skeletons_follow_grid_bounds(tmp_path):
+    # same shape, different bounds, written alternately: a skeleton cached
+    # under the wrong key would give one grid the other's q, p or geometry
+    rng = np.random.default_rng(9)
+    grids = [QuadratureGrid(-2.0, 2.0, -1.0, 1.0, 5, 4), QuadratureGrid(-1.0, 3.0, 0.5, 2.5, 5, 4)]
+    for grid in grids * 2:
+        assert_wigner_files_match_reference(
+            tmp_path, WignerGrid(grid, rng.uniform(-0.3, 0.3, (4, 5))))
+
+
+def test_percent_signs_are_written_verbatim(tmp_path, monkeypatch):
+    # the skeletons are filled by % substitution; no spec or path text is
+    # part of them
+    assert_wigner_files_match_reference(tmp_path, small_wigner(),
+                                        {**SPEC, "label": "100% %s %d %%"})
+    monkeypatch.chdir(tmp_path)
+    formats = "csv,json,svg,gnuplot"
+    argv = ["wigner", "--nmax", "3", "--n-q", "6", "--n-p", "5", "--format", formats,
+            "--threads", "1", "--out", "w%s%d%"]
+    assert main(argv) == EXIT_OK
+    out = tmp_path / "w%s%d%"
+    spec = json.loads((out / "wigner.json").read_text())["spec"]
+    assert spec["out"] == "w%s%d%"
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    w = ground_state_wigner(ModelConfig(g=1.0, trunc=FockTruncation(3)),
+                            QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 6, 5))
+    _emit_wigner(direct, "wigner", w, spec, formats.split(","))
+    for suffix in (".csv", ".json", ".svg", ".dat", ".gp"):
+        assert (out / f"wigner{suffix}").read_bytes() == (direct / f"wigner{suffix}").read_bytes()
 
 
 def test_copied_wigner_panel_equals_emitted_panel(tmp_path):
