@@ -14,10 +14,9 @@ columns are ``1``/``0`` in CSV and ``true``/``false`` in JSON.
 
 Tables are held column-wise (:class:`Column`, :class:`Rows`) and each
 distinct value of a column is formatted once, then shared by the CSV and
-JSON writers and by the gnuplot data file.  The q, p text of a Wigner
-table is the same for every panel on a grid, so it is formatted once per
-run into a skeleton per body format, and a panel fills in only its w
-cells.
+JSON writers and by the gnuplot data file.  A Wigner grid's q, p text is
+formatted once per run into a skeleton per format, which a panel fills
+with its w cells; the CLI writes a panel equal to a written one as a copy.
 """
 
 from __future__ import annotations

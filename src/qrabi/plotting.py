@@ -3,8 +3,8 @@ gnuplot surface scripts.  No external runtime is needed to produce the
 files; styling is deliberately plain.
 
 A heatmap's cell geometry and axes are formatted once per run into a
-skeleton per grid; a panel formats one colour string per distinct colour
-and fills them in."""
+skeleton per grid, which a panel fills with one colour string per distinct
+colour; the CLI writes a panel equal to a written one as a copy."""
 
 from __future__ import annotations
 
