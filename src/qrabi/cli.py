@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import os
 import shutil
 import sys
 from dataclasses import dataclass
@@ -79,7 +78,6 @@ _DEFAULTS = {
     "n_p": 201,
     "out": "qrabi_out",
     "format": "csv",
-    "threads": None,
 }
 
 _COERCE = {
@@ -101,7 +99,6 @@ _COERCE = {
     "n_p": int,
     "out": str,
     "format": str,
-    "threads": int,
 }
 
 
@@ -132,7 +129,6 @@ class ExperimentSpec:
     n_p: int
     out: str
     formats: tuple[str, ...]
-    threads: int
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,9 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="explicit diamagnetic constant D (default g^2/omega_c)")
         p.add_argument("--out", help="output directory (default ./qrabi_out)")
         p.add_argument("--format", help="comma list of csv,json,svg,gnuplot (default csv)")
-        p.add_argument("--threads", type=int,
-                       help="echoed into the artifacts only: sweeps are batched, so "
-                            "the value changes no result (default: CPU count)")
 
     def add_sweep(p: argparse.ArgumentParser) -> None:
         p.add_argument("--g-min", dest="g_min", type=float, help="sweep start (default 0)")
@@ -249,12 +242,6 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
         if f not in _FORMATS_BY_COMMAND[args.command]:
             raise ConfigError(f"format {f!r} is not supported by {args.command!r}")
 
-    threads = merged["threads"]
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-
     spec = ExperimentSpec(
         command=args.command,
         omega_c=float(merged["omega_c"]),
@@ -275,7 +262,6 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
         n_p=int(merged["n_p"]),
         out=str(merged["out"]),
         formats=formats,
-        threads=int(threads),
     )
     _validate_spec(spec)
     return spec
@@ -309,14 +295,17 @@ def _validate_spec(spec: ExperimentSpec) -> None:
             raise ConfigError("n_q and n_p must be >= 2")
 
 
-def _model_config(spec: ExperimentSpec, g: float, diamagnetic: bool | None = None) -> ModelConfig:
+def _model_config(
+    spec: ExperimentSpec, g: float = 0.0, dia: bool | None = None, nmax: int | None = None
+) -> ModelConfig:
+    """The spec's model at coupling ``g``; ``dia`` and ``nmax`` override the spec's."""
     return ModelConfig(
         omega_c=spec.omega_c,
         omega_0=spec.omega_0,
         g=g,
-        include_diamagnetic=spec.diamagnetic if diamagnetic is None else diamagnetic,
+        include_diamagnetic=spec.diamagnetic if dia is None else dia,
         d_override=spec.d_override,
-        trunc=FockTruncation(spec.nmax),
+        trunc=FockTruncation(spec.nmax if nmax is None else nmax),
     )
 
 
@@ -336,6 +325,14 @@ def _write_table(out: Path, name: str, spec_doc: dict, columns, rows, formats) -
         write_csv(out / f"{name}.csv", columns, rows)
     if "json" in formats:
         write_json(out / f"{name}.json", spec_doc, columns, rows)
+
+
+def _emit_sweep(out: Path, name: str, sweep, table, spec_doc: dict, formats) -> None:
+    """Write ``table(sweep)`` in the table formats, then the sweep's SVG if asked."""
+    columns, rows = table(sweep)
+    _write_table(out, name, spec_doc, columns, rows, formats)
+    if "svg" in formats:
+        emit_plot(sweep, "svg", out / f"{name}.svg")
 
 
 def _emit_wigner(out: Path, name: str, w, spec_doc: dict, formats) -> None:
@@ -362,33 +359,24 @@ def _copy_wigner(out: Path, source: str, name: str, formats) -> None:
 
 
 def _run_spectrum(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
-    cfg = _model_config(spec, g=0.0)
-    sweep = sweep_spectrum(cfg, _g_grid(spec), spec.levels)
-    columns, rows = spectrum_table(sweep)
-    _write_table(out, "spectrum", spec_doc, columns, rows, spec.formats)
-    if "svg" in spec.formats:
-        emit_plot(sweep, "svg", out / "spectrum.svg")
+    sweep = sweep_spectrum(_model_config(spec), _g_grid(spec), spec.levels)
+    _emit_sweep(out, "spectrum", sweep, spectrum_table, spec_doc, spec.formats)
 
 
 def _run_crossings(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
-    cfg = _model_config(spec, g=0.0)
-    sweep = sweep_spectrum(cfg, _g_grid(spec), spec.levels)
+    sweep = sweep_spectrum(_model_config(spec), _g_grid(spec), spec.levels)
     reports = [find_avoided_crossings(sweep, (k, k + 1)) for k in range(spec.levels - 1)]
     columns, rows = crossings_table(reports)
     _write_table(out, "crossings", spec_doc, columns, rows, spec.formats)
 
 
 def _run_entropy(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
-    cfg = _model_config(spec, g=0.0)
-    sweep = entropy_sweep(cfg, _g_grid(spec))
-    columns, rows = entropy_table(sweep)
-    _write_table(out, "entropy", spec_doc, columns, rows, spec.formats)
-    if "svg" in spec.formats:
-        emit_plot(sweep, "svg", out / "entropy.svg")
+    sweep = entropy_sweep(_model_config(spec), _g_grid(spec))
+    _emit_sweep(out, "entropy", sweep, entropy_table, spec_doc, spec.formats)
 
 
 def _run_wigner(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
-    cfg = _model_config(spec, g=spec.g)
+    cfg = _model_config(spec, spec.g)
     grid = QuadratureGrid(spec.q_min, spec.q_max, spec.p_min, spec.p_max, spec.n_q, spec.n_p)
     w = ground_state_wigner(cfg, grid)
     _emit_wigner(out, "wigner", w, spec_doc, spec.formats)
@@ -406,16 +394,6 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
     wigner_gs = (0.0, 0.5, 1.0, 3.0, 7.0, 10.0)
     quad = QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 201, 201)
 
-    def preset_cfg(nmax: int, g: float, dia: bool) -> ModelConfig:
-        return ModelConfig(
-            omega_c=spec.omega_c,
-            omega_0=spec.omega_0,
-            g=g,
-            include_diamagnetic=dia,
-            d_override=spec.d_override,
-            trunc=FockTruncation(nmax),
-        )
-
     # fig1/fig2: spectra for both truncations and both model variants
     for name, nmax, dia in (
         ("fig1a", 2, False),
@@ -423,12 +401,8 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
         ("fig2a", 15, False),
         ("fig2b", 15, True),
     ):
-        levels = min(8, 2 * nmax)
-        sweep = sweep_spectrum(preset_cfg(nmax, 0.0, dia), grid_34, levels)
-        columns, rows = spectrum_table(sweep)
-        _write_table(out, name, spec_doc, columns, rows, spec.formats)
-        if "svg" in spec.formats:
-            emit_plot(sweep, "svg", out / f"{name}.svg")
+        sweep = sweep_spectrum(_model_config(spec, 0.0, dia, nmax), grid_34, min(8, 2 * nmax))
+        _emit_sweep(out, name, sweep, spectrum_table, spec_doc, spec.formats)
 
     # fig4/fig5: Wigner panels per coupling; fig6/fig7: the g = 10 surfaces,
     # which are copies of the g = 10 panels.  All panels share quad, so one
@@ -441,7 +415,7 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
         ("fig5b", "fig7b", 15, True),
     ):
         for g in wigner_gs:
-            w = ground_state_wigner(preset_cfg(nmax, g, dia), quad)
+            w = ground_state_wigner(_model_config(spec, g, dia, nmax), quad)
             panel = f"{name}_g{_g_label(g)}"
             source = written.setdefault(hashlib.sha256(w.values.tobytes()).digest(), panel)
             if source == panel:
@@ -452,11 +426,8 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
 
     # fig8: entropy sweeps for both truncations
     for name, nmax in (("fig8a", 2), ("fig8b", 15)):
-        sweep = entropy_sweep(preset_cfg(nmax, 0.0, False), grid_34)
-        columns, rows = entropy_table(sweep)
-        _write_table(out, name, spec_doc, columns, rows, spec.formats)
-        if "svg" in spec.formats:
-            emit_plot(sweep, "svg", out / f"{name}.svg")
+        sweep = entropy_sweep(_model_config(spec, 0.0, False, nmax), grid_34)
+        _emit_sweep(out, name, sweep, entropy_table, spec_doc, spec.formats)
 
 
 _RUNNERS = {

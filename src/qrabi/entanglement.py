@@ -13,7 +13,7 @@ import numpy as np
 
 from .model import ModelConfig
 from .operators import Operator
-from .spectra import Hamiltonian, eigensystem, ground_sector, solve_parity_blocks
+from .spectra import ground_sector, solve_parity_blocks
 
 __all__ = [
     "PureState",
@@ -83,22 +83,19 @@ class DensityMatrix:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
 
-def ground_state(h: Hamiltonian) -> PureState:
-    """Eigenvector of the smallest eigenvalue, with the global phase fixed
-    by making the largest-magnitude amplitude real and positive.
-
-    When the two lowest eigenvalues agree to within 1e-10 relative (the
-    large-g parity doublet), the strict lowest vector is still returned
-    and the quasi-degeneracy flag is set.
+def ground_state(cfg: ModelConfig) -> PureState:
+    """Ground state of ``cfg`` over the qubit (x) cavity basis: the vector of
+    ``parity_ground_states``, so its parity is definite even in a degenerate
+    doublet, with the global phase fixed by making the largest-magnitude
+    amplitude positive.  The flag is set as in ``parity_ground_states``.
     """
-    es = eigensystem(h)
-    amp = es.vectors[:, 0].copy()
-    k = int(np.argmax(np.abs(amp)))
-    amp *= np.abs(amp[k]) / amp[k]
-    amp /= np.linalg.norm(amp)
-    e0, e1 = float(es.values[0]), float(es.values[1])
-    flagged = (e1 - e0) < DEGENERACY_RTOL * (1.0 + abs(e0))
-    return PureState(amp, h.op.dims, energy=e0, quasi_degenerate=flagged)
+    psi, parity, energy, flagged = parity_ground_states(cfg, np.array([cfg.g]))
+    n = np.arange(cfg.trunc.n_max)
+    # chain state n holds the qubit with sigma_z = P (-1)^n: index 0 for +1
+    amp = np.zeros(2 * n.size)
+    amp[(parity[0] * (-1) ** n < 0) * n.size + n] = psi[0]
+    amp *= np.sign(amp[np.argmax(np.abs(amp))])
+    return PureState(amp, (2, n.size), energy=float(energy[0]), quasi_degenerate=bool(flagged[0]))
 
 
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
@@ -156,16 +153,17 @@ class EntropySweep:
 
 
 def parity_ground_states(base: ModelConfig, grid: np.ndarray):
-    """``(psi, parity, quasi_degenerate)`` per coupling of ``grid``: the
-    lowest vector of the parity sector with the lower lowest level, in the
-    chain basis of ``model.parity_blocks``, so its parity is definite even in
-    a degenerate doublet (a tie as in ``spectra.ground_sector``); the flag
-    is set as in ``ground_state``."""
+    """``(psi, parity, energy, quasi_degenerate)`` per coupling of ``grid``:
+    the lowest vector and level of the parity sector with the lower lowest
+    level, in the chain basis of ``model.parity_blocks``, so its parity is
+    definite even in a degenerate doublet (a tie as in
+    ``spectra.ground_sector``).  The flag is set when the two lowest levels
+    agree to within 1e-10 relative (the large-g parity doublet)."""
     values, vectors = solve_parity_blocks(base, grid, np.linalg.eigh)
     sector = ground_sector(values)
     e0, e1 = np.sort(np.hstack(values), axis=1)[:, :2].T
     flagged = (e1 - e0) < DEGENERACY_RTOL * (1.0 + np.abs(e0))
-    return vectors[sector, np.arange(grid.size), :, 0], 2 * sector - 1, flagged
+    return vectors[sector, np.arange(grid.size), :, 0], 2 * sector - 1, e0, flagged
 
 
 def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
@@ -181,7 +179,7 @@ def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
     columns = []
     for dia in (False, True):
         cfg = dataclasses.replace(base, include_diamagnetic=dia)
-        psi, _, flagged = parity_ground_states(cfg, grid)
+        psi, _, _, flagged = parity_ground_states(cfg, grid)
         # the qubit state is diagonal: weights of the even and odd chain states
         lam = np.stack([(psi[:, 0::2] ** 2).sum(axis=1), (psi[:, 1::2] ** 2).sum(axis=1)], 1)
         logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)

@@ -12,7 +12,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import Hamiltonian, ModelConfig, model_tag, parity_blocks
 from .operators import FockTruncation, Operator, is_hermitian
@@ -98,7 +97,7 @@ def eigensystem(h: Hamiltonian | Operator) -> EigenSystem:
     op = h.op if isinstance(h, Hamiltonian) else h
     if not is_hermitian(op, 1e-10):
         raise ValueError("matrix is not Hermitian within 1e-10")
-    values, vectors = scipy.linalg.eigh(op.data)
+    values, vectors = np.linalg.eigh(op.data)
     return EigenSystem(values, vectors)
 
 

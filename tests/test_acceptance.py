@@ -70,7 +70,7 @@ ENTROPY_SNAPSHOT = {
 
 def _cavity_ground_state(cfg):
     """Ground-state parity <Pi>, qubit <sigma_z> and reduced cavity state."""
-    state = ground_state(build_full(cfg))
+    state = ground_state(cfg)
     n = cfg.trunc.n_max
     parity = expectation(parity_operator(cfg.trunc), state).real
     sigma_z = expectation(tensor(pauli("z"), identity(n)), state).real
@@ -174,7 +174,7 @@ def test_criterion_05_displaced_oscillator():
     worst_e, worst_n = 0.0, 0.0
     for g in (0.5, 1.0, 2.0):
         cfg = ModelConfig(omega_0=0.0, g=g, trunc=FockTruncation(80))
-        state = ground_state(build_full(cfg))
+        state = ground_state(cfg)
         worst_e = max(worst_e, abs(state.energy + g * g))
         n_exp = expectation(tensor(identity(2), number(cfg.trunc)), state).real
         worst_n = max(worst_n, abs(n_exp - g * g) / (g * g))
@@ -436,7 +436,7 @@ def test_criterion_14_truncation_convergence():
 
 def test_criterion_15_reproduce_preset_determinism(tmp_path):
     out = tmp_path / "bundle"
-    args = ["reproduce-paper", "--out", str(out), "--format", "csv,json", "--threads", "2"]
+    args = ["reproduce-paper", "--out", str(out), "--format", "csv,json"]
     start = time.perf_counter()
     assert cli_main(list(args)) == EXIT_OK
     elapsed = time.perf_counter() - start

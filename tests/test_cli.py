@@ -1,6 +1,9 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,11 +72,11 @@ def test_deterministic_reruns(tmp_path):
     ]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli(*args, "--out", str(out1)) == EXIT_OK
-    assert run_cli(*args, "--out", str(out2), "--threads", "3") == EXIT_OK
+    assert run_cli(*args, "--out", str(out2)) == EXIT_OK
     assert (out1 / "entropy.csv").read_bytes() == (out2 / "entropy.csv").read_bytes()
     json1 = json.loads((out1 / "entropy.json").read_text())
     json2 = json.loads((out2 / "entropy.json").read_text())
-    assert json1["rows"] == json2["rows"]  # spec differs (out, threads), data identical
+    assert json1["rows"] == json2["rows"]  # spec differs (out), data identical
 
 
 def test_crossings_csv(tmp_path):
@@ -169,6 +172,25 @@ def test_config_errors(tmp_path):
         cfg.write_text(f"{key} = {value}\n")
         assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
         assert not out.exists()
+    # threads changed no result and is gone, as a flag and as a config key
+    out = tmp_path / "threads"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("entropy", "--threads", "2", "--out", str(out))
+    assert exc.value.code == EXIT_CONFIG
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("threads = 2\n")
+    assert run_cli("entropy", "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, qrabi.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -236,8 +258,7 @@ def test_reproduce_paper_copies_only_repeated_panels(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_copy_wigner", recording_copy)
     out = tmp_path / "bundle"
     formats = ("csv", "json", "svg", "gnuplot")
-    assert run_cli("reproduce-paper", "--format", ",".join(formats), "--threads", "1",
-                   "--out", str(out)) == EXIT_OK
+    assert run_cli("reproduce-paper", "--format", ",".join(formats), "--out", str(out)) == EXIT_OK
 
     names = [f"{fig}_g{cli._g_label(g)}" for fig in ("fig4a", "fig4b", "fig5a", "fig5b")
              for g in (0.0, 0.5, 1.0, 3.0, 7.0, 10.0)]

@@ -15,6 +15,7 @@ from qrabi import (
     ground_state,
     identity,
     number,
+    parity_operator,
     partial_trace,
     tensor,
     von_neumann_entropy,
@@ -30,7 +31,7 @@ def random_pure_state(rng, n):
 
 def test_ground_state_decoupled():
     cfg = ModelConfig(g=0.0, trunc=FockTruncation(4))
-    state = ground_state(build_full(cfg))
+    state = ground_state(cfg)
     # |g, 0> sits at flat index 1 * n_max + 0 = 4
     expected = np.zeros(8)
     expected[4] = 1.0
@@ -40,21 +41,24 @@ def test_ground_state_decoupled():
 
 
 def test_ground_state_phase_fix():
-    cfg = ModelConfig(g=0.7, trunc=FockTruncation(6))
-    state = ground_state(build_full(cfg))
-    k = np.argmax(np.abs(state.amplitudes))
-    assert state.amplitudes[k].imag == pytest.approx(0.0, abs=1e-14)
-    assert state.amplitudes[k].real > 0
+    for g in (0.7, 2.0, 3.0):
+        state = ground_state(ModelConfig(g=g, trunc=FockTruncation(6)))
+        k = np.argmax(np.abs(state.amplitudes))
+        assert state.amplitudes[k].imag == pytest.approx(0.0, abs=1e-14)
+        assert state.amplitudes[k].real > 0
 
 
-def test_ground_state_energy_matches_eigensystem_bitwise():
-    h = build_full(ModelConfig(g=1.4, trunc=FockTruncation(10)))
-    assert ground_state(h).energy == eigensystem(h).values[0]
+def test_ground_state_energy_is_the_parity_block_level():
+    cfg = ModelConfig(g=1.4, trunc=FockTruncation(10))
+    energy = ground_state(cfg).energy
+    assert energy == parity_ground_states(cfg, np.array([cfg.g]))[2][0]
+    dense = eigensystem(build_full(cfg)).values[0]
+    assert abs(energy - dense) <= 1e-12 * max(1.0, abs(dense))
 
 
 def test_ground_state_entropy_zero_at_zero_coupling():
     cfg = ModelConfig(g=0.0, trunc=FockTruncation(5))
-    state = ground_state(build_full(cfg))
+    state = ground_state(cfg)
     s = von_neumann_entropy(partial_trace(state.to_density(), "qubit"))
     assert s == 0.0
 
@@ -62,15 +66,15 @@ def test_ground_state_entropy_zero_at_zero_coupling():
 def test_quasi_degeneracy_flag():
     # omega_0 = 0 leaves every level exactly doubly degenerate
     cfg = ModelConfig(omega_0=0.0, g=0.3, trunc=FockTruncation(8))
-    assert ground_state(build_full(cfg)).quasi_degenerate
+    assert ground_state(cfg).quasi_degenerate
     cfg2 = ModelConfig(g=0.3, trunc=FockTruncation(8))
-    assert not ground_state(build_full(cfg2)).quasi_degenerate
+    assert not ground_state(cfg2).quasi_degenerate
 
 
 def test_deep_strong_photon_number():
     # displaced-vacuum oracle: <a†a> = (g/omega_c)^2
     cfg = ModelConfig(omega_0=0.0, g=2.0, trunc=FockTruncation(60))
-    state = ground_state(build_full(cfg))
+    state = ground_state(cfg)
     n_op = tensor(identity(2), number(cfg.trunc))
     n_exp = expectation(n_op, state).real
     assert abs(n_exp - 4.0) / 4.0 <= 0.01
@@ -197,12 +201,12 @@ def test_entropy_sweep_matches_pointwise_dense_solve(nmax, omega_0, d_override):
     for dia, entropies, flags in ((False, sweep.s_qrm, sweep.degenerate_qrm),
                                   (True, sweep.s_qrma, sweep.degenerate_qrma)):
         for g, s, flagged in zip(grid, entropies, flags):
-            h = build_full(dataclasses.replace(base, g=g, include_diamagnetic=dia))
-            gap = np.diff(eigensystem(h).values[:2])[0]
-            if gap <= 1e-8:
+            es = eigensystem(build_full(dataclasses.replace(base, g=g, include_diamagnetic=dia)))
+            if np.diff(es.values[:2])[0] <= 1e-8:
                 # a degenerate doublet: the dense solver may mix the parities
                 continue
-            dense = von_neumann_entropy(partial_trace(ground_state(h).to_density(), "qubit"))
+            state = PureState(es.vectors[:, 0], (2, nmax))
+            dense = von_neumann_entropy(partial_trace(state.to_density(), "qubit"))
             assert abs(s - dense) <= 1e-12
             assert not flagged
             compared += 1
@@ -248,18 +252,31 @@ def test_deep_strong_ground_state_has_definite_parity():
     sweep = entropy_sweep(cfg, [6.0])
     assert abs(sweep.s_qrm[0] - 1.0) < 1e-3
     assert sweep.degenerate_qrm[0]
+    # ground_state embeds the same parity-sector vector in the full basis
+    state = ground_state(cfg)
+    assert abs(abs(expectation(parity_operator(cfg.trunc), state).real) - 1.0) <= 1e-12
+    assert abs(von_neumann_entropy(partial_trace(state.to_density(), "qubit")) - 1.0) < 1e-3
+    assert state.quasi_degenerate
 
 
 def test_parity_sector_tie_rule():
     # omega_0 = 0 makes both blocks identical: the tie goes to parity -1,
     # the sector of the g = 0 ground state |g, 0>
     grid = np.linspace(0.0, 3.0, 7)
-    _, parity, flagged = parity_ground_states(
+    _, parity, _, flagged = parity_ground_states(
         ModelConfig(omega_0=0.0, trunc=FockTruncation(8)), grid
     )
     assert np.all(parity == -1) and np.all(flagged)
-    psi, parity, _ = parity_ground_states(ModelConfig(trunc=FockTruncation(8)), grid[:1])
+    psi, parity, _, _ = parity_ground_states(ModelConfig(trunc=FockTruncation(8)), grid[:1])
     assert parity[0] == -1 and abs(psi[0, 0]) == 1.0
+    # ground_state embeds the parity -1 vector: chain state n holds
+    # sigma_z = -(-1)^n, so even n sit on the ground qubit (flat index 8 + n)
+    cfg = ModelConfig(omega_0=0.0, g=0.8, trunc=FockTruncation(8))
+    state = ground_state(cfg)
+    assert expectation(parity_operator(cfg.trunc), state).real == pytest.approx(-1.0, abs=1e-12)
+    n = np.arange(8)
+    assert not state.amplitudes[n[n % 2 == 0]].any()
+    assert not state.amplitudes[8 + n[n % 2 == 1]].any()
 
 
 def test_expectation_dims_check():

@@ -63,7 +63,7 @@ def ref_json(spec, columns, rows) -> str:
     return json.dumps(doc) + "\n"
 
 
-SPEC = {"command": "test", "threads": 1, "formats": ["csv", "json"], "d_override": None}
+SPEC = {"command": "test", "nmax": 2, "formats": ["csv", "json"], "d_override": None}
 
 EDGE_FLOATS = [
     -0.0, 0.0, -6.0, 6.0, 1e-05, -1e-05, 1.5e13, -1.5e13, 1e16, 1.5e16, 1e12, 1e11,
@@ -326,7 +326,7 @@ def test_percent_signs_are_written_verbatim(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     formats = "csv,json,svg,gnuplot"
     argv = ["wigner", "--nmax", "3", "--n-q", "6", "--n-p", "5", "--format", formats,
-            "--threads", "1", "--out", "w%s%d%"]
+            "--out", "w%s%d%"]
     assert main(argv) == EXIT_OK
     out = tmp_path / "w%s%d%"
     spec = json.loads((out / "wigner.json").read_text())["spec"]
@@ -355,45 +355,46 @@ def test_copied_wigner_panel_equals_emitted_panel(tmp_path):
 
 
 # sha256 of every file of small runs, recorded before the writers were
-# made column-wise; --out is relative because the spec echoes it
+# made column-wise (the .json and manifest.json ones again when the spec
+# lost its threads key); --out is relative because the spec echoes it
 PINNED = {
     ("spectrum", "--nmax", "2", "--levels", "4", "--g-steps", "5", "--format", "csv,json"): {
-        "manifest.json": "fb89b95e63b2f00a449699d068ef28b72104316311047005405dcecd0719c422",
+        "manifest.json": "8e8ca72afe2edb99eabcf1108cb08ffc83106c4115538adadeaf489da3a3f819",
         "spectrum.csv": "2b8d10c5a90e981566c4cd7d6bef5a6f813665a116e56234627726c1d3fcf82f",
-        "spectrum.json": "15a1f8b3775941c1cac6716dd7cd36918de5a3c11a0cb9dcaef5cf069d2cf74a",
+        "spectrum.json": "3ee644094f2a66383168f07d5d082cd3899e7722b9fa564ee298764ed9996e12",
     },
     ("wigner", "--nmax", "2", "--n-q", "5", "--n-p", "4", "--format", "csv,json,gnuplot"): {
-        "manifest.json": "fbcaf27c9965621f41b92b3382a22c995a3b63ca8e1fcb6c77ac00874778a549",
+        "manifest.json": "555e0391241585db04d59c408a4382775198e641addaa1762d6d0a4ead852d6d",
         "wigner.csv": "c0bb6f22a89c6c2a12b196c08ea638dbfcc9e9a4e77ebc4849cfc798eba19731",
         "wigner.dat": "d6d06cbe5169a4f6a81c7ec72f6ded71cad39a083957b22cf377bdd45f25b54a",
         "wigner.gp": "2e562470fd083a71916faa8685f4f4789a20c962875bf84976a2e05283a8f224",
-        "wigner.json": "c906a0697526878969a09d5b3e8a9802fa4c669c8aaa445b6e1d9e644ea7fc24",
+        "wigner.json": "167f1987adc14a5c7fc07f2588d7394fd7df8c26f4c5c575908f6fec00234127",
     },
     ("crossings", "--nmax", "2", "--levels", "4", "--g-steps", "5", "--format", "csv,json"): {
-        "manifest.json": "43baf1b52536ae16e0804739ed988960343ab3c92791b65ef5fa854104c179cc",
+        "manifest.json": "30aeb1e14f548feeb3e65a59b439dceb3ed7ef01ba194e8df48ea5f0409254bb",
         "crossings.csv": "6c2bc1d0f5abeccfad2e5917031d20159e0160aac09db828c89e752891970975",
-        "crossings.json": "3005e8fd8ccf91a27ff6210ee3358af27a882ac036b4da705e64d06665f988ae",
+        "crossings.json": "22cd65b24b21d8616dc46e360d9afba3e160be2fe8ee913732cfeeb3aa7f68a9",
     },
     ("entropy", "--nmax", "2", "--g-steps", "5", "--format", "csv,json"): {
-        "manifest.json": "6fd5132caa5af5b93bf6156151facffc60bbf89c9f00f4be51c618642911f86f",
+        "manifest.json": "1a533f751a2d903706172dd6a8a8a6bb8205e91f96ce96af43c94144b20c833b",
         "entropy.csv": "05663ba83fa88c0374aa6c8c676e5916a69198d316b25cf56ce87299cc3c14b4",
-        "entropy.json": "ec0dcab00fb20102cf96afaabf699e9e8e950d7e9303909a66fcf0a86455ff6d",
+        "entropy.json": "e51d4a30c3c83e0bf74db08b3d6e156828c89270a4c56c67d21e088346c11b8f",
     },
     # the plot files, recorded before the heatmap was rendered array-wise
     ("wigner", "--nmax", "3", "--g", "1", "--n-q", "9", "--n-p", "7",
      "--format", "svg,gnuplot"): {
-        "manifest.json": "274a767b99d49bb202a7afb3247a0269e04930070031c18a50008ef7bb5e22b0",
+        "manifest.json": "5b0e98db6a810ad42098e1017ffcd194ab8874a0b97f774a648e5a001a80d7c7",
         "wigner.dat": "885fbed8d9a3d829a0e340bf9c692390ec7bdb7b25c7ebfa53912dbeb53b832e",
         "wigner.gp": "2e562470fd083a71916faa8685f4f4789a20c962875bf84976a2e05283a8f224",
         "wigner.svg": "e3f8d12c3a99db244f70856b1ea1cc4b4fa7b0943868053931974974c5e061fe",
     },
     ("spectrum", "--nmax", "2", "--levels", "4", "--g-steps", "5", "--format", "svg"): {
-        "manifest.json": "098846665f0b2db849a5ec35a8552abee1c167d15145482aee2c1406eca22e27",
+        "manifest.json": "e57af2a0865dd592df74e70206d5829c6866f9031c6723e6dd2347037f6bfb41",
         "spectrum.svg": "89903a3bd098abb3fa0e36698ecf4c204a3f7727a9094f7d4dec002748c5cf27",
     },
     ("entropy", "--nmax", "2", "--g-steps", "5", "--format", "svg"): {
         "entropy.svg": "1553c9b1cac50a6c5fc7e63f2f430bd9ffcd7236226492ddd22ae9284697214e",
-        "manifest.json": "f03255d52fdd488cdd977ce658c696e1aa0163bd1ad1cb24ac7ce63b81789eef",
+        "manifest.json": "4fb9dd686d1be4c3bf311f4273cb10a21b2124d85cfeecbdbe9107fa30b77cae",
     },
 }
 
@@ -403,7 +404,7 @@ PINNED = {
 def test_pinned_artifact_bytes(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     command = argv[0]
-    assert main([*argv, "--threads", "1", "--out", command]) == EXIT_OK
+    assert main([*argv, "--out", command]) == EXIT_OK
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in sorted((tmp_path / command).iterdir())}
     assert digests == PINNED[argv]

@@ -9,10 +9,11 @@ from qrabi import (
     DensityMatrix,
     FockTruncation,
     ModelConfig,
+    PureState,
     QuadratureGrid,
     WignerGrid,
     build_full,
-    ground_state,
+    eigensystem,
     ground_state_wigner,
     marginal_variance,
     partial_trace,
@@ -268,7 +269,8 @@ def test_ground_state_wigner_matches_dense_reduced_state():
                 ModelConfig(omega_0=0.83, g=2.0, include_diamagnetic=True,
                             trunc=FockTruncation(15))):
         grid = QuadratureGrid(-5, 5, -4, 4, 41, 33)
-        reduced = partial_trace(ground_state(build_full(cfg)).to_density(), "cavity")
+        dense_state = PureState(eigensystem(build_full(cfg)).vectors[:, 0], (2, cfg.trunc.n_max))
+        reduced = partial_trace(dense_state.to_density(), "cavity")
         dense = wigner(reduced, grid).values
         assert np.max(np.abs(ground_state_wigner(cfg, grid).values - dense)) <= 1e-12
 
