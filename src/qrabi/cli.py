@@ -10,6 +10,14 @@ reproduce-paper  curated preset regenerating the standard figure bundle
 
 Options may come from a ``key = value`` config file (``--config``); explicit
 command-line flags win over the file, which wins over built-in defaults.
+Each option is declared once, in ``_OPTIONS``: its type, default, help
+text and the commands whose parser offers it as a flag; each command once,
+in ``_COMMANDS``: its help text, its formats and its runner.  A command
+offers only the flags it uses.  A config file may set any key, since one
+file may serve several commands; a key the command does not use is echoed
+in the manifest and otherwise ignored, beyond the checks every command
+makes.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O failure.
 """
@@ -21,8 +29,10 @@ import dataclasses
 import hashlib
 import shutil
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,56 +61,6 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _FORMATS = ("csv", "json", "svg", "gnuplot")
-_FORMATS_BY_COMMAND = {
-    "spectrum": ("csv", "json", "svg"),
-    "crossings": ("csv", "json"),
-    "entropy": ("csv", "json", "svg"),
-    "wigner": ("csv", "json", "svg", "gnuplot"),
-    "reproduce-paper": ("csv", "json", "svg", "gnuplot"),
-}
-
-_DEFAULTS = {
-    "omega_c": 1.0,
-    "omega0": 1.0,
-    "g": 1.0,
-    "g_min": 0.0,
-    "g_max": 3.0,
-    "g_steps": 201,
-    "nmax": 15,
-    "diamagnetic": "off",
-    "d_override": None,
-    "levels": 8,
-    "q_min": -6.0,
-    "q_max": 6.0,
-    "p_min": -6.0,
-    "p_max": 6.0,
-    "n_q": 201,
-    "n_p": 201,
-    "out": "qrabi_out",
-    "format": "csv",
-}
-
-_COERCE = {
-    "omega_c": float,
-    "omega0": float,
-    "g": float,
-    "g_min": float,
-    "g_max": float,
-    "g_steps": int,
-    "nmax": int,
-    "diamagnetic": str,
-    "d_override": float,
-    "levels": int,
-    "q_min": float,
-    "q_max": float,
-    "p_min": float,
-    "p_max": float,
-    "n_q": int,
-    "n_p": int,
-    "out": str,
-    "format": str,
-}
-
 
 class ConfigError(ValueError):
     """Invalid command line, config file, or parameter combination."""
@@ -142,60 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qrabi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for command, (help_text, _formats, _runner) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key = value config file; flags override it")
-        p.add_argument("--omega-c", dest="omega_c", type=float,
-                       help="cavity frequency (default 1.0; all units relative to it)")
-        p.add_argument("--omega0", type=float,
-                       help="qubit transition frequency (default 1.0, i.e. resonance)")
-        p.add_argument("--nmax", type=int, help="Fock states kept (default 15)")
-        p.add_argument("--diamagnetic", choices=["on", "off"],
-                       help="include the diamagnetic A^2 term (default off)")
-        p.add_argument("--d-override", dest="d_override", type=float,
-                       help="explicit diamagnetic constant D (default g^2/omega_c)")
-        p.add_argument("--out", help="output directory (default ./qrabi_out)")
-        p.add_argument("--format", help="comma list of csv,json,svg,gnuplot (default csv)")
-
-    def add_sweep(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--g-min", dest="g_min", type=float, help="sweep start (default 0)")
-        p.add_argument("--g-max", dest="g_max", type=float, help="sweep end (default 3)")
-        p.add_argument("--g-steps", dest="g_steps", type=int,
-                       help="number of grid points (default 201)")
-
-    p_spec = sub.add_parser("spectrum", help="energy levels vs coupling")
-    add_common(p_spec)
-    add_sweep(p_spec)
-    p_spec.add_argument("--levels", type=int, help="levels per grid point (default 8)")
-
-    p_cross = sub.add_parser("crossings", help="minimal adjacent-level gaps")
-    add_common(p_cross)
-    add_sweep(p_cross)
-    p_cross.add_argument("--levels", type=int, help="levels per grid point (default 8)")
-
-    p_ent = sub.add_parser("entropy", help="ground-state entanglement entropy sweep")
-    add_common(p_ent)
-    add_sweep(p_ent)
-
-    p_wig = sub.add_parser("wigner", help="ground-state cavity Wigner function")
-    add_common(p_wig)
-    p_wig.add_argument("--g", type=float, help="coupling strength (default 1.0)")
-    p_wig.add_argument("--q-min", dest="q_min", type=float)
-    p_wig.add_argument("--q-max", dest="q_max", type=float)
-    p_wig.add_argument("--p-min", dest="p_min", type=float)
-    p_wig.add_argument("--p-max", dest="p_max", type=float)
-    p_wig.add_argument("--n-q", dest="n_q", type=int)
-    p_wig.add_argument("--n-p", dest="n_p", type=int)
-
-    p_rep = sub.add_parser("reproduce-paper", help="regenerate the full figure bundle")
-    add_common(p_rep)
-
+        for key, option in _OPTIONS.items():
+            if command in option.commands:
+                p.add_argument("--" + key.replace("_", "-"), type=option.type,
+                               choices=option.choices, help=option.help)
     return parser
 
 
-def load_config(path: str) -> dict[str, str]:
-    """Parse a ``key = value`` config file (``#`` starts a comment)."""
-    values: dict[str, str] = {}
+def load_config(path: str) -> dict[str, object]:
+    """Typed values of a ``key = value`` config file (``#`` starts a comment)."""
+    values: dict[str, object] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -208,60 +127,46 @@ def load_config(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
+        values[key] = _coerce(key, value)
     return values
 
 
 def _coerce(key: str, value) -> object:
-    if value is None:
-        return None
+    option = _OPTIONS[key]
     try:
-        return _COERCE[key](value)
+        value = option.type(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
+    if option.choices and value not in option.choices:
+        raise ConfigError(f"{key} must be {' or '.join(option.choices)}, got {value!r}")
+    return value
 
 
 def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        for key, value in load_config(args.config).items():
-            merged[key] = _coerce(key, value)
-    for key in _DEFAULTS:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = _coerce(key, cli_value)
+    merged = {key: option.default for key, option in _OPTIONS.items()}
+    if args.config:
+        merged.update(load_config(args.config))
+    for key, value in vars(args).items():
+        if key in _OPTIONS and value is not None:  # argparse applied its type
+            merged[key] = value
 
-    formats = tuple(f.strip() for f in str(merged["format"]).split(",") if f.strip())
+    formats = tuple(f.strip() for f in merged.pop("format").split(",") if f.strip())
     if not formats:
         raise ConfigError("at least one output format is required")
     for f in formats:
         if f not in _FORMATS:
             raise ConfigError(f"unknown format {f!r}; choose from {', '.join(_FORMATS)}")
-        if f not in _FORMATS_BY_COMMAND[args.command]:
+        if f not in _COMMANDS[args.command][1]:
             raise ConfigError(f"format {f!r} is not supported by {args.command!r}")
 
     spec = ExperimentSpec(
         command=args.command,
-        omega_c=float(merged["omega_c"]),
-        omega_0=float(merged["omega0"]),
-        g=float(merged["g"]),
-        g_min=float(merged["g_min"]),
-        g_max=float(merged["g_max"]),
-        g_steps=int(merged["g_steps"]),
-        nmax=int(merged["nmax"]),
-        diamagnetic=str(merged["diamagnetic"]).lower() == "on",
-        d_override=merged["d_override"],
-        levels=int(merged["levels"]),
-        q_min=float(merged["q_min"]),
-        q_max=float(merged["q_max"]),
-        p_min=float(merged["p_min"]),
-        p_max=float(merged["p_max"]),
-        n_q=int(merged["n_q"]),
-        n_p=int(merged["n_p"]),
-        out=str(merged["out"]),
+        omega_0=merged.pop("omega0"),
+        diamagnetic=merged.pop("diamagnetic") == "on",
         formats=formats,
+        **merged,
     )
     _validate_spec(spec)
     return spec
@@ -279,9 +184,11 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("nmax must be >= 2")
     if spec.d_override is not None and spec.d_override < 0:
         raise ConfigError("d_override must be >= 0")
-    if spec.command in ("spectrum", "crossings", "entropy"):
+    if spec.command in _SWEEPS:
         if spec.g_steps < 1 or spec.g_max < spec.g_min:
             raise ConfigError("need g_min <= g_max and g_steps >= 1")
+        if spec.g_min == spec.g_max and spec.g_steps > 1:
+            raise ConfigError("g_min = g_max repeats one coupling; need g_steps = 1")
         if spec.command == "crossings" and spec.g_steps < 3:
             raise ConfigError("crossings needs at least 3 grid points")
     if spec.command in ("spectrum", "crossings") and not (
@@ -315,7 +222,6 @@ def _g_grid(spec: ExperimentSpec) -> np.ndarray:
 
 def _spec_dict(spec: ExperimentSpec) -> dict:
     doc = dataclasses.asdict(spec)
-    doc["formats"] = list(spec.formats)
     doc["version"] = __version__
     return doc
 
@@ -430,12 +336,56 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
         _emit_sweep(out, name, sweep, entropy_table, spec_doc, spec.formats)
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "crossings": _run_crossings,
-    "entropy": _run_entropy,
-    "wigner": _run_wigner,
-    "reproduce-paper": _run_reproduce_paper,
+# command -> (help text, the formats its --format accepts, runner); the
+# order is the order of the subcommands in ``qrabi --help``
+_COMMANDS = {
+    "spectrum": ("energy levels vs coupling", ("csv", "json", "svg"), _run_spectrum),
+    "crossings": ("minimal adjacent-level gaps", ("csv", "json"), _run_crossings),
+    "entropy": ("ground-state entanglement entropy sweep", ("csv", "json", "svg"), _run_entropy),
+    "wigner": ("ground-state cavity Wigner function", _FORMATS, _run_wigner),
+    "reproduce-paper": ("regenerate the full figure bundle", _FORMATS, _run_reproduce_paper),
+}
+
+
+class _Option(NamedTuple):
+    """One option: a ``--flag`` of the commands that use it and a config key."""
+
+    type: Callable[[str], object]
+    default: object
+    help: str | None
+    commands: tuple[str, ...]
+    choices: tuple[str, ...] | None = None
+
+
+_ALL = tuple(_COMMANDS)
+_SWEEPS = ("spectrum", "crossings", "entropy")
+
+# key -> option; the order is the order of the flags in each command's help.
+# reproduce-paper fixes its own truncations and model variants, and entropy
+# always solves both variants, so neither offers the flags it would ignore.
+_OPTIONS = {
+    "omega_c": _Option(float, 1.0, "cavity frequency (default 1.0; all units relative to it)",
+                       _ALL),
+    "omega0": _Option(float, 1.0, "qubit transition frequency (default 1.0, i.e. resonance)",
+                      _ALL),
+    "nmax": _Option(int, 15, "Fock states kept (default 15)", _SWEEPS + ("wigner",)),
+    "diamagnetic": _Option(str.lower, "off", "include the diamagnetic A^2 term (default off)",
+                           ("spectrum", "crossings", "wigner"), choices=("on", "off")),
+    "d_override": _Option(float, None, "explicit diamagnetic constant D (default g^2/omega_c)",
+                          _ALL),
+    "out": _Option(str, "qrabi_out", "output directory (default ./qrabi_out)", _ALL),
+    "format": _Option(str, "csv", "comma list of csv,json,svg,gnuplot (default csv)", _ALL),
+    "g_min": _Option(float, 0.0, "sweep start (default 0)", _SWEEPS),
+    "g_max": _Option(float, 3.0, "sweep end (default 3)", _SWEEPS),
+    "g_steps": _Option(int, 201, "number of grid points (default 201)", _SWEEPS),
+    "levels": _Option(int, 8, "levels per grid point (default 8)", ("spectrum", "crossings")),
+    "g": _Option(float, 1.0, "coupling strength (default 1.0)", ("wigner",)),
+    "q_min": _Option(float, -6.0, None, ("wigner",)),
+    "q_max": _Option(float, 6.0, None, ("wigner",)),
+    "p_min": _Option(float, -6.0, None, ("wigner",)),
+    "p_max": _Option(float, 6.0, None, ("wigner",)),
+    "n_q": _Option(int, 201, None, ("wigner",)),
+    "n_p": _Option(int, 201, None, ("wigner",)),
 }
 
 
@@ -445,7 +395,7 @@ def run(spec: ExperimentSpec) -> int:
         out = Path(spec.out)
         out.mkdir(parents=True, exist_ok=True)
         spec_doc = _spec_dict(spec)
-        _RUNNERS[spec.command](spec, out, spec_doc)
+        _COMMANDS[spec.command][2](spec, out, spec_doc)
         write_manifest(out / "manifest.json", spec_doc)
     except OSError as exc:
         print(f"qrabi: I/O failure: {exc}", file=sys.stderr)

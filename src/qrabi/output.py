@@ -55,19 +55,13 @@ def _json_number(cell: str) -> str:
 
 
 class Column:
-    """One typed table column: float64, integer or bool values.
+    """One typed table column: float64, integer or bool values."""
 
-    In the table each value repeats ``repeat`` times in a run and the whole
-    run tiles ``tile`` times, so a grid axis is formatted once per value.
-    """
-
-    def __init__(self, values, repeat: int = 1, tile: int = 1) -> None:
+    def __init__(self, values) -> None:
         self.values = np.asarray(values)
-        self.repeat = repeat
-        self.tile = tile
 
     def __len__(self) -> int:
-        return self.values.size * self.repeat * self.tile
+        return self.values.size
 
     @functools.cached_property
     def _distinct(self) -> tuple[str, np.ndarray]:
@@ -90,10 +84,7 @@ class Column:
                 text = ["true" if c == "1" else "false" for c in text]
             elif kind not in "iu":
                 text = list(map(_json_number, text))
-        text = np.array(text, dtype=object)[self._distinct[1]].tolist()
-        if self.repeat > 1:
-            text = [c for c in text for _ in range(self.repeat)]
-        return text * self.tile
+        return np.array(text, dtype=object)[self._distinct[1]].tolist()
 
 
 # format -> (cell separator, row separator, p-block separator, JSON numbers)
@@ -110,27 +101,26 @@ class Rows:
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def lines(self, sep: str, json_numbers: bool = False):
-        """Each row's cells joined by ``sep``, in row order."""
-        return map(sep.join, zip(*(c.cells(json_numbers) for c in self.columns)))
-
     def body(self, fmt: str) -> str:
         """Rows as csv, json or dat text, without header, brackets or final newline."""
         sep, row_sep, _, json_numbers = _BODY[fmt]
-        return row_sep.join(self.lines(sep, json_numbers))
+        rows = zip(*(c.cells(json_numbers) for c in self.columns))
+        return row_sep.join(map(sep.join, rows))
 
 
-class _GridRows(Rows):
-    """Rows of a Wigner table; their q, p text is the grid's cached skeleton."""
+class _GridRows:
+    """Rows of a Wigner table, with the ``len()`` and ``body`` of :class:`Rows`;
+    their q, p text is the grid's cached skeleton."""
 
     def __init__(self, w: WignerGrid) -> None:
-        n_q, n_p = w.grid.n_q, w.grid.n_p
-        q, p = Column(w.grid.q_axis(), tile=n_p), Column(w.grid.p_axis(), repeat=n_q)
-        super().__init__(q, p, Column(w.values.ravel()))
         self.grid = w.grid
+        self.w = Column(w.values.ravel())
+
+    def __len__(self) -> int:
+        return self.grid.n_q * self.grid.n_p
 
     def body(self, fmt: str) -> str:
-        return _skeleton(self.grid, fmt) % tuple(self.columns[2].cells(_BODY[fmt][3]))
+        return _skeleton(self.grid, fmt) % tuple(self.w.cells(_BODY[fmt][3]))
 
 
 @functools.lru_cache(maxsize=3)

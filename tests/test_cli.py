@@ -183,6 +183,117 @@ def test_config_errors(tmp_path):
     assert not out.exists()
 
 
+# a value for every option, each different from its default and from the
+# small-run flags below, and valid for every command
+VALUES = {
+    "omega_c": "1.25", "omega0": "0.75", "nmax": "4", "diamagnetic": "on",
+    "d_override": "0.5", "format": "json", "g_min": "0.5", "g_max": "1", "g_steps": "4",
+    "levels": "3", "g": "0.5", "q_min": "-2", "q_max": "2.5", "p_min": "-1.5",
+    "p_max": "2", "n_q": "6", "n_p": "5",
+}
+# flags that keep each command's run small
+SMALL = {
+    "spectrum": {"nmax": "3", "g_steps": "3", "levels": "2"},
+    "crossings": {"nmax": "3", "g_steps": "3", "levels": "2"},
+    "entropy": {"nmax": "3", "g_steps": "3"},
+    "wigner": {"nmax": "3", "n_q": "5", "n_p": "4"},
+    "reproduce-paper": {},
+}
+COMMANDS = list(SMALL)
+
+
+@pytest.fixture
+def small_preset(monkeypatch):
+    # a small grid in place of the preset's 201 x 201 keeps the run short
+    monkeypatch.setattr(cli, "QuadratureGrid", lambda *a: QuadratureGrid(-3, 3, -3, 3, 9, 7))
+
+
+def flags(options):
+    return [f"--{key.replace('_', '-')}={value}" for key, value in options.items()]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_flag_and_config_key_give_the_same_manifest_value(tmp_path, small_preset, command):
+    offered = [key for key, option in cli._OPTIONS.items() if command in option.commands]
+    assert set(SMALL[command]) <= set(offered)
+    for key in offered:
+        small = flags({k: v for k, v in SMALL[command].items() if k != key})
+        by_flag, by_file = tmp_path / f"{key}-flag", tmp_path / f"{key}-file"
+        if key == "out":
+            flag_args, line, file_args = [f"--out={by_flag}"], f"out = {by_file}", []
+        else:
+            value = VALUES[key]
+            flag_args = [*flags({key: value}), "--out", str(by_flag)]
+            line, file_args = f"{key} = {value}", ["--out", str(by_file)]
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(line + "\n")
+        assert run_cli(command, *small, *flag_args) == EXIT_OK, key
+        assert run_cli(command, *small, "--config", str(cfg), *file_args) == EXIT_OK, key
+        flag_doc = json.loads((by_flag / "manifest.json").read_text())
+        file_doc = json.loads((by_file / "manifest.json").read_text())
+        assert (flag_doc.pop("out"), file_doc.pop("out")) == (str(by_flag), str(by_file))
+        assert flag_doc == file_doc, key
+        if key != "out":
+            field = {"omega0": "omega_0", "format": "formats"}.get(key, key)
+            typed = {"diamagnetic": True, "format": ["json"]}
+            assert flag_doc[field] == (typed[key] if key in typed else json.loads(value)), key
+
+
+def test_config_file_may_set_every_key(tmp_path, small_preset):
+    cfg = tmp_path / "all.cfg"
+    keys = {**VALUES, "nmax": "3", "format": "csv,json", "out": str(tmp_path / "unused")}
+    assert set(keys) == set(cli._OPTIONS)
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_OK, command
+        manifest = json.loads((out / "manifest.json").read_text())
+        # every key is echoed, whether or not the command uses it
+        assert (manifest["q_min"], manifest["levels"], manifest["diamagnetic"]) == (-2, 3, True)
+    # entropy always writes both model variants, so diamagnetic changes no value
+    cfg.write_text(cfg.read_text().replace("diamagnetic = on", "diamagnetic = off"))
+    assert run_cli("entropy", "--config", str(cfg), "--out", str(tmp_path / "off")) == EXIT_OK
+    assert (tmp_path / "entropy" / "entropy.csv").read_bytes() == \
+        (tmp_path / "off" / "entropy.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("reproduce-paper", "--nmax", "40"),
+    ("reproduce-paper", "--diamagnetic", "on"),
+    ("entropy", "--diamagnetic", "on"),
+])
+def test_flags_a_command_ignores_are_rejected(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(out))
+    assert exc.value.code == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_diamagnetic_config_value_is_on_or_off(tmp_path):
+    for value, expected in (("yes", None), ("true", None), ("on", True), ("ON", True),
+                            ("off", False)):
+        cfg = tmp_path / f"{value}.cfg"
+        cfg.write_text(f"diamagnetic = {value}\n")
+        out = tmp_path / value
+        code = run_cli("spectrum", "--nmax", "2", "--levels", "2", "--g-steps", "3",
+                       "--config", str(cfg), "--out", str(out))
+        if expected is None:
+            assert code == EXIT_CONFIG and not out.exists(), value
+        else:
+            assert code == EXIT_OK, value
+            assert json.loads((out / "manifest.json").read_text())["diamagnetic"] is expected
+
+
+@pytest.mark.parametrize("command", ["spectrum", "crossings", "entropy"])
+def test_sweep_over_one_coupling_needs_one_step(tmp_path, command):
+    out = tmp_path / "out"
+    code = run_cli(command, "--g-min", "1", "--g-max", "1", "--g-steps", "3",
+                   "--nmax", "4", "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_out():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -113,11 +113,6 @@ def test_repeated_values_match_reference(tmp_path):
     ref_rows = [[x, y] for x, y in zip(a, b)]
     assert csv == ref_csv(["a", "b"], ref_rows).encode()
     assert js == ref_json(SPEC, ["a", "b"], ref_rows).encode()
-    # the same repeats inside a repeated and tiled column
-    csv, js = write_both(tmp_path, ["a"], Rows(Column(a[:40], repeat=3, tile=2)))
-    ref_rows = [[x] for x in np.repeat(a[:40], 3)] * 2
-    assert csv == ref_csv(["a"], ref_rows).encode()
-    assert js == ref_json(SPEC, ["a"], ref_rows).encode()
 
 
 def test_random_floats_match_reference(tmp_path):
