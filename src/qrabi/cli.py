@@ -145,12 +145,13 @@ def _coerce(key: str, value) -> object:
 
 
 def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
-    merged = {key: option.default for key, option in _OPTIONS.items()}
-    if args.config:
-        merged.update(load_config(args.config))
+    given = load_config(args.config) if args.config else {}
     for key, value in vars(args).items():
         if key in _OPTIONS and value is not None:  # argparse applied its type
-            merged[key] = value
+            given[key] = value
+    merged = {key: option.default for key, option in _OPTIONS.items()} | given
+    if "levels" not in given and args.command in _OPTIONS["levels"].commands:
+        merged["levels"] = min(merged["levels"], 2 * merged["nmax"])  # as the preset does
 
     formats = tuple(f.strip() for f in merged.pop("format").split(",") if f.strip())
     if not formats:
@@ -378,7 +379,8 @@ _OPTIONS = {
     "g_min": _Option(float, 0.0, "sweep start (default 0)", _SWEEPS),
     "g_max": _Option(float, 3.0, "sweep end (default 3)", _SWEEPS),
     "g_steps": _Option(int, 201, "number of grid points (default 201)", _SWEEPS),
-    "levels": _Option(int, 8, "levels per grid point (default 8)", ("spectrum", "crossings")),
+    "levels": _Option(int, 8, "levels per grid point (default min(8, 2*nmax))",
+                      ("spectrum", "crossings")),
     "g": _Option(float, 1.0, "coupling strength (default 1.0)", ("wigner",)),
     "q_min": _Option(float, -6.0, None, ("wigner",)),
     "q_max": _Option(float, 6.0, None, ("wigner",)),

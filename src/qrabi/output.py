@@ -14,9 +14,11 @@ columns are ``1``/``0`` in CSV and ``true``/``false`` in JSON.
 
 Tables are held column-wise (:class:`Column`, :class:`Rows`) and each
 distinct value of a column is formatted once, then shared by the CSV and
-JSON writers and by the gnuplot data file.  A Wigner grid's q, p text is
-formatted once per run into a skeleton per format, which a panel fills
-with its w cells; the CLI writes a panel equal to a written one as a copy.
+JSON writers and by the gnuplot data file.  A Wigner table's body is
+cached per grid and format as a list of pieces, a q piece, a p piece and a
+w slot per row, that share the grid's q and p strings; a panel puts its w
+cells into the slots and joins the list.  The CLI writes a panel equal to
+a written one as a copy.
 """
 
 from __future__ import annotations
@@ -120,16 +122,26 @@ class _GridRows:
         return self.grid.n_q * self.grid.n_p
 
     def body(self, fmt: str) -> str:
-        return _skeleton(self.grid, fmt) % tuple(self.w.cells(_BODY[fmt][3]))
+        pieces = _skeleton(self.grid, fmt)
+        pieces[2::3] = self.w.cells(_BODY[fmt][3])
+        text = "".join(pieces)
+        pieces[2::3] = [None] * len(self)  # the cache keeps no panel's cells
+        return text
 
 
 @functools.lru_cache(maxsize=3)
-def _skeleton(grid: QuadratureGrid, fmt: str) -> str:
-    """Body of a Wigner table on ``grid`` with a ``%s`` in place of each w cell."""
+def _skeleton(grid: QuadratureGrid, fmt: str) -> list[str | None]:
+    """Body of a Wigner table on ``grid`` as a q piece, a p piece and a w
+    slot per row, ready for ``"".join`` once the slots hold the w cells.
+    A q piece starts with the separator from the previous row, and the
+    pieces of all rows share the grid's q and p strings."""
     sep, row_sep, block_sep, json_numbers = _BODY[fmt]
-    q, p = ([c.replace("%", "%%") for c in Column(axis).cells(json_numbers)]
+    q, p = ([f"{c}{sep}" for c in Column(axis).cells(json_numbers)]
             for axis in (grid.q_axis(), grid.p_axis()))
-    return block_sep.join(row_sep.join(f"{qc}{sep}{pc}{sep}%s" for qc in q) for pc in p)
+    heads = [block_sep + q[0]] + [row_sep + qc for qc in q[1:]]
+    pieces = [piece for pc in p for qc in heads for piece in (qc, pc, None)]
+    pieces[0] = q[0]  # the body starts without a separator
+    return pieces
 
 
 def write_csv(path: Path, columns: list[str], rows: Rows) -> None:

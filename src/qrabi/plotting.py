@@ -2,9 +2,11 @@
 gnuplot surface scripts.  No external runtime is needed to produce the
 files; styling is deliberately plain.
 
-A heatmap's cell geometry and axes are formatted once per run into a
-skeleton per grid, which a panel fills with one colour string per distinct
-colour; the CLI writes a panel equal to a written one as a copy."""
+A heatmap's cell geometry and axes are formatted once per grid into ASCII
+bytes with a six-digit slot per cell colour; a panel copies them, writes
+each cell's hex digits into its slot array-wise and is written as bytes.
+The CLI writes a panel equal to a written one as a copy.  A sweep's
+polyline formats all its points in one pass over the mapped coordinates."""
 
 from __future__ import annotations
 
@@ -97,7 +99,10 @@ def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
 
 
 def _polyline(frame: _Frame, xs, ys, color: str, dashed: bool = False) -> str:
-    pts = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in zip(xs, ys))
+    # the frame maps apply elementwise, so each point is the one a scalar map
+    # would give, and "%.2f" formats a float as _fmt does
+    x, y = frame.x(np.asarray(xs)).tolist(), frame.y(np.asarray(ys)).tolist()
+    pts = " ".join(map("%.2f,%.2f".__mod__, zip(x, y)))
     dash = ' stroke-dasharray="6 4"' if dashed else ""
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
 
@@ -140,19 +145,23 @@ def entropy_svg(sweep: EntropySweep) -> str:
     return _document(parts)
 
 
-def _diverging_codes(values: np.ndarray) -> np.ndarray:
-    """24-bit RGB code of each value on a symmetric scale centered at zero,
-    so negativity is visible: white at 0, red at +vmax, blue at -vmax."""
+def _diverging_rgb(values: np.ndarray) -> np.ndarray:
+    """uint8 RGB of each value on a symmetric scale centered at zero, so
+    negativity is visible: white at 0, red at +vmax, blue at -vmax."""
     vmax = float(np.max(np.abs(values)))
     t = np.minimum(np.abs(values) / vmax, 1.0) if vmax > 0 else np.zeros(values.shape)
     ends = np.where((values >= 0)[..., None], (178, 24, 43), (33, 102, 172))
-    rgb = (255 - t[..., None] * (255 - ends)).astype(np.int64)
-    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    return (255 - t[..., None] * (255 - ends)).astype(np.uint8)
+
+
+# two lowercase hex digits of each byte value, as one uint16 each
+_HEX = np.array([b"%02x" % i for i in range(256)]).view(np.uint16)
 
 
 @functools.lru_cache(maxsize=2)
-def _heatmap_skeleton(grid: QuadratureGrid) -> str:
-    """SVG heatmap on ``grid`` with a ``%s`` in place of each cell colour."""
+def _heatmap_skeleton(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """SVG heatmap on ``grid`` as ASCII bytes, and the offset of each cell's
+    six colour digits in them, in the order of the grid's values."""
     frame = _Frame(grid.q_min, grid.q_max, grid.p_min, grid.p_max)
     cell_w = (_W - _ML - _MR) / grid.n_q
     cell_h = (_H - _MT - _MB) / grid.n_p
@@ -160,16 +169,29 @@ def _heatmap_skeleton(grid: QuadratureGrid) -> str:
     # one a scalar map would give
     xs = [_fmt(x) for x in (frame.x(grid.q_axis()) - cell_w / 2).tolist()]
     ys = [_fmt(y) for y in (frame.y(grid.p_axis()) - cell_h / 2).tolist()]
-    size = f'" width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}" fill="#%s"/>'
-    rects = [f'<rect x="{x}" y="{y}{size}' for y in ys for x in xs]
-    return _document(rects + [part.replace("%", "%%") for part in _axes(frame, "q", "p")])
+    # NUL marks the colour slots; no other text of the document holds one
+    size = f'" width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}" fill="#{6 * chr(0)}"/>'
+    # the cell texts and the str are temporaries, freed before the slot search
+    parts = [f'<rect x="{x}" y="{y}{size}' for y in ys for x in xs] + _axes(frame, "q", "p")
+    text = np.frombuffer(_document(parts).encode("ascii"), np.uint8)
+    del parts
+    return text, np.flatnonzero(text == 0)[::6].astype(np.int32)
+
+
+def _heatmap(w: WignerGrid) -> np.ndarray:
+    """ASCII bytes of the Wigner heatmap: the grid's skeleton with each
+    cell's colour digits filled in."""
+    text, slots = _heatmap_skeleton(w.grid)
+    digits = _HEX[_diverging_rgb(w.values)].view(np.uint8).reshape(-1, 6)
+    doc = text.copy()
+    for k in range(6):  # one digit per pass keeps the index at one int32 per cell
+        doc[slots + k] = digits[:, k]
+    return doc
 
 
 def wigner_svg(w: WignerGrid) -> str:
     """Heatmap of the Wigner values with a diverging scale centered at 0."""
-    codes, cells = np.unique(_diverging_codes(w.values).ravel(), return_inverse=True)
-    colors = np.array([f"{c:06x}" for c in codes.tolist()], dtype=object)[cells]
-    return _heatmap_skeleton(w.grid) % tuple(colors.tolist())
+    return _heatmap(w).tobytes().decode("ascii")
 
 
 def emit_plot(data, fmt: str, path: Path) -> None:
@@ -182,14 +204,14 @@ def emit_plot(data, fmt: str, path: Path) -> None:
     path = Path(path)
     if fmt == "svg":
         if isinstance(data, SpectrumSweep):
-            text = spectrum_svg(data)
+            doc = spectrum_svg(data).encode("utf-8")
         elif isinstance(data, EntropySweep):
-            text = entropy_svg(data)
+            doc = entropy_svg(data).encode("utf-8")
         elif isinstance(data, WignerGrid):
-            text = wigner_svg(data)
+            doc = _heatmap(data)
         else:
             raise ValueError(f"no svg rendering for {type(data).__name__}")
-        path.write_text(text, encoding="utf-8", newline="\n")
+        path.write_bytes(doc)
         return
     if fmt == "gnuplot":
         if not isinstance(data, WignerGrid):

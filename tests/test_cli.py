@@ -304,6 +304,33 @@ def test_cli_import_leaves_scipy_out():
     assert done.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("command, nmax, columns", [
+    ("spectrum", "2", "g_over_wc,E0,E1,E2,E3"),
+    ("crossings", "3", "level_lower,level_upper,g_at_min,min_gap,at_boundary"),
+], ids=["spectrum", "crossings"])
+def test_default_levels_fit_a_small_basis(tmp_path, command, nmax, columns):
+    # without --levels or a config value, levels is min(8, 2 nmax), as in the preset
+    out = tmp_path / "default"
+    assert run_cli(command, "--nmax", nmax, "--g-steps", "5", "--out", str(out)) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["levels"] == 2 * int(nmax)
+    lines = (out / f"{command}.csv").read_text().splitlines()
+    assert lines[0] == columns
+    assert len(lines) == 1 + (5 if command == "spectrum" else 2 * int(nmax) - 1)
+    # an explicit value out of range is still refused, as a flag and from a file
+    too_many = str(2 * int(nmax) + 1)
+    out = tmp_path / "flag"
+    assert run_cli(command, "--nmax", nmax, "--levels", too_many, "--out", str(out)) == EXIT_CONFIG
+    cfg = tmp_path / "levels.cfg"
+    cfg.write_text(f"levels = {too_many}\n")
+    out = tmp_path / "file"
+    assert run_cli(command, "--nmax", nmax, "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
+    assert not (tmp_path / "flag").exists() and not out.exists()
+    # the commands without --levels keep echoing the default
+    out = tmp_path / "entropy"
+    assert run_cli("entropy", "--nmax", nmax, "--g-steps", "3", "--out", str(out)) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["levels"] == 8
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # grid extent far beyond the Laguerre overflow guard
     code = run_cli(

@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from qrabi import plotting
 from qrabi.cli import EXIT_OK, _copy_wigner, _emit_wigner, main
+from qrabi.entanglement import entropy_sweep
 from qrabi.model import ModelConfig
 from qrabi.operators import FockTruncation
 from qrabi.output import (
@@ -20,9 +22,10 @@ from qrabi.output import (
     write_json,
 )
 from qrabi.plotting import (
-    _H, _MB, _ML, _MR, _MT, _W, _Frame, _axes, _document, _fmt, wigner_gnuplot, wigner_svg,
+    _H, _MB, _ML, _MR, _MT, _W, _Frame, _axes, _document, _fmt, emit_plot, entropy_svg,
+    spectrum_svg, wigner_gnuplot, wigner_svg,
 )
-from qrabi.spectra import CrossingReport, SpectrumSweep
+from qrabi.spectra import CrossingReport, SpectrumSweep, sweep_spectrum
 from qrabi.wigner import QuadratureGrid, WignerGrid, ground_state_wigner
 
 
@@ -267,8 +270,42 @@ def assert_same_text(got, want):
 
 
 @pytest.mark.parametrize("w", heatmap_grids())
-def test_wigner_svg_matches_per_cell_reference(w):
-    assert_same_text(wigner_svg(w), ref_wigner_svg(w))
+def test_wigner_svg_matches_per_cell_reference(tmp_path, w):
+    ref = ref_wigner_svg(w)
+    assert_same_text(wigner_svg(w), ref)
+    # the CLI writes the heatmap's bytes, not the text wigner_svg returns
+    emit_plot(w, "svg", tmp_path / "w.svg")
+    assert (tmp_path / "w.svg").read_bytes() == ref.encode()
+
+
+# Reference: the per-point polyline the one-pass one replaced.
+
+def ref_polyline(frame, xs, ys, color, dashed=False):
+    pts = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in zip(xs, ys))
+    dash = ' stroke-dasharray="6 4"' if dashed else ""
+    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
+
+
+def polyline_sweeps():
+    grid = np.linspace(0.0, 3.0, 201)
+    qrm = ModelConfig(trunc=FockTruncation(15))
+    flat = SpectrumSweep(np.linspace(0.5, 1.5, 7), np.full((7, 2), -0.25), "QRM")
+    return [
+        # 8 levels, down to E0 = -8.89 at g = 3
+        pytest.param(sweep_spectrum(qrm, grid, 8), spectrum_svg, id="spectrum_nmax15"),
+        # the QRMA curve is dashed
+        pytest.param(entropy_sweep(qrm, grid), entropy_svg, id="entropy_nmax15"),
+        # all levels equal, so the frame widens its y range by 1
+        pytest.param(flat, spectrum_svg, id="flat"),
+    ]
+
+
+@pytest.mark.parametrize("sweep, render", polyline_sweeps())
+def test_sweep_svg_matches_per_point_reference(monkeypatch, sweep, render):
+    got = render(sweep)
+    assert got.count("<polyline") == (sweep.levels.shape[1] if render is spectrum_svg else 2)
+    monkeypatch.setattr(plotting, "_polyline", ref_polyline)
+    assert_same_text(got, render(sweep))
 
 
 def assert_wigner_files_match_reference(tmp_path, w, spec=SPEC):
@@ -314,8 +351,7 @@ def test_skeletons_follow_grid_bounds(tmp_path):
 
 
 def test_percent_signs_are_written_verbatim(tmp_path, monkeypatch):
-    # the skeletons are filled by % substitution; no spec or path text is
-    # part of them
+    # a % in spec or path text is written verbatim
     assert_wigner_files_match_reference(tmp_path, small_wigner(),
                                         {**SPEC, "label": "100% %s %d %%"})
     monkeypatch.chdir(tmp_path)
