@@ -2,15 +2,16 @@
 gnuplot surface scripts.  No external runtime is needed to produce the
 files; styling is deliberately plain.
 
-A heatmap's cell geometry and axes are formatted once per grid into ASCII
-bytes with a six-digit slot per cell colour; a panel copies them, writes
-each cell's hex digits into its slot array-wise and is written as bytes.
-The CLI writes a panel equal to a written one as a copy.  A sweep's
-polyline formats all its points in one pass over the mapped coordinates."""
+A heatmap is one embedded PNG with a pixel per grid point, written with
+stored deflate blocks so its bytes are the same on any machine.  The CLI
+writes a panel equal to a written one as a copy.  A sweep's polyline
+formats all its points in one pass over the mapped coordinates."""
 
 from __future__ import annotations
 
-import functools
+import binascii
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .entanglement import EntropySweep
 from .output import Rows, wigner_table
 from .spectra import SpectrumSweep
-from .wigner import QuadratureGrid, WignerGrid
+from .wigner import WignerGrid
 
 __all__ = [
     "emit_plot",
@@ -50,6 +51,8 @@ class _Frame:
     """Maps data coordinates into the SVG plot rectangle."""
 
     def __init__(self, x_lo, x_hi, y_lo, y_hi):
+        if x_hi == x_lo:
+            x_hi = x_lo + 1.0
         if y_hi == y_lo:
             y_hi = y_lo + 1.0
         self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
@@ -154,44 +157,41 @@ def _diverging_rgb(values: np.ndarray) -> np.ndarray:
     return (255 - t[..., None] * (255 - ends)).astype(np.uint8)
 
 
-# two lowercase hex digits of each byte value, as one uint16 each
-_HEX = np.array([b"%02x" % i for i in range(256)]).view(np.uint16)
-
-
-@functools.lru_cache(maxsize=2)
-def _heatmap_skeleton(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
-    """SVG heatmap on ``grid`` as ASCII bytes, and the offset of each cell's
-    six colour digits in them, in the order of the grid's values."""
-    frame = _Frame(grid.q_min, grid.q_max, grid.p_min, grid.p_max)
-    cell_w = (_W - _ML - _MR) / grid.n_q
-    cell_h = (_H - _MT - _MB) / grid.n_p
-    # cell corners; the frame maps apply elementwise, so each text is the
-    # one a scalar map would give
-    xs = [_fmt(x) for x in (frame.x(grid.q_axis()) - cell_w / 2).tolist()]
-    ys = [_fmt(y) for y in (frame.y(grid.p_axis()) - cell_h / 2).tolist()]
-    # NUL marks the colour slots; no other text of the document holds one
-    size = f'" width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}" fill="#{6 * chr(0)}"/>'
-    # the cell texts and the str are temporaries, freed before the slot search
-    parts = [f'<rect x="{x}" y="{y}{size}' for y in ys for x in xs] + _axes(frame, "q", "p")
-    text = np.frombuffer(_document(parts).encode("ascii"), np.uint8)
-    del parts
-    return text, np.flatnonzero(text == 0)[::6].astype(np.int32)
-
-
-def _heatmap(w: WignerGrid) -> np.ndarray:
-    """ASCII bytes of the Wigner heatmap: the grid's skeleton with each
-    cell's colour digits filled in."""
-    text, slots = _heatmap_skeleton(w.grid)
-    digits = _HEX[_diverging_rgb(w.values)].view(np.uint8).reshape(-1, 6)
-    doc = text.copy()
-    for k in range(6):  # one digit per pass keeps the index at one int32 per cell
-        doc[slots + k] = digits[:, k]
-    return doc
+def _png(rgb: np.ndarray) -> bytes:
+    """PNG of a (rows, columns, 3) uint8 image, top row first.  Every row
+    has filter 0 and the zlib stream holds stored deflate blocks, so the
+    bytes do not depend on the zlib build."""
+    n_rows, n_cols = rgb.shape[:2]
+    raw = np.pad(rgb.reshape(n_rows, -1), ((0, 0), (1, 0))).tobytes()
+    blocks = [raw[k:k + 65535] for k in range(0, len(raw), 65535)]
+    idat = b"\x78\x01" + b"".join(
+        struct.pack("<BHH", k == len(blocks) - 1, len(b), len(b) ^ 0xFFFF) + b
+        for k, b in enumerate(blocks)) + struct.pack(">I", zlib.adler32(raw))
+    ihdr = struct.pack(">IIBBBBB", n_cols, n_rows, 8, 2, 0, 0, 0)
+    return b"\x89PNG\r\n\x1a\n" + b"".join(
+        struct.pack(">I", len(data)) + tag + data + struct.pack(">I", zlib.crc32(tag + data))
+        for tag, data in ((b"IHDR", ihdr), (b"IDAT", idat), (b"IEND", b"")))
 
 
 def wigner_svg(w: WignerGrid) -> str:
-    """Heatmap of the Wigner values with a diverging scale centered at 0."""
-    return _heatmap(w).tobytes().decode("ascii")
+    """Heatmap of the Wigner values with a diverging scale centered at 0:
+    one embedded PNG pixel per grid point, centred on its (q, p)."""
+    grid = w.grid
+    frame = _Frame(grid.q_min, grid.q_max, grid.p_min, grid.p_max)
+    # the pixel pitch is the sample spacing and the corner samples map to
+    # the plot corners, so pixel (i, j) is centred on (x(q_j), y(p_i));
+    # PNG rows run from p_max down to p_min
+    dx, dy = (_W - _ML - _MR) / (grid.n_q - 1), (_H - _MT - _MB) / (grid.n_p - 1)
+    png = binascii.b2a_base64(_png(_diverging_rgb(w.values)[::-1]), newline=False)
+    image = (
+        f'<image x="{_fmt(_ML - dx / 2)}" y="{_fmt(_MT - dy / 2)}" width="{_fmt(grid.n_q * dx)}" '
+        f'height="{_fmt(grid.n_p * dy)}" preserveAspectRatio="none" '
+        f'style="image-rendering:pixelated" href="data:image/png;base64,{png.decode("ascii")}"/>'
+    )
+    return _document([image] + _axes(frame, "q", "p"))
+
+
+_SVG = {SpectrumSweep: spectrum_svg, EntropySweep: entropy_svg, WignerGrid: wigner_svg}
 
 
 def emit_plot(data, fmt: str, path: Path) -> None:
@@ -203,15 +203,10 @@ def emit_plot(data, fmt: str, path: Path) -> None:
     """
     path = Path(path)
     if fmt == "svg":
-        if isinstance(data, SpectrumSweep):
-            doc = spectrum_svg(data).encode("utf-8")
-        elif isinstance(data, EntropySweep):
-            doc = entropy_svg(data).encode("utf-8")
-        elif isinstance(data, WignerGrid):
-            doc = _heatmap(data)
-        else:
+        render = _SVG.get(type(data))
+        if render is None:
             raise ValueError(f"no svg rendering for {type(data).__name__}")
-        path.write_bytes(doc)
+        path.write_text(render(data), encoding="utf-8", newline="\n")
         return
     if fmt == "gnuplot":
         if not isinstance(data, WignerGrid):

@@ -202,6 +202,8 @@ def check_truncation(cfg: ModelConfig, k_levels: int, tol: float) -> TruncationC
     state, taken from its parity block, comes with the report.
     """
     n = cfg.trunc.n_max
+    if not 1 <= k_levels <= 2 * n:
+        raise ValueError(f"k_levels must be in [1, {2 * n}], got {k_levels}")
     doubled = dataclasses.replace(cfg, trunc=FockTruncation(2 * n))
     grid = np.array([cfg.g])
     values, vectors = solve_parity_blocks(cfg, grid, np.linalg.eigh)

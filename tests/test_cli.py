@@ -1,8 +1,12 @@
+import base64
 import json
 import os
+import re
 import stat
+import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +105,10 @@ def test_wigner_formats(tmp_path):
     assert lines[0] == "q,p,w"
     assert len(lines) == 1 + 21 * 21
     svg = (out / "wigner.svg").read_text()
-    assert svg.startswith("<svg") and svg.count("<rect") >= 21 * 21
+    assert svg.startswith("<svg") and svg.count("<image") == 1
+    png = base64.b64decode(re.search(r'href="data:image/png;base64,([^"]+)"', svg).group(1))
+    assert png[:8] == b"\x89PNG\r\n\x1a\n" and png[12:16] == b"IHDR"
+    assert struct.unpack(">II", png[16:24]) == (21, 21)
     assert "splot" in (out / "wigner.gp").read_text()
     assert (out / "wigner.dat").read_text().count("\n\n") == 20  # 21 p-blocks
 
@@ -125,6 +132,22 @@ def test_entropy_svg_structure(tmp_path):
     svg = (out / "entropy.svg").read_text()
     assert svg.count("<polyline") == 2
     assert "QRM" in svg and "QRMA" in svg
+
+
+@pytest.mark.parametrize("command", ["spectrum", "entropy"])
+def test_single_point_sweep_svg(tmp_path, command):
+    # a zero-width g range is widened like a zero-height y range
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(
+            command, "--g-min", "1", "--g-max", "1", "--g-steps", "1",
+            "--nmax", "3", "--out", str(out), "--format", "svg",
+        ) == EXIT_OK
+    svg = (out / f"{command}.svg").read_text()
+    assert "nan" not in svg
+    polylines = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert polylines and all(len(points.split()) == 1 for points in polylines)
 
 
 def test_config_file_and_override(tmp_path):

@@ -1,8 +1,12 @@
 """Artifact writers: byte equality with a per-cell reference, pinned bytes
 of small CLI runs, and the gnuplot data file."""
 
+import base64
 import hashlib
 import json
+import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -22,8 +26,8 @@ from qrabi.output import (
     write_json,
 )
 from qrabi.plotting import (
-    _H, _MB, _ML, _MR, _MT, _W, _Frame, _axes, _document, _fmt, emit_plot, entropy_svg,
-    spectrum_svg, wigner_gnuplot, wigner_svg,
+    _Frame, _axes, _document, _fmt, emit_plot, entropy_svg, spectrum_svg, wigner_gnuplot,
+    wigner_svg,
 )
 from qrabi.spectra import CrossingReport, SpectrumSweep, sweep_spectrum
 from qrabi.wigner import QuadratureGrid, WignerGrid, ground_state_wigner
@@ -211,7 +215,8 @@ def test_dat_prints_negative_zero_as_zero():
     assert all("-0 " not in line and not line.endswith(" -0") for line in dat.split("\n"))
 
 
-# Reference: the per-cell heatmap renderer the array-wise one replaced.
+# Reference: the per-cell colour of the rect heatmap the PNG one replaced,
+# and a PNG decoder that checks every structure the renderer promises.
 
 def ref_diverging_color(v: float, vmax: float) -> str:
     t = min(abs(v) / vmax, 1.0) if vmax > 0 else 0.0
@@ -222,25 +227,65 @@ def ref_diverging_color(v: float, vmax: float) -> str:
     return f"#{int(r):02x}{int(g):02x}{int(b):02x}"
 
 
-def ref_wigner_svg(w: WignerGrid) -> str:
-    q = w.grid.q_axis()
-    p = w.grid.p_axis()
-    frame = _Frame(w.grid.q_min, w.grid.q_max, w.grid.p_min, w.grid.p_max)
+def decode_png(png: bytes) -> np.ndarray:
+    """(rows, columns, 3) uint8 pixels of an 8-bit RGB PNG with one IDAT of
+    stored deflate blocks and filter 0 on every row; fails on anything else."""
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(png):
+        (length,) = struct.unpack(">I", png[pos:pos + 4])
+        tag, data = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + length]
+        (crc,) = struct.unpack(">I", png[pos + 8 + length:pos + 12 + length])
+        assert crc == zlib.crc32(tag + data), tag
+        chunks.append((tag, data))
+        pos += 12 + length
+    assert pos == len(png)
+    assert [tag for tag, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    n_cols, n_rows, depth, colour, *methods = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert (depth, colour, methods) == (8, 2, [0, 0, 0])
+    idat = chunks[1][1]
+    assert idat[0] & 0x0F == 8 and (idat[0] * 256 + idat[1]) % 31 == 0
+    raw, pos, final = b"", 2, False
+    while not final:
+        final, btype = idat[pos] & 1, idat[pos] >> 1
+        assert btype == 0  # stored, with no other header bits set
+        length, nlength = struct.unpack("<HH", idat[pos + 1:pos + 5])
+        assert nlength == length ^ 0xFFFF
+        raw += idat[pos + 5:pos + 5 + length]
+        pos += 5 + length
+    assert idat[pos:] == struct.pack(">I", zlib.adler32(raw))
+    assert zlib.decompress(idat) == raw
+    rows = np.frombuffer(raw, np.uint8).reshape(n_rows, 1 + 3 * n_cols)
+    assert not rows[:, 0].any()  # filter byte 0 on each row
+    return rows[:, 1:].reshape(n_rows, n_cols, 3)
+
+
+IMAGE = re.compile(
+    r'<image x="([0-9.-]+)" y="([0-9.-]+)" width="([0-9.]+)" height="([0-9.]+)" '
+    r'preserveAspectRatio="none" style="image-rendering:pixelated" '
+    r'href="data:image/png;base64,([A-Za-z0-9+/=]+)"/>')
+
+
+def assert_heatmap_matches_reference(svg: str, w: WignerGrid):
+    grid = w.grid
+    frame = _Frame(grid.q_min, grid.q_max, grid.p_min, grid.p_max)
+    image = IMAGE.fullmatch(svg.split("\n")[2])
+    assert image is not None
+    assert svg == _document([image.group(0)] + _axes(frame, "q", "p"))
+    x, y, width, height = map(float, image.groups()[:4])
+    # pixel centres sit on the samples, to the two printed decimals
+    q_centres = x + (np.arange(grid.n_q) + 0.5) * width / grid.n_q
+    p_centres = y + (np.arange(grid.n_p) + 0.5) * height / grid.n_p
+    assert np.max(np.abs(q_centres - frame.x(grid.q_axis()))) <= 0.01
+    assert np.max(np.abs(p_centres - frame.y(grid.p_axis()[::-1]))) <= 0.01
+    pixels = decode_png(base64.b64decode(image.group(5), validate=True))
+    assert pixels.shape == (grid.n_p, grid.n_q, 3)
     vmax = float(np.max(np.abs(w.values)))
-    cell_w = (_W - _ML - _MR) / w.grid.n_q
-    cell_h = (_H - _MT - _MB) / w.grid.n_p
-    parts = []
-    for i in range(w.grid.n_p):
-        y = frame.y(p[i]) - cell_h / 2
-        for j in range(w.grid.n_q):
-            x = frame.x(q[j]) - cell_w / 2
-            color = ref_diverging_color(float(w.values[i, j]), vmax)
-            parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell_w + 0.5)}" '
-                f'height="{_fmt(cell_h + 0.5)}" fill="{color}"/>'
-            )
-    parts.extend(_axes(frame, "q", "p"))
-    return _document(parts)
+    for r in range(grid.n_p):  # PNG rows run from p_max down to p_min
+        i = grid.n_p - 1 - r
+        for j in range(grid.n_q):
+            got = "#%02x%02x%02x" % tuple(pixels[r, j])
+            assert got == ref_diverging_color(float(w.values[i, j]), vmax), (i, j)
 
 
 def heatmap_grids():
@@ -271,11 +316,11 @@ def assert_same_text(got, want):
 
 @pytest.mark.parametrize("w", heatmap_grids())
 def test_wigner_svg_matches_per_cell_reference(tmp_path, w):
-    ref = ref_wigner_svg(w)
-    assert_same_text(wigner_svg(w), ref)
-    # the CLI writes the heatmap's bytes, not the text wigner_svg returns
+    svg = wigner_svg(w)
+    assert_heatmap_matches_reference(svg, w)
+    assert wigner_svg(w) == svg  # rendering twice gives the same bytes
     emit_plot(w, "svg", tmp_path / "w.svg")
-    assert (tmp_path / "w.svg").read_bytes() == ref.encode()
+    assert (tmp_path / "w.svg").read_bytes() == svg.encode()
 
 
 # Reference: the per-point polyline the one-pass one replaced.
@@ -317,7 +362,7 @@ def assert_wigner_files_match_reference(tmp_path, w, spec=SPEC):
     assert_same_text((tmp_path / "t.csv").read_text(), ref_csv(columns, ref_rows))
     assert_same_text((tmp_path / "t.json").read_text(), ref_json(spec, columns, ref_rows))
     assert_same_text(wigner_gnuplot(w, "t.dat")[1], ref_dat(w))
-    assert_same_text(wigner_svg(w), ref_wigner_svg(w))
+    assert_heatmap_matches_reference(wigner_svg(w), w)
 
 
 def skeleton_grids():
@@ -411,13 +456,15 @@ PINNED = {
         "entropy.csv": "05663ba83fa88c0374aa6c8c676e5916a69198d316b25cf56ce87299cc3c14b4",
         "entropy.json": "e51d4a30c3c83e0bf74db08b3d6e156828c89270a4c56c67d21e088346c11b8f",
     },
-    # the plot files, recorded before the heatmap was rendered array-wise
+    # the plot files, recorded before the heatmap was rendered array-wise; the
+    # wigner.svg one again when the heatmap became one embedded PNG, whose
+    # pixels equal the fill colours of the rects it replaced
     ("wigner", "--nmax", "3", "--g", "1", "--n-q", "9", "--n-p", "7",
      "--format", "svg,gnuplot"): {
         "manifest.json": "5b0e98db6a810ad42098e1017ffcd194ab8874a0b97f774a648e5a001a80d7c7",
         "wigner.dat": "885fbed8d9a3d829a0e340bf9c692390ec7bdb7b25c7ebfa53912dbeb53b832e",
         "wigner.gp": "2e562470fd083a71916faa8685f4f4789a20c962875bf84976a2e05283a8f224",
-        "wigner.svg": "e3f8d12c3a99db244f70856b1ea1cc4b4fa7b0943868053931974974c5e061fe",
+        "wigner.svg": "1bce5efaba056dad6e6343259f33eabee66cac2e7cdd2bb20bc13e630b08667c",
     },
     ("spectrum", "--nmax", "2", "--levels", "4", "--g-steps", "5", "--format", "svg"): {
         "manifest.json": "e57af2a0865dd592df74e70206d5829c6866f9031c6723e6dd2347037f6bfb41",

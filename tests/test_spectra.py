@@ -225,6 +225,10 @@ def test_truncation_convergence_report():
     assert report.converged and report.max_shift < 1e-8
     shallow = check_truncation(ModelConfig(g=2.0, trunc=FockTruncation(2)), 4, 1e-8)
     assert not shallow.converged
+    # like sweep_spectrum, at most 2 * n_max = 6 levels at n_max = 3
+    for k_levels in (0, -1, 7):
+        with pytest.raises(ValueError, match=r"k_levels must be in \[1, 6\]"):
+            check_truncation(ModelConfig(g=1.0, trunc=FockTruncation(3)), k_levels, 1e-8)
 
 
 def test_truncation_check_reports_top_fock_population():
