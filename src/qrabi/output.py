@@ -12,13 +12,18 @@ float repr: integer-valued floats end in ``.0`` (CSV ``-6``, JSON
 ``NaN``/``Infinity``.  Integer columns print the same in both; boolean
 columns are ``1``/``0`` in CSV and ``true``/``false`` in JSON.
 
-Tables are held column-wise (:class:`Column`, :class:`Rows`) and each
-distinct value of a column is formatted once, then shared by the CSV and
-JSON writers and by the gnuplot data file.  A Wigner table's body is
-cached per grid and format as a list of pieces, a q piece, a p piece and a
-w slot per row, that share the grid's q and p strings; a panel puts its w
-cells into the slots and joins the list.  The CLI writes a panel equal to
-a written one as a copy.
+Tables are held column-wise (:class:`Column`, :class:`Rows`).  A column's
+distinct values are found by one sort and each is formatted once; its
+per-row cell list is built once and shared by the CSV writer and the
+gnuplot data file.  Its JSON cells are the CSV cells except for the few
+that :func:`_json_number` rewrites (integer-valued, ``e+``, ``e-3xx`` and
+non-finite cells), so a column where none is rewritten reuses the CSV
+list.  A Wigner table's body is cached per grid and format as a list of
+pieces, a q piece, a p piece and a w slot per row, that share the grid's
+q and p strings; a panel puts its w cells into the slots, joins the list
+and empties the slots again.  Files are written in pieces (header, body,
+tail) without joining them into one string.  The CLI writes a panel equal
+to a written one as a copy.
 """
 
 from __future__ import annotations
@@ -66,27 +71,51 @@ class Column:
         return self.values.size
 
     @functools.cached_property
-    def _distinct(self) -> tuple[str, np.ndarray]:
-        """CSV cells of the distinct values, each formatted once, as one
-        string that is cheap to keep and to free (each writer splits it),
-        and the index of each value's cell."""
-        if self.values.dtype.kind in "biu":
-            fmt, values = "%d\n", self.values
-        else:
-            fmt, values = "%.12g\n", self.values + 0.0  # + 0.0 canonicalizes -0.0
-        distinct, inverse = np.unique(values, return_inverse=True)
-        return fmt * distinct.size % tuple(distinct.tolist()), inverse
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct values in ascending order and the index of each value's one."""
+        values = self.values if self.values.dtype.kind in "biu" else self.values + 0.0
+        return np.unique(values, return_inverse=True)  # + 0.0 canonicalizes -0.0
+
+    @functools.cached_property
+    def _text(self) -> list[str]:
+        """CSV cell of each distinct value, each formatted once."""
+        distinct = self._distinct[0]
+        fmt = "%d\n" if distinct.dtype.kind in "biu" else "%.12g\n"
+        return (fmt * distinct.size % tuple(distinct.tolist())).splitlines()
+
+    def _expand(self, text: list[str]) -> list[str]:
+        return np.array(text, dtype=object)[self._distinct[1]].tolist()
+
+    @functools.cached_property
+    def _csv_cells(self) -> list[str]:
+        return self._expand(self._text)
+
+    @functools.cached_property
+    def _json_cells(self) -> list[str]:
+        kind = self.values.dtype.kind
+        if kind == "b":
+            return self._expand(["true" if c == "1" else "false" for c in self._text])
+        if kind in "iu":
+            return self._csv_cells
+        # _json_number rewrites only integer-valued, "e+", "e-3xx" and
+        # nan/inf cells, so it runs on a superset of them: values within
+        # 1e-10 of their size of an integer (the 12-digit rounding moves a
+        # value by under 5e-12 of its size, and every value from 5e9 up
+        # passes, which covers all "e+" cells), values below 1e-298, and
+        # nan and infinities, set to 0 here
+        x = self._distinct[0]
+        x = np.where(np.isfinite(x), x, 0.0)
+        size = np.abs(x)
+        rewrite = (size < 1e-298) | (np.abs(x - np.rint(x)) <= 1e-10 * size)
+        text = list(self._text)
+        for i in np.flatnonzero(rewrite).tolist():
+            text[i] = _json_number(text[i])
+        return self._csv_cells if text == self._text else self._expand(text)
 
     def cells(self, json_numbers: bool = False) -> list[str]:
-        """Cell text of every row, as CSV or as JSON numbers."""
-        text = self._distinct[0].splitlines()
-        if json_numbers:
-            kind = self.values.dtype.kind
-            if kind == "b":
-                text = ["true" if c == "1" else "false" for c in text]
-            elif kind not in "iu":
-                text = list(map(_json_number, text))
-        return np.array(text, dtype=object)[self._distinct[1]].tolist()
+        """Cell text of every row, as CSV or as JSON numbers; the list is
+        built once per column and shared, so callers must not change it."""
+        return self._json_cells if json_numbers else self._csv_cells
 
 
 # format -> (cell separator, row separator, p-block separator, JSON numbers)
@@ -144,16 +173,22 @@ def _skeleton(grid: QuadratureGrid, fmt: str) -> list[str | None]:
     return pieces
 
 
+def write_pieces(path: Path, *pieces: str) -> None:
+    """Write ``pieces`` in order as one UTF-8 file with LF line endings,
+    without joining them first."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(pieces)
+
+
 def write_csv(path: Path, columns: list[str], rows: Rows) -> None:
-    body = rows.body("csv") + "\n" if len(rows) else ""
-    path.write_text(",".join(columns) + "\n" + body, encoding="utf-8", newline="\n")
+    body = (rows.body("csv"), "\n") if len(rows) else ()
+    write_pieces(path, ",".join(columns) + "\n", *body)
 
 
 def write_json(path: Path, spec: dict, columns: list[str], rows: Rows) -> None:
     head = json.dumps({"spec": spec, "columns": columns})
-    body = f"[{rows.body('json')}]" if len(rows) else ""
-    text = f'{head[:-1]}, "rows": [{body}]}}\n'
-    path.write_text(text, encoding="utf-8", newline="\n")
+    body = ("[", rows.body("json"), "]") if len(rows) else ()
+    write_pieces(path, f'{head[:-1]}, "rows": [', *body, "]}\n")
 
 
 def write_manifest(path: Path, spec: dict) -> None:

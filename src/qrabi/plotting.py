@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .entanglement import EntropySweep
-from .output import Rows, wigner_table
+from .output import Rows, wigner_table, write_pieces
 from .spectra import SpectrumSweep
 from .wigner import WignerGrid
 
@@ -153,8 +153,12 @@ def _diverging_rgb(values: np.ndarray) -> np.ndarray:
     negativity is visible: white at 0, red at +vmax, blue at -vmax."""
     vmax = float(np.max(np.abs(values)))
     t = np.minimum(np.abs(values) / vmax, 1.0) if vmax > 0 else np.zeros(values.shape)
-    ends = np.where((values >= 0)[..., None], (178, 24, 43), (33, 102, 172))
-    return (255 - t[..., None] * (255 - ends)).astype(np.uint8)
+    positive = values >= 0
+    rgb = np.empty(values.shape + (3,), dtype=np.uint8)
+    for c, (hi, lo) in enumerate(zip((178, 24, 43), (33, 102, 172))):
+        # 255 - t * (255 - end) in float64, truncated to uint8 on assignment
+        rgb[..., c] = 255 - t * np.where(positive, 255.0 - hi, 255.0 - lo)
+    return rgb
 
 
 def _png(rgb: np.ndarray) -> bytes:
@@ -242,4 +246,4 @@ def wigner_gnuplot(w: WignerGrid, data_filename: str) -> tuple[str, str]:
 def _write_gnuplot(path: Path, rows: Rows) -> None:
     dat = path.with_suffix(".dat")
     path.with_suffix(".gp").write_text(gnuplot_script(dat.name), encoding="utf-8", newline="\n")
-    dat.write_text(rows.body("dat") + "\n", encoding="utf-8", newline="\n")
+    write_pieces(dat, rows.body("dat"), "\n")

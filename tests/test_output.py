@@ -19,6 +19,7 @@ from qrabi.operators import FockTruncation
 from qrabi.output import (
     Column,
     Rows,
+    _skeleton,
     crossings_table,
     spectrum_table,
     wigner_table,
@@ -26,8 +27,8 @@ from qrabi.output import (
     write_json,
 )
 from qrabi.plotting import (
-    _Frame, _axes, _document, _fmt, emit_plot, entropy_svg, spectrum_svg, wigner_gnuplot,
-    wigner_svg,
+    _Frame, _axes, _document, _fmt, _write_gnuplot, emit_plot, entropy_svg, spectrum_svg,
+    wigner_gnuplot, wigner_svg,
 )
 from qrabi.spectra import CrossingReport, SpectrumSweep, sweep_spectrum
 from qrabi.wigner import QuadratureGrid, WignerGrid, ground_state_wigner
@@ -115,6 +116,24 @@ def test_repeated_values_match_reference(tmp_path):
     rng = np.random.default_rng(3)
     a = np.concatenate([np.tile(distinct, 3), np.repeat(distinct, 2),
                         distinct[rng.integers(0, distinct.size, 200)]])
+    b = -a[::-1]
+    csv, js = write_both(tmp_path, ["a", "b"], Rows(Column(a), Column(b)))
+    ref_rows = [[x, y] for x, y in zip(a, b)]
+    assert csv == ref_csv(["a", "b"], ref_rows).encode()
+    assert js == ref_json(SPEC, ["a", "b"], ref_rows).encode()
+
+
+def test_json_rewrite_thresholds_match_reference(tmp_path):
+    # values on both sides of each bound of the JSON rewrite filter: cells
+    # that round to an integer, to an "e+" cell (1e12 up) or to an "e-3xx"
+    # cell (below 1e-299, subnormals included), and their neighbours
+    a = np.array([
+        1e11, np.nextafter(1e11, 0.0), np.nextafter(1e11, np.inf),
+        999999999999.4, 999999999999.5,
+        1e-298, 1e-299, 2.2250738585072014e-308, 1.23456789e-310, 5e-324,
+        0.9999999999996, 2.0000000000004, -3.0000000000001, 12345678901.99999,
+        0.0, -0.0, 1e15 + 0.5,
+    ])
     b = -a[::-1]
     csv, js = write_both(tmp_path, ["a", "b"], Rows(Column(a), Column(b)))
     ref_rows = [[x, y] for x, y in zip(a, b)]
@@ -393,6 +412,28 @@ def test_skeletons_follow_grid_bounds(tmp_path):
     for grid in grids * 2:
         assert_wigner_files_match_reference(
             tmp_path, WignerGrid(grid, rng.uniform(-0.3, 0.3, (4, 5))))
+
+
+def test_panel_cells_do_not_stay_in_the_skeletons(tmp_path):
+    # _GridRows.body fills a cached skeleton's w slots and must empty them
+    # again, so the cache holds no panel's cells and the next panel's text
+    # is its own
+    grid = QuadratureGrid(-2.0, 3.0, -1.0, 1.5, 6, 5)
+    skeletons = {fmt: _skeleton(grid, fmt) for fmt in ("csv", "json", "dat")}
+    rng = np.random.default_rng(13)
+    for w in (WignerGrid(grid, rng.uniform(-0.3, 0.3, (5, 6))) for _ in range(2)):
+        columns, rows = wigner_table(w)
+        write_csv(tmp_path / "t.csv", columns, rows)
+        write_json(tmp_path / "t.json", SPEC, columns, rows)
+        _write_gnuplot(tmp_path / "t.gp", rows)
+    for fmt, pieces in skeletons.items():
+        assert _skeleton(grid, fmt) is pieces
+        assert pieces[2::3] == [None] * len(rows), fmt
+    ref_rows = [[qv, pv, w.values[i, j]] for i, pv in enumerate(grid.p_axis())
+                for j, qv in enumerate(grid.q_axis())]
+    assert (tmp_path / "t.csv").read_text() == ref_csv(columns, ref_rows)
+    assert (tmp_path / "t.json").read_text() == ref_json(SPEC, columns, ref_rows)
+    assert (tmp_path / "t.dat").read_text() == ref_dat(w)
 
 
 def test_percent_signs_are_written_verbatim(tmp_path, monkeypatch):
