@@ -13,36 +13,20 @@ from .entanglement import (
     von_neumann_entropy,
 )
 from .model import (
-    Hamiltonian,
+    FockTruncation,
     ModelConfig,
-    build_diamagnetic,
     build_full,
-    build_rabi,
     diamagnetic_constant,
     model_tag,
     parity_operator,
 )
-from .operators import (
-    FockTruncation,
-    Operator,
-    annihilation,
-    creation,
-    dagger,
-    identity,
-    is_hermitian,
-    number,
-    pauli,
-    tensor,
-)
 from .plotting import emit_plot
 from .spectra import (
     CrossingReport,
-    EigenSystem,
     SpectrumSweep,
     SweepError,
     TruncationCheck,
     check_truncation,
-    eigensystem,
     find_avoided_crossings,
     sweep_spectrum,
 )

@@ -38,8 +38,7 @@ import numpy as np
 
 from . import __version__
 from .entanglement import entropy_sweep
-from .model import ModelConfig
-from .operators import FockTruncation
+from .model import FockTruncation, ModelConfig
 from .output import (
     crossings_table,
     entropy_table,

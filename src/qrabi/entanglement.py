@@ -1,18 +1,21 @@
-"""Ground-state extraction, partial trace, and von Neumann entropy.
+"""Ground-state extraction, partial trace, von Neumann entropy, and
+expectation values.
 
-Entropy is measured in bits (log base 2), so a maximally entangled
-qubit-cavity state has S = 1 exactly.
+States are plain numpy arrays over the qubit (x) cavity basis of
+``model.build_full`` with their subsystem dims, and operators are plain
+square arrays over the same basis.  Entropy is measured in bits (log base
+2), so a maximally entangled qubit-cavity state has S = 1 exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelConfig
-from .operators import Operator
 from .spectra import ground_sector, solve_parity_blocks
 
 __all__ = [
@@ -27,9 +30,8 @@ __all__ = [
     "expectation",
 ]
 
-# eigenvalues of a reduced state in [-CLAMP_NEGATIVE, 0) are treated as
-# roundoff and clamped; anything below -REJECT_NEGATIVE is a broken input
-CLAMP_NEGATIVE = 1e-10
+# the entropy drops eigenvalues <= 0 as roundoff; one below
+# -REJECT_NEGATIVE marks a broken input
 REJECT_NEGATIVE = 1e-8
 
 DEGENERACY_RTOL = 1e-10
@@ -37,7 +39,8 @@ DEGENERACY_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized state vector over the composite qubit (x) cavity basis.
+    """Normalized state vector over the composite qubit (x) cavity basis,
+    one amplitude per basis state (the product of ``dims``).
 
     ``quasi_degenerate`` is set when the state was extracted from a
     nearly degenerate ground doublet, in which case observables derived
@@ -51,11 +54,14 @@ class PureState:
 
     def __post_init__(self) -> None:
         amp = np.array(self.amplitudes, dtype=complex)
+        dims = tuple(int(d) for d in self.dims)
+        if amp.shape != (math.prod(dims),):
+            raise ValueError(f"{amp.shape} amplitudes do not match dims {dims}")
         if abs(np.linalg.norm(amp) - 1.0) > 1e-10:
             raise ValueError("state vector is not normalized within 1e-10")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", dims)
 
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
@@ -65,8 +71,9 @@ class PureState:
 class DensityMatrix:
     """Hermitian, unit-trace complex matrix over one or more subsystems.
 
-    Hermiticity and trace are validated on construction; positivity is
-    enforced where eigenvalues are actually consumed (entropy).
+    Its side must be the product of ``dims``.  Shape, Hermiticity and
+    trace are validated on construction; positivity is enforced where
+    eigenvalues are actually consumed (entropy).
     """
 
     data: np.ndarray
@@ -74,13 +81,17 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         data = np.array(self.data, dtype=complex)
+        dims = tuple(int(d) for d in self.dims)
+        side = math.prod(dims)
+        if data.shape != (side, side):
+            raise ValueError(f"matrix shape {data.shape} does not match dims {dims}")
         if np.max(np.abs(data - data.conj().T)) > 1e-10:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(data).real - 1.0) > 1e-10:
             raise ValueError("density matrix trace differs from 1 by more than 1e-10")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", dims)
 
 
 def ground_state(cfg: ModelConfig) -> PureState:
@@ -188,8 +199,9 @@ def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
     return EntropySweep(grid, s_qrm, s_qrma, flag_qrm, flag_qrma)
 
 
-def expectation(op: Operator, state: PureState) -> complex:
-    """<psi|O|psi> for a pure state over the same space as ``op``."""
-    if op.dims != state.dims:
-        raise ValueError(f"dims mismatch: operator {op.dims} vs state {state.dims}")
-    return complex(np.vdot(state.amplitudes, op.data @ state.amplitudes))
+def expectation(op: np.ndarray, state: PureState) -> complex:
+    """<psi|O|psi> for a square matrix ``op`` over the same space as ``state``."""
+    side = state.amplitudes.size
+    if np.shape(op) != (side, side):
+        raise ValueError(f"operator shape {np.shape(op)} does not match state dims {state.dims}")
+    return complex(np.vdot(state.amplitudes, op @ state.amplitudes))

@@ -1,15 +1,19 @@
-"""Hamiltonian builders for the quantum Rabi model (QRM) and its extension
-with the diamagnetic A^2 term (QRMA), plus the parity symmetry operator.
+"""Hamiltonians of the quantum Rabi model (QRM) and its extension with the
+diamagnetic A^2 term (QRMA), plus the parity symmetry operator.
 
-The Rabi Hamiltonian is
+The Hamiltonian is real symmetric on the truncated qubit (x) Fock space,
 
-    H_rabi = omega_c (I (x) a†a) + (omega_0 / 2) (sigma_z (x) I)
-             + g (sigma_x (x) (a† + a))
+    H = omega_c (I (x) N) + (omega_0 / 2) (sigma_z (x) I) + g (sigma_x (x) X)
+        + D (I (x) X @ X)   [QRMA only],   X = a + a†,
 
-and the diamagnetic contribution is D (I (x) (a + a†)^2) with
-D = g^2 / omega_c unless overridden.  (a + a†)^2 is formed as an explicit
-matrix square of the truncated a + a†, so truncation artifacts are
-consistent between the coupling and diamagnetic terms.
+with D = g^2 / omega_c unless overridden.  X @ X is formed as an explicit
+matrix square of the truncated X, so truncation artifacts are consistent
+between the coupling and diamagnetic terms.  The qubit factor comes first,
+so the flat index of |s, n> is ``s * n_max + n`` with s = 0 for the excited
+qubit state.  hbar = 1; frequencies are in units of the cavity frequency.
+
+The solvers use the two real parity blocks of H (``parity_blocks``);
+``build_full`` is the dense matrix, kept as an independent reference.
 """
 
 from __future__ import annotations
@@ -18,28 +22,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    FockTruncation,
-    Operator,
-    annihilation,
-    creation,
-    identity,
-    number,
-    pauli,
-    tensor,
-)
-
 __all__ = [
+    "FockTruncation",
     "ModelConfig",
-    "Hamiltonian",
     "diamagnetic_constant",
-    "build_rabi",
-    "build_diamagnetic",
     "build_full",
     "parity_blocks",
     "parity_operator",
     "model_tag",
 ]
+
+
+@dataclass(frozen=True)
+class FockTruncation:
+    """Number of Fock states retained in the simulation basis |0> .. |n_max-1>."""
+
+    n_max: int
+
+    def __post_init__(self) -> None:
+        if int(self.n_max) != self.n_max or self.n_max < 2:
+            raise ValueError(f"n_max must be an integer >= 2, got {self.n_max!r}")
+        object.__setattr__(self, "n_max", int(self.n_max))
 
 
 @dataclass(frozen=True)
@@ -69,52 +72,37 @@ class ModelConfig:
             raise ValueError(f"d_override must be >= 0, got {self.d_override}")
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
-    """Hermitian operator on the qubit (x) cavity space plus the configuration
-    it was built from; ``spectra.eigensystem`` checks Hermiticity."""
-
-    op: Operator
-    config: ModelConfig
-
-    def __post_init__(self) -> None:
-        expected = (2, self.config.trunc.n_max)
-        if self.op.dims != expected:
-            raise ValueError(f"Hamiltonian dims {self.op.dims} != {expected}")
+def _diamagnetic(cfg: ModelConfig, g: np.ndarray) -> np.ndarray:
+    """D at each coupling of ``g``: ``cfg.d_override``, else g^2 / omega_c."""
+    if cfg.d_override is not None:
+        return np.full_like(g, cfg.d_override)
+    return g**2 / cfg.omega_c
 
 
 def diamagnetic_constant(cfg: ModelConfig) -> float:
     """Diamagnetic coupling constant D for the given configuration."""
-    if cfg.d_override is not None:
-        return float(cfg.d_override)
-    return float(cfg.g**2 / cfg.omega_c)
+    return float(_diamagnetic(cfg, np.asarray(cfg.g, dtype=float)))
 
 
-def build_rabi(cfg: ModelConfig) -> Hamiltonian:
-    """Quantum Rabi Hamiltonian without the diamagnetic term."""
-    t = cfg.trunc
-    field = annihilation(t) + creation(t)
-    op = (
-        cfg.omega_c * tensor(identity(2), number(t))
-        + (cfg.omega_0 / 2.0) * tensor(pauli("z"), identity(t.n_max))
-        + cfg.g * tensor(pauli("x"), field)
-    )
-    return Hamiltonian(op, cfg)
+def _field(n_max: int) -> np.ndarray:
+    """Truncated X = a + a†: sqrt(n) on both off-diagonals."""
+    field = np.diag(np.sqrt(np.arange(1, n_max)), k=1)
+    return field + field.T
 
 
-def build_diamagnetic(cfg: ModelConfig) -> Hamiltonian:
-    """Diamagnetic term D (I (x) (a + a†)^2), acting on the cavity only."""
-    t = cfg.trunc
-    field = annihilation(t) + creation(t)
-    op = diamagnetic_constant(cfg) * tensor(identity(2), field @ field)
-    return Hamiltonian(op, cfg)
-
-
-def build_full(cfg: ModelConfig) -> Hamiltonian:
-    """Full model: Rabi Hamiltonian plus the diamagnetic term when enabled."""
-    h = build_rabi(cfg)
+def build_full(cfg: ModelConfig) -> np.ndarray:
+    """Dense real symmetric Hamiltonian of ``cfg``, shape (2 n_max, 2 n_max),
+    as Kronecker products in the qubit-first basis.  It is not assembled
+    from ``parity_blocks``, so it serves as their reference."""
+    n = cfg.trunc.n_max
+    field = _field(n)
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sigma_z = np.diag([1.0, -1.0])
+    h = (cfg.omega_c * np.kron(np.eye(2), np.diag(np.arange(n, dtype=float)))
+         + (cfg.omega_0 / 2.0) * np.kron(sigma_z, np.eye(n))
+         + cfg.g * np.kron(sigma_x, field))
     if cfg.include_diamagnetic:
-        h = Hamiltonian(h.op + build_diamagnetic(cfg).op, cfg)
+        h += diamagnetic_constant(cfg) * np.kron(np.eye(2), field @ field)
     return h
 
 
@@ -125,21 +113,17 @@ def parity_blocks(base: ModelConfig, g_grid) -> np.ndarray:
     diag(omega_c n + P (omega_0/2) (-1)^n) + g X + D(g) X @ X, X = a + a†."""
     grid = np.asarray(g_grid, dtype=float)
     n = np.arange(base.trunc.n_max)
-    field = np.diag(np.sqrt(n[1:]), k=1)
-    field += field.T
-    d = (np.zeros_like(grid) if not base.include_diamagnetic
-         else grid**2 / base.omega_c if base.d_override is None
-         else np.full_like(grid, base.d_override))
+    field = _field(n.size)
+    d = _diamagnetic(base, grid) if base.include_diamagnetic else np.zeros_like(grid)
     signs = np.array([[-1.0], [1.0]]) * (base.omega_0 / 2.0) * (-1.0) ** n
     diagonal = np.eye(n.size) * (base.omega_c * n + signs)[:, None, None, :]
     return diagonal + grid[:, None, None] * field + d[:, None, None] * (field @ field)
 
 
-def parity_operator(trunc: FockTruncation) -> Operator:
-    """Excitation parity Pi = sigma_z (x) diag((-1)^n); unitary, Hermitian,
-    Pi^2 = I, and an exact symmetry of both models."""
-    signs = Operator(np.diag((-1.0) ** np.arange(trunc.n_max)), (trunc.n_max,))
-    return tensor(pauli("z"), signs)
+def parity_operator(trunc: FockTruncation) -> np.ndarray:
+    """Excitation parity Pi = sigma_z (x) diag((-1)^n) as a real diagonal
+    matrix; Pi^2 = I, and Pi is an exact symmetry of both models."""
+    return np.diag(np.kron([1.0, -1.0], (-1.0) ** np.arange(trunc.n_max)))
 
 
 def model_tag(cfg: ModelConfig) -> str:

@@ -1,5 +1,5 @@
-"""Hermitian eigendecomposition, coupling sweeps, and avoided-crossing
-detection.
+"""Coupling sweeps, parity-block eigensolves, truncation checks, and
+avoided-crossing detection.
 
 Sweeps solve the real parity blocks of the model (``model.parity_blocks``)
 over the whole grid in one batched call; each matrix is solved on its own,
@@ -13,16 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Hamiltonian, ModelConfig, model_tag, parity_blocks
-from .operators import FockTruncation, Operator, is_hermitian
+from .model import FockTruncation, ModelConfig, model_tag, parity_blocks
 
 __all__ = [
-    "EigenSystem",
     "SpectrumSweep",
     "CrossingReport",
     "TruncationCheck",
     "SweepError",
-    "eigensystem",
     "solve_parity_blocks",
     "ground_sector",
     "sweep_spectrum",
@@ -38,15 +35,6 @@ class SweepError(RuntimeError):
         super().__init__(f"sweep failed at g = {g!r}: {cause}")
         self.g = g
         self.cause = cause
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Full real spectrum (ascending) and the matching orthonormal
-    eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,15 +78,6 @@ class TruncationCheck:
     max_shift: float
     converged: bool
     top_fock_population: float
-
-
-def eigensystem(h: Hamiltonian | Operator) -> EigenSystem:
-    """Dense Hermitian eigendecomposition, eigenvalues ascending."""
-    op = h.op if isinstance(h, Hamiltonian) else h
-    if not is_hermitian(op, 1e-10):
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    values, vectors = np.linalg.eigh(op.data)
-    return EigenSystem(values, vectors)
 
 
 def solve_parity_blocks(base: ModelConfig, grid: np.ndarray, solver):

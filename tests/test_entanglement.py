@@ -9,15 +9,11 @@ from qrabi import (
     ModelConfig,
     PureState,
     build_full,
-    eigensystem,
     entropy_sweep,
     expectation,
     ground_state,
-    identity,
-    number,
     parity_operator,
     partial_trace,
-    tensor,
     von_neumann_entropy,
 )
 from qrabi.entanglement import parity_ground_states
@@ -52,7 +48,7 @@ def test_ground_state_energy_is_the_parity_block_level():
     cfg = ModelConfig(g=1.4, trunc=FockTruncation(10))
     energy = ground_state(cfg).energy
     assert energy == parity_ground_states(cfg, np.array([cfg.g]))[2][0]
-    dense = eigensystem(build_full(cfg)).values[0]
+    dense = np.linalg.eigvalsh(build_full(cfg))[0]
     assert abs(energy - dense) <= 1e-12 * max(1.0, abs(dense))
 
 
@@ -75,7 +71,7 @@ def test_deep_strong_photon_number():
     # displaced-vacuum oracle: <a†a> = (g/omega_c)^2
     cfg = ModelConfig(omega_0=0.0, g=2.0, trunc=FockTruncation(60))
     state = ground_state(cfg)
-    n_op = tensor(identity(2), number(cfg.trunc))
+    n_op = np.kron(np.eye(2), np.diag(np.arange(cfg.trunc.n_max, dtype=float)))
     n_exp = expectation(n_op, state).real
     assert abs(n_exp - 4.0) / 4.0 <= 0.01
     assert abs(state.energy + 4.0) <= 1e-6
@@ -201,11 +197,12 @@ def test_entropy_sweep_matches_pointwise_dense_solve(nmax, omega_0, d_override):
     for dia, entropies, flags in ((False, sweep.s_qrm, sweep.degenerate_qrm),
                                   (True, sweep.s_qrma, sweep.degenerate_qrma)):
         for g, s, flagged in zip(grid, entropies, flags):
-            es = eigensystem(build_full(dataclasses.replace(base, g=g, include_diamagnetic=dia)))
-            if np.diff(es.values[:2])[0] <= 1e-8:
+            h = build_full(dataclasses.replace(base, g=g, include_diamagnetic=dia))
+            values, vectors = np.linalg.eigh(h)
+            if np.diff(values[:2])[0] <= 1e-8:
                 # a degenerate doublet: the dense solver may mix the parities
                 continue
-            state = PureState(es.vectors[:, 0], (2, nmax))
+            state = PureState(vectors[:, 0], (2, nmax))
             dense = von_neumann_entropy(partial_trace(state.to_density(), "qubit"))
             assert abs(s - dense) <= 1e-12
             assert not flagged
@@ -282,9 +279,22 @@ def test_parity_sector_tie_rule():
 def test_expectation_dims_check():
     state = PureState(np.array([1.0, 0, 0, 0], dtype=complex), (2, 2))
     with pytest.raises(ValueError):
-        expectation(identity(2), state)
+        expectation(np.eye(2), state)
 
 
 def test_pure_state_requires_normalization():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0], dtype=complex), (2,))
+
+
+def test_pure_state_rejects_amplitudes_not_matching_dims():
+    with pytest.raises(ValueError, match="dims"):
+        PureState(np.full(4, 0.5), (2, 3))
+
+
+def test_density_matrix_rejects_side_not_matching_dims():
+    # a 4x4 state labelled as qubit (x) qutrit would give S = 2 bits
+    with pytest.raises(ValueError, match="dims"):
+        von_neumann_entropy(DensityMatrix(np.eye(4) / 4.0, (2, 3)))
+    with pytest.raises(ValueError, match="dims"):
+        DensityMatrix(np.full((2, 3), 0.5), (2,))

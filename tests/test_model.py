@@ -7,14 +7,18 @@ import scipy.linalg
 from qrabi import (
     FockTruncation,
     ModelConfig,
-    build_diamagnetic,
     build_full,
-    build_rabi,
     diamagnetic_constant,
-    is_hermitian,
     model_tag,
     parity_operator,
 )
+from qrabi.model import parity_blocks
+
+
+def diamagnetic_term(cfg):
+    """The QRMA matrix minus the QRM matrix of the same parameters."""
+    on = build_full(dataclasses.replace(cfg, include_diamagnetic=True))
+    return on - build_full(dataclasses.replace(cfg, include_diamagnetic=False))
 
 
 def rabi_4x4_closed_form(omega_c, omega_0, g):
@@ -37,28 +41,27 @@ def rabi_4x4_closed_form(omega_c, omega_0, g):
 
 
 def test_decoupled_spectrum_n2():
-    h = build_rabi(ModelConfig(g=0.0, trunc=FockTruncation(2)))
-    vals = scipy.linalg.eigvalsh(h.op.data)
+    h = build_full(ModelConfig(g=0.0, trunc=FockTruncation(2)))
+    vals = scipy.linalg.eigvalsh(h)
     assert np.allclose(vals, [-0.5, 0.5, 0.5, 1.5], atol=1e-12)
 
 
 @pytest.mark.parametrize("g", [0.25, 0.5, 1.0, 2.0])
 def test_rabi_4x4_against_closed_form(g):
-    h = build_rabi(ModelConfig(g=g, trunc=FockTruncation(2)))
-    vals = scipy.linalg.eigvalsh(h.op.data)
+    h = build_full(ModelConfig(g=g, trunc=FockTruncation(2)))
+    vals = scipy.linalg.eigvalsh(h)
     assert np.max(np.abs(vals - rabi_4x4_closed_form(1.0, 1.0, g))) <= 1e-12
 
 
 def test_rabi_shape_and_hermiticity():
-    h = build_rabi(ModelConfig(g=0.7, trunc=FockTruncation(2)))
-    assert h.op.data.shape == (4, 4)
-    assert h.op.dims == (2, 2)
-    assert is_hermitian(h.op, 1e-12)
+    h = build_full(ModelConfig(g=0.7, trunc=FockTruncation(2)))
+    assert h.shape == (4, 4) and h.dtype == np.float64
+    assert np.array_equal(h, h.T)
 
 
 def test_diamagnetic_zero_coupling_is_zero_matrix():
-    h = build_diamagnetic(ModelConfig(g=0.0, trunc=FockTruncation(5)))
-    assert np.all(h.op.data == 0)
+    h = diamagnetic_term(ModelConfig(g=0.0, trunc=FockTruncation(5)))
+    assert np.all(h == 0)
 
 
 def test_diamagnetic_truncated_square_diagonal():
@@ -67,30 +70,34 @@ def test_diamagnetic_truncated_square_diagonal():
     # the top level, leaving (1, 3, 2)
     cfg = ModelConfig(g=1.0, trunc=FockTruncation(3))
     assert diamagnetic_constant(cfg) == pytest.approx(1.0)
-    h = build_diamagnetic(cfg)
+    h = diamagnetic_term(cfg)
     x = np.array([[0, 1, 0], [1, 0, np.sqrt(2)], [0, np.sqrt(2), 0]])
     expected = np.kron(np.eye(2), x @ x)
-    assert np.max(np.abs(h.op.data - expected)) <= 1e-14
-    assert np.allclose(np.diag(h.op.data), [1, 3, 2, 1, 3, 2], atol=1e-14)
+    assert np.max(np.abs(h - expected)) <= 1e-14
+    assert np.allclose(np.diag(h), [1, 3, 2, 1, 3, 2], atol=1e-14)
 
 
 def test_d_override_wins():
     cfg = ModelConfig(g=2.0, d_override=0.25, trunc=FockTruncation(4))
     assert diamagnetic_constant(cfg) == 0.25
-    h = build_diamagnetic(cfg)
-    base = build_diamagnetic(ModelConfig(g=0.5, trunc=FockTruncation(4)))  # D = 0.25
-    assert np.max(np.abs(h.op.data - base.op.data)) <= 1e-14
+    h = diamagnetic_term(cfg)
+    base = diamagnetic_term(ModelConfig(g=0.5, trunc=FockTruncation(4)))  # D = 0.25
+    assert np.max(np.abs(h - base)) <= 1e-14
 
 
 def test_full_without_flag_equals_rabi():
     cfg = ModelConfig(g=1.3, include_diamagnetic=False, trunc=FockTruncation(6))
-    assert np.array_equal(build_full(cfg).op.data, build_rabi(cfg).op.data)
+    # the Rabi matrix is the full model with D = 0; without the flag a
+    # d_override has no effect
+    rabi = build_full(dataclasses.replace(cfg, include_diamagnetic=True, d_override=0.0))
+    assert np.array_equal(build_full(cfg), rabi)
+    assert np.array_equal(build_full(dataclasses.replace(cfg, d_override=0.7)), rabi)
 
 
 def test_full_g_zero_flag_irrelevant():
     on = build_full(ModelConfig(g=0.0, include_diamagnetic=True, trunc=FockTruncation(5)))
     off = build_full(ModelConfig(g=0.0, include_diamagnetic=False, trunc=FockTruncation(5)))
-    assert np.array_equal(on.op.data, off.op.data)
+    assert np.array_equal(on, off)
 
 
 def test_bogoliubov_ladder_spacing():
@@ -101,21 +108,22 @@ def test_bogoliubov_ladder_spacing():
         omega_0=0.0, g=0.0, include_diamagnetic=True, d_override=0.25,
         trunc=FockTruncation(80),
     )
-    vals = scipy.linalg.eigvalsh(build_full(cfg).op.data)
+    vals = scipy.linalg.eigvalsh(build_full(cfg))
     spacings = np.diff(vals[::2][:9])
     assert np.max(np.abs(spacings - np.sqrt(2.0))) <= 1e-8
 
 
 def test_parity_n2():
     pi = parity_operator(FockTruncation(2))
-    assert np.array_equal(np.diag(pi.data), np.array([1, -1, -1, 1], dtype=complex))
+    assert pi.dtype == np.float64
+    assert np.array_equal(pi, np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 @pytest.mark.parametrize("n", [2, 5, 12, 20])
 def test_parity_squares_to_identity(n):
     pi = parity_operator(FockTruncation(n))
-    assert np.max(np.abs((pi @ pi).data - np.eye(2 * n))) == 0.0
-    assert is_hermitian(pi, 1e-15)
+    assert np.max(np.abs(pi @ pi - np.eye(2 * n))) == 0.0
+    assert np.array_equal(pi, pi.T)
 
 
 def test_parity_commutes_with_both_models():
@@ -127,8 +135,8 @@ def test_parity_commutes_with_both_models():
             include_diamagnetic=bool(rng.integers(2)),
             trunc=FockTruncation(int(rng.integers(2, 20))),
         )
-        h = build_full(cfg).op.data
-        pi = parity_operator(cfg.trunc).data
+        h = build_full(cfg)
+        pi = parity_operator(cfg.trunc)
         assert np.max(np.abs(h @ pi - pi @ h)) <= 1e-10
 
 
@@ -137,7 +145,7 @@ def test_spectrum_invariant_under_coupling_sign_flip():
     # everything else, so conjugating by it realizes g -> -g exactly
     cfg = ModelConfig(g=0.8, include_diamagnetic=True, trunc=FockTruncation(10))
     n = cfg.trunc.n_max
-    h = build_full(cfg).op.data
+    h = build_full(cfg)
     sz_full = np.kron(np.diag([1.0, -1.0]), np.eye(n))
     h_neg_g = sz_full @ h @ sz_full
     coupling = 0.8 * np.kron(
@@ -153,9 +161,39 @@ def test_spectrum_invariant_under_coupling_sign_flip():
 def test_decoupled_spectrum_any_nmax():
     for n in (2, 7, 15):
         cfg = ModelConfig(g=0.0, trunc=FockTruncation(n))
-        vals = scipy.linalg.eigvalsh(build_full(cfg).op.data)
+        vals = scipy.linalg.eigvalsh(build_full(cfg))
         expected = np.sort(np.concatenate([np.arange(n) - 0.5, np.arange(n) + 0.5]))
         assert np.max(np.abs(vals - expected)) <= 1e-10
+
+
+def test_build_full_sectors_equal_parity_blocks_exactly():
+    # the dense matrix restricted to each parity sector is bit for bit the
+    # parity block, so the blocks have an exact reference; its entries
+    # outside the sectors are all zero
+    rng = np.random.default_rng(20240)
+    for k in range(304):
+        cfg = ModelConfig(
+            omega_c=float(rng.uniform(0.2, 3.0)),
+            omega_0=float(rng.uniform(0.0, 2.0)),
+            g=float(rng.uniform(0.0, 3.0)),
+            include_diamagnetic=bool(rng.integers(2)),
+            d_override=float(rng.uniform(0.0, 3.0)) if k // 38 % 2 else None,
+            trunc=FockTruncation(2 + k % 38),
+        )
+        n = np.arange(cfg.trunc.n_max)
+        h = build_full(cfg)
+        blocks = parity_blocks(cfg, [cfg.g])
+        for i, parity in enumerate((-1, 1)):
+            idx = (parity * (-1) ** n < 0) * n.size + n
+            assert np.array_equal(h[np.ix_(idx, idx)], blocks[i, 0]), (cfg, parity)
+        assert np.count_nonzero(h) == np.count_nonzero(blocks)
+
+
+def test_rejects_degenerate_truncation():
+    with pytest.raises(ValueError):
+        FockTruncation(1)
+    with pytest.raises(ValueError):
+        FockTruncation(0)
 
 
 def test_config_validation():

@@ -15,7 +15,7 @@ from qrabi import plotting
 from qrabi.cli import EXIT_OK, _copy_wigner, _emit_wigner, main
 from qrabi.entanglement import entropy_sweep
 from qrabi.model import ModelConfig
-from qrabi.operators import FockTruncation
+from qrabi.model import FockTruncation
 from qrabi.output import (
     Column,
     Rows,

@@ -6,11 +6,9 @@ import pytest
 from qrabi import (
     FockTruncation,
     ModelConfig,
-    Operator,
     SpectrumSweep,
     build_full,
     check_truncation,
-    eigensystem,
     find_avoided_crossings,
     sweep_spectrum,
 )
@@ -19,40 +17,28 @@ from qrabi.model import parity_blocks
 from qrabi.spectra import ground_sector, solve_parity_blocks
 
 
-def test_eigensystem_diagonal_matrix():
-    es = eigensystem(Operator(np.diag([3.0, 1.0, 2.0]), (3,)))
-    assert np.allclose(es.values, [1.0, 2.0, 3.0])
-    # permutation eigenvectors
-    assert np.allclose(np.abs(es.vectors), np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
-
-
-def test_eigensystem_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eigensystem(Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,)))
-
-
 def test_eigensystem_qrm_decoupled():
-    es = eigensystem(build_full(ModelConfig(g=0.0, trunc=FockTruncation(2))))
-    assert np.allclose(es.values, [-0.5, 0.5, 0.5, 1.5], atol=1e-12)
+    values = np.linalg.eigvalsh(build_full(ModelConfig(g=0.0, trunc=FockTruncation(2))))
+    assert np.allclose(values, [-0.5, 0.5, 0.5, 1.5], atol=1e-12)
 
 
 def test_eigensystem_residuals_and_orthonormality():
     h = build_full(ModelConfig(g=1.2, include_diamagnetic=True, trunc=FockTruncation(12)))
-    es = eigensystem(h)
-    assert np.all(np.diff(es.values) >= 0)
-    for k in range(es.values.size):
-        res = np.linalg.norm(h.op.data @ es.vectors[:, k] - es.values[k] * es.vectors[:, k])
-        assert res <= 1e-9 * (1.0 + abs(es.values[k]))
-    gram = es.vectors.conj().T @ es.vectors
-    assert np.max(np.abs(gram - np.eye(es.values.size))) <= 1e-9
+    values, vectors = np.linalg.eigh(h)
+    assert np.all(np.diff(values) >= 0)
+    for k in range(values.size):
+        res = np.linalg.norm(h @ vectors[:, k] - values[k] * vectors[:, k])
+        assert res <= 1e-9 * (1.0 + abs(values[k]))
+    gram = vectors.conj().T @ vectors
+    assert np.max(np.abs(gram - np.eye(values.size))) <= 1e-9
 
 
 def test_displaced_oscillator_ground_energy():
     # omega_0 = 0 makes sigma_x a good quantum number; each branch is a
     # displaced oscillator with ground energy -g^2/omega_c
     cfg = ModelConfig(omega_0=0.0, g=1.0, trunc=FockTruncation(40))
-    es = eigensystem(build_full(cfg))
-    assert abs(es.values[0] - (-1.0)) <= 1e-6
+    values = np.linalg.eigvalsh(build_full(cfg))
+    assert abs(values[0] - (-1.0)) <= 1e-6
 
 
 def test_sweep_single_point():
@@ -87,7 +73,7 @@ def test_sweep_matches_pointwise_dense_solve(dia, d_override, nmax, omega_0):
     grid = np.linspace(0, 3, 13)
     sweep = sweep_spectrum(cfg, grid, 2 * nmax)
     for g, levels in zip(grid, sweep.levels):
-        dense = eigensystem(build_full(dataclasses.replace(cfg, g=g))).values
+        dense = np.linalg.eigvalsh(build_full(dataclasses.replace(cfg, g=g)))
         assert np.all(np.abs(levels - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
 
 
@@ -122,9 +108,9 @@ def test_diamagnetic_shift_raises_every_level():
 def test_trace_preservation():
     cfg = ModelConfig(g=0.9, include_diamagnetic=True, trunc=FockTruncation(15))
     h = build_full(cfg)
-    es = eigensystem(h)
-    trace = np.trace(h.op.data).real
-    assert abs(es.values.sum() - trace) <= 1e-8 * max(1.0, abs(trace))
+    values = np.linalg.eigvalsh(h)
+    trace = np.trace(h)
+    assert abs(values.sum() - trace) <= 1e-8 * max(1.0, abs(trace))
 
 
 def test_sweep_validation():

@@ -13,7 +13,6 @@ from qrabi import (
     QuadratureGrid,
     WignerGrid,
     build_full,
-    eigensystem,
     ground_state_wigner,
     marginal_variance,
     partial_trace,
@@ -269,7 +268,7 @@ def test_ground_state_wigner_matches_dense_reduced_state():
                 ModelConfig(omega_0=0.83, g=2.0, include_diamagnetic=True,
                             trunc=FockTruncation(15))):
         grid = QuadratureGrid(-5, 5, -4, 4, 41, 33)
-        dense_state = PureState(eigensystem(build_full(cfg)).vectors[:, 0], (2, cfg.trunc.n_max))
+        dense_state = PureState(np.linalg.eigh(build_full(cfg))[1][:, 0], (2, cfg.trunc.n_max))
         reduced = partial_trace(dense_state.to_density(), "cavity")
         dense = wigner(reduced, grid).values
         assert np.max(np.abs(ground_state_wigner(cfg, grid).values - dense)) <= 1e-12
@@ -285,6 +284,11 @@ def test_wigner_rejects_composite_dims():
     rho = DensityMatrix(np.eye(4) / 4.0, (2, 2))
     with pytest.raises(ValueError):
         wigner(rho, QuadratureGrid())
+
+
+def test_wigner_rejects_density_matrix_not_matching_dims():
+    with pytest.raises(ValueError, match="dims"):
+        wigner(DensityMatrix(np.eye(3) / 3.0, (5,)), QuadratureGrid())
 
 
 def test_wigner_rejects_overflowing_grid():
