@@ -189,13 +189,6 @@ def test_build_full_sectors_equal_parity_blocks_exactly():
         assert np.count_nonzero(h) == np.count_nonzero(blocks)
 
 
-def test_rejects_degenerate_truncation():
-    with pytest.raises(ValueError):
-        FockTruncation(1)
-    with pytest.raises(ValueError):
-        FockTruncation(0)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(omega_c=0.0)

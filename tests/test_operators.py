@@ -1,60 +1,66 @@
+"""The operator factors of the dense Hamiltonian ``build_full``: the
+truncated ladder a, a† inside its coupling block X = a + a†, the exact
+number diagonal, and the Fock truncation itself."""
+
 import numpy as np
 import pytest
 
-from qrabi import (
-    FockTruncation,
-    Operator,
-    annihilation,
-    creation,
-    dagger,
-    identity,
-    is_hermitian,
-    number,
-    pauli,
-    tensor,
-)
+from qrabi import FockTruncation, ModelConfig, build_full
+
+
+def field(n):
+    """X = a + a† as built into ``build_full``: with g = 1 the qubit
+    off-diagonal block holds exactly g X, since every other term is
+    block-diagonal in the qubit."""
+    h = build_full(ModelConfig(g=1.0, trunc=FockTruncation(n)))
+    return h[:n, n:]
+
+
+def annihilation(n):
+    return np.triu(field(n))
+
+
+def creation(n):
+    return np.tril(field(n))
 
 
 def test_annihilation_2x2():
-    a = annihilation(FockTruncation(2))
-    assert np.array_equal(a.data, np.array([[0, 1], [0, 0]], dtype=complex))
-    assert a.dims == (2,)
+    assert np.array_equal(annihilation(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_annihilation_3x3_superdiagonal():
-    a = annihilation(FockTruncation(3))
-    assert a.data[0, 1] == pytest.approx(1.0)
-    assert a.data[1, 2] == pytest.approx(np.sqrt(2.0))
-    off = a.data.copy()
+    a = annihilation(3)
+    assert a[0, 1] == pytest.approx(1.0)
+    assert a[1, 2] == pytest.approx(np.sqrt(2.0))
+    off = a.copy()
     off[0, 1] = off[1, 2] = 0
     assert np.all(off == 0)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_number_operator_diagonal(n):
-    nop = number(FockTruncation(n))
-    assert np.max(np.abs(nop.data - np.diag(np.arange(n, dtype=float)))) <= 1e-14
+    # omega_c = 1, omega_0 = 0, g = 0 leaves only I (x) N
+    h = build_full(ModelConfig(omega_0=0.0, g=0.0, trunc=FockTruncation(n)))
+    nop = np.diag(np.arange(n, dtype=float))
+    assert np.array_equal(h, np.kron(np.eye(2), nop))
 
 
 def test_creation_2x2():
-    c = creation(FockTruncation(2))
-    assert np.array_equal(c.data, np.array([[0, 0], [1, 0]], dtype=complex))
+    assert np.array_equal(creation(2), np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_creation_is_adjoint_of_annihilation(n):
-    t = FockTruncation(n)
-    assert np.array_equal(creation(t).data, dagger(annihilation(t)).data)
+    assert np.array_equal(creation(n), annihilation(n).T)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_truncated_commutator(n):
     # [a, a†] = I - n_max |n_max-1><n_max-1| in the truncated space:
     # a a† has diagonal (1, ..., n-1, 0), a†a has (0, ..., n-1)
-    t = FockTruncation(n)
-    a, c = annihilation(t), creation(t)
-    comm = (a @ c - c @ a).data
-    expected = np.eye(n, dtype=complex)
+    a, c = annihilation(n), creation(n)
+    comm = a @ c - c @ a
+    expected = np.eye(n)
     expected[n - 1, n - 1] = 1.0 - n
     assert np.max(np.abs(comm - expected)) <= 1e-13
 
@@ -64,89 +70,3 @@ def test_rejects_degenerate_truncation():
         FockTruncation(1)
     with pytest.raises(ValueError):
         FockTruncation(0)
-
-
-def test_pauli_values():
-    assert np.array_equal(pauli("z").data, np.diag([1.0 + 0j, -1.0]))
-    assert np.array_equal(pauli("x").data, np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.array_equal(pauli("y").data, np.array([[0, -1j], [1j, 0]]))
-    with pytest.raises(ValueError):
-        pauli("w")
-
-
-@pytest.mark.parametrize("axis", ["x", "y", "z"])
-def test_pauli_unitary_hermitian_involution(axis):
-    s = pauli(axis)
-    assert is_hermitian(s, 1e-12)
-    assert np.max(np.abs((s @ s).data - np.eye(2))) <= 1e-15
-
-
-def test_tensor_identities():
-    assert np.array_equal(tensor(identity(2), identity(3)).data, np.eye(6))
-    t = tensor(pauli("z"), identity(2))
-    assert np.array_equal(np.diag(t.data), np.array([1, 1, -1, -1], dtype=complex))
-    assert t.dims == (2, 2)
-
-
-def test_tensor_mixed_product_property():
-    # (A x B)(C x D) = AC x BD, against direct multiplication
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        a, c = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-        b, d = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
-        left = tensor(Operator(a, (2,)), Operator(b, (3,))) @ tensor(
-            Operator(c, (2,)), Operator(d, (3,))
-        )
-        right = tensor(Operator(a @ c, (2,)), Operator(b @ d, (3,)))
-        assert np.max(np.abs(left.data - right.data)) <= 1e-12
-
-
-def test_tensor_associative_data():
-    rng = np.random.default_rng(11)
-    a = Operator(rng.normal(size=(2, 2)), (2,))
-    b = Operator(rng.normal(size=(3, 3)), (3,))
-    c = Operator(rng.normal(size=(2, 2)), (2,))
-    left = tensor(tensor(a, b), c)
-    right = tensor(a, tensor(b, c))
-    # products of three factors associate up to one rounding step
-    assert np.max(np.abs(left.data - right.data)) <= 1e-15
-    assert left.dims == (2, 3, 2) and right.dims == (2, 3, 2)
-
-
-def test_dagger_involution_and_product_reversal():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        a = Operator(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), (4,))
-        b = Operator(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), (4,))
-        assert np.array_equal(dagger(dagger(a)).data, a.data)
-        assert np.max(np.abs(dagger(a @ b).data - (dagger(b) @ dagger(a)).data)) <= 1e-12
-
-
-def test_dagger_examples():
-    sym = Operator(np.array([[1.0, 2.0], [2.0, 3.0]]), (2,))
-    assert np.array_equal(dagger(sym).data, sym.data)
-    m = Operator(np.array([[0, 1j], [0, 0]]), (2,))
-    assert np.array_equal(dagger(m).data, np.array([[0, 0], [-1j, 0]]))
-
-
-def test_is_hermitian():
-    t = FockTruncation(3)
-    assert not is_hermitian(annihilation(t), 1e-12)
-    assert is_hermitian(annihilation(t) + creation(t), 1e-12)
-    with pytest.raises(ValueError):
-        is_hermitian(pauli("x"), 0.0)
-
-
-def test_operator_validation():
-    with pytest.raises(ValueError):
-        Operator(np.zeros((2, 3)), (2,))
-    with pytest.raises(ValueError):
-        Operator(np.zeros((4, 4)), (2,))  # dims product mismatch
-    with pytest.raises(ValueError):
-        Operator(np.zeros((2, 2)), (0, 2))
-
-
-def test_operator_is_immutable():
-    a = annihilation(FockTruncation(2))
-    with pytest.raises(ValueError):
-        a.data[0, 0] = 5.0
