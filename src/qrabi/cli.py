@@ -48,7 +48,7 @@ from .output import (
     write_json,
     write_manifest,
 )
-from .plotting import _write_gnuplot, emit_plot, gnuplot_script
+from .plotting import emit_plot, gnuplot_script, write_gnuplot
 from .spectra import SweepError, find_avoided_crossings, sweep_spectrum
 from .wigner import QuadratureGrid, ground_state_wigner
 
@@ -246,7 +246,7 @@ def _emit_wigner(out: Path, name: str, w, spec_doc: dict, formats) -> None:
         columns, rows = wigner_table(w)
         _write_table(out, name, spec_doc, columns, rows, formats)
         if "gnuplot" in formats:  # the .dat shares the table's cells
-            _write_gnuplot(out / f"{name}.gp", rows)
+            write_gnuplot(out / f"{name}.gp", rows)
     if "svg" in formats:
         emit_plot(w, "svg", out / f"{name}.svg")
 

@@ -18,18 +18,20 @@ per-row cell list is built once and shared by the CSV writer and the
 gnuplot data file.  Its JSON cells are the CSV cells except for the few
 that :func:`_json_number` rewrites (integer-valued, ``e+``, ``e-3xx`` and
 non-finite cells), so a column where none is rewritten reuses the CSV
-list.  A Wigner table's body is cached per grid and format as a list of
-pieces, a q piece, a p piece and a w slot per row, that share the grid's
-q and p strings; a panel puts its w cells into the slots, joins the list
-and empties the slots again.  Files are written in pieces (header, body,
-tail) without joining them into one string.  The CLI writes a panel equal
-to a written one as a copy.
+list.  A table body is an iterator of strings.  A Wigner table yields one
+string per p row, joined from one reusable row of q, p and w pieces: its
+q pieces are the grid's, cached per grid and format, and each row puts in
+its p piece and its slice of the panel's w cells.  The writers pass
+header, rows and tail to the file as they come, so no text of a whole
+Wigner table is ever held.  The CLI writes a panel equal to a written one
+as a copy.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -132,16 +134,16 @@ class Rows:
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def body(self, fmt: str) -> str:
-        """Rows as csv, json or dat text, without header, brackets or final newline."""
+    def body(self, fmt: str) -> Iterator[str]:
+        """Rows as csv, json or dat text, without header, brackets or final
+        newline, as one string."""
         sep, row_sep, _, json_numbers = _BODY[fmt]
         rows = zip(*(c.cells(json_numbers) for c in self.columns))
-        return row_sep.join(map(sep.join, rows))
+        yield row_sep.join(map(sep.join, rows))
 
 
 class _GridRows:
-    """Rows of a Wigner table, with the ``len()`` and ``body`` of :class:`Rows`;
-    their q, p text is the grid's cached skeleton."""
+    """Rows of a Wigner table, with the ``len()`` and ``body`` of :class:`Rows`."""
 
     def __init__(self, w: WignerGrid) -> None:
         self.grid = w.grid
@@ -150,45 +152,52 @@ class _GridRows:
     def __len__(self) -> int:
         return self.grid.n_q * self.grid.n_p
 
-    def body(self, fmt: str) -> str:
-        pieces = _skeleton(self.grid, fmt)
-        pieces[2::3] = self.w.cells(_BODY[fmt][3])
-        text = "".join(pieces)
-        pieces[2::3] = [None] * len(self)  # the cache keeps no panel's cells
-        return text
+    def body(self, fmt: str) -> Iterator[str]:
+        """The text of :meth:`Rows.body`, one string per p row with the
+        p-block separator between them."""
+        block_sep, json_numbers = _BODY[fmt][2:]
+        q, p = _axis_pieces(self.grid, fmt)
+        n_q = len(q)
+        cells = self.w.cells(json_numbers)
+        row: list[str | None] = [None] * (3 * n_q)  # a q, a p and a w piece per point
+        row[0::3] = q
+        for i, pc in enumerate(p):
+            if i:
+                yield block_sep
+            row[1::3] = [pc] * n_q
+            row[2::3] = cells[i * n_q:(i + 1) * n_q]
+            yield "".join(row)
 
 
 @functools.lru_cache(maxsize=3)
-def _skeleton(grid: QuadratureGrid, fmt: str) -> list[str | None]:
-    """Body of a Wigner table on ``grid`` as a q piece, a p piece and a w
-    slot per row, ready for ``"".join`` once the slots hold the w cells.
-    A q piece starts with the separator from the previous row, and the
-    pieces of all rows share the grid's q and p strings."""
-    sep, row_sep, block_sep, json_numbers = _BODY[fmt]
+def _axis_pieces(grid: QuadratureGrid, fmt: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The q and p pieces of a Wigner table row on ``grid``: each q piece
+    but the first starts with the row separator, and every piece ends with
+    the cell separator."""
+    sep, row_sep, _, json_numbers = _BODY[fmt]
     q, p = ([f"{c}{sep}" for c in Column(axis).cells(json_numbers)]
             for axis in (grid.q_axis(), grid.p_axis()))
-    heads = [block_sep + q[0]] + [row_sep + qc for qc in q[1:]]
-    pieces = [piece for pc in p for qc in heads for piece in (qc, pc, None)]
-    pieces[0] = q[0]  # the body starts without a separator
-    return pieces
+    return (q[0], *(row_sep + qc for qc in q[1:])), tuple(p)
 
 
-def write_pieces(path: Path, *pieces: str) -> None:
-    """Write ``pieces`` in order as one UTF-8 file with LF line endings,
-    without joining them first."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.writelines(pieces)
+def write_pieces(path: str | Path, *parts: Iterable[str]) -> None:
+    """Write the strings of each of ``parts`` in order as one UTF-8 file
+    with LF line endings, without joining them first."""
+    # a 256 KiB buffer writes a streamed table in a few large writes
+    with open(path, "w", encoding="utf-8", newline="\n", buffering=1 << 18) as f:
+        for part in parts:
+            f.writelines(part)
 
 
 def write_csv(path: Path, columns: list[str], rows: Rows) -> None:
-    body = (rows.body("csv"), "\n") if len(rows) else ()
-    write_pieces(path, ",".join(columns) + "\n", *body)
+    body = (rows.body("csv"), ["\n"]) if len(rows) else ()
+    write_pieces(path, [",".join(columns) + "\n"], *body)
 
 
 def write_json(path: Path, spec: dict, columns: list[str], rows: Rows) -> None:
     head = json.dumps({"spec": spec, "columns": columns})
-    body = ("[", rows.body("json"), "]") if len(rows) else ()
-    write_pieces(path, f'{head[:-1]}, "rows": [', *body, "]}\n")
+    body = (["["], rows.body("json"), ["]"]) if len(rows) else ()
+    write_pieces(path, [f'{head[:-1]}, "rows": ['], *body, ["]}\n"])
 
 
 def write_manifest(path: Path, spec: dict) -> None:

@@ -2,6 +2,10 @@
 gnuplot surface scripts.  No external runtime is needed to produce the
 files; styling is deliberately plain.
 
+:func:`write_gnuplot` is the one writer of a ``.gp`` script and its
+``.dat`` grid; the grid is a Wigner table's rows in the ``dat`` format,
+streamed one p row at a time.
+
 A heatmap is one embedded PNG with a pixel per grid point, written with
 stored deflate blocks so its bytes are the same on any machine.  The CLI
 writes a panel equal to a written one as a copy.  A sweep's polyline
@@ -26,8 +30,8 @@ __all__ = [
     "spectrum_svg",
     "entropy_svg",
     "wigner_svg",
-    "wigner_gnuplot",
     "gnuplot_script",
+    "write_gnuplot",
 ]
 
 _W, _H = 640, 480
@@ -215,7 +219,7 @@ def emit_plot(data, fmt: str, path: Path) -> None:
     if fmt == "gnuplot":
         if not isinstance(data, WignerGrid):
             raise ValueError(f"no gnuplot rendering for {type(data).__name__}")
-        _write_gnuplot(path, wigner_table(data)[1])
+        write_gnuplot(path, wigner_table(data)[1])
         return
     raise ValueError(f"unsupported plot format {fmt!r}")
 
@@ -237,13 +241,11 @@ def gnuplot_script(data_filename: str) -> str:
     )
 
 
-def wigner_gnuplot(w: WignerGrid, data_filename: str) -> tuple[str, str]:
-    """Gnuplot surface script plus its grid-format data file, whose cells
-    are those of the CSV Wigner table."""
-    return gnuplot_script(data_filename), wigner_table(w)[1].body("dat") + "\n"
-
-
-def _write_gnuplot(path: Path, rows: Rows) -> None:
+def write_gnuplot(path: str | Path, rows: Rows) -> None:
+    """Write a Wigner table's ``rows`` as a gnuplot surface: a ``.gp``
+    script at ``path`` plus the ``.dat`` grid file next to it, whose cells
+    are those of the CSV table, streamed one p row at a time."""
+    path = Path(path)
     dat = path.with_suffix(".dat")
     path.with_suffix(".gp").write_text(gnuplot_script(dat.name), encoding="utf-8", newline="\n")
-    write_pieces(dat, rows.body("dat"), "\n")
+    write_pieces(dat, rows.body("dat"), ["\n"])

@@ -241,10 +241,10 @@ def test_entropy_sweep_batched_failure_names_the_grid_point(monkeypatch):
 
 
 def test_deep_strong_ground_state_has_definite_parity():
-    # at g = 6 the lowest doublet is degenerate to machine precision; a
-    # dense solve of the full matrix returns a mixture of both parities
-    # (S = 0.787 bits), while either parity state has S = 1 bit up to the
-    # overlap of the two displaced vacua
+    # at g = 6 the lowest doublet is degenerate to machine precision, so
+    # the parity of a dense solve of the full matrix is not guaranteed (any
+    # mixture of the doublet is an eigenvector), while either parity state
+    # has S = 1 bit up to the overlap of the two displaced vacua
     cfg = ModelConfig(omega_0=1.0, g=6.0, trunc=FockTruncation(200))
     sweep = entropy_sweep(cfg, [6.0])
     assert abs(sweep.s_qrm[0] - 1.0) < 1e-3

@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -19,7 +20,6 @@ from qrabi.model import FockTruncation
 from qrabi.output import (
     Column,
     Rows,
-    _skeleton,
     crossings_table,
     spectrum_table,
     wigner_table,
@@ -27,8 +27,8 @@ from qrabi.output import (
     write_json,
 )
 from qrabi.plotting import (
-    _Frame, _axes, _document, _fmt, _write_gnuplot, emit_plot, entropy_svg, spectrum_svg,
-    wigner_gnuplot, wigner_svg,
+    _Frame, _axes, _document, _fmt, emit_plot, entropy_svg, spectrum_svg, wigner_svg,
+    write_gnuplot,
 )
 from qrabi.spectra import CrossingReport, SpectrumSweep, sweep_spectrum
 from qrabi.wigner import QuadratureGrid, WignerGrid, ground_state_wigner
@@ -213,9 +213,9 @@ def test_wigner_table_and_dat_match_reference(tmp_path):
     assert csv == ref_csv(columns, ref_rows).encode()
     assert js == ref_json(SPEC, columns, ref_rows).encode()
 
-    script, dat = wigner_gnuplot(w, "w.dat")
-    assert "splot 'w.dat' using 1:2:3" in script
-    assert dat == ref_dat(w)
+    write_gnuplot(str(tmp_path / "w.gp"), rows)  # a str path works as a Path does
+    assert "splot 'w.dat' using 1:2:3" in (tmp_path / "w.gp").read_text()
+    assert (tmp_path / "w.dat").read_text() == ref_dat(w)
 
 
 def ref_dat(w: WignerGrid) -> str:
@@ -226,9 +226,10 @@ def ref_dat(w: WignerGrid) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def test_dat_prints_negative_zero_as_zero():
+def test_dat_prints_negative_zero_as_zero(tmp_path):
     # the .dat shares the table cells, so -0.0 is written as 0 as in the CSV
-    _, dat = wigner_gnuplot(small_wigner(), "w.dat")
+    emit_plot(small_wigner(), "gnuplot", tmp_path / "w.gp")
+    dat = (tmp_path / "w.dat").read_text()
     first = dat.split("\n")[0]
     assert first == "-1.5 -1 0"
     assert all("-0 " not in line and not line.endswith(" -0") for line in dat.split("\n"))
@@ -380,7 +381,8 @@ def assert_wigner_files_match_reference(tmp_path, w, spec=SPEC):
                 for j, qv in enumerate(w.grid.q_axis())]
     assert_same_text((tmp_path / "t.csv").read_text(), ref_csv(columns, ref_rows))
     assert_same_text((tmp_path / "t.json").read_text(), ref_json(spec, columns, ref_rows))
-    assert_same_text(wigner_gnuplot(w, "t.dat")[1], ref_dat(w))
+    write_gnuplot(tmp_path / "t.gp", rows)
+    assert_same_text((tmp_path / "t.dat").read_text(), ref_dat(w))
     assert_heatmap_matches_reference(wigner_svg(w), w)
 
 
@@ -399,13 +401,14 @@ def skeleton_grids():
 
 @pytest.mark.parametrize("w", skeleton_grids())
 def test_wigner_skeleton_writers_match_reference(tmp_path, w):
-    # every Wigner format is written from a per-grid skeleton; the per-cell
-    # writers above are the reference
+    # every Wigner format is streamed one p row at a time from the grid's
+    # q and p pieces and the panel's w cells; the per-cell writers above
+    # are the reference
     assert_wigner_files_match_reference(tmp_path, w)
 
 
 def test_skeletons_follow_grid_bounds(tmp_path):
-    # same shape, different bounds, written alternately: a skeleton cached
+    # same shape, different bounds, written alternately: q and p pieces cached
     # under the wrong key would give one grid the other's q, p or geometry
     rng = np.random.default_rng(9)
     grids = [QuadratureGrid(-2.0, 2.0, -1.0, 1.0, 5, 4), QuadratureGrid(-1.0, 3.0, 0.5, 2.5, 5, 4)]
@@ -414,26 +417,26 @@ def test_skeletons_follow_grid_bounds(tmp_path):
             tmp_path, WignerGrid(grid, rng.uniform(-0.3, 0.3, (4, 5))))
 
 
-def test_panel_cells_do_not_stay_in_the_skeletons(tmp_path):
-    # _GridRows.body fills a cached skeleton's w slots and must empty them
-    # again, so the cache holds no panel's cells and the next panel's text
-    # is its own
-    grid = QuadratureGrid(-2.0, 3.0, -1.0, 1.5, 6, 5)
-    skeletons = {fmt: _skeleton(grid, fmt) for fmt in ("csv", "json", "dat")}
-    rng = np.random.default_rng(13)
-    for w in (WignerGrid(grid, rng.uniform(-0.3, 0.3, (5, 6))) for _ in range(2)):
-        columns, rows = wigner_table(w)
-        write_csv(tmp_path / "t.csv", columns, rows)
-        write_json(tmp_path / "t.json", SPEC, columns, rows)
-        _write_gnuplot(tmp_path / "t.gp", rows)
-    for fmt, pieces in skeletons.items():
-        assert _skeleton(grid, fmt) is pieces
-        assert pieces[2::3] == [None] * len(rows), fmt
-    ref_rows = [[qv, pv, w.values[i, j]] for i, pv in enumerate(grid.p_axis())
-                for j, qv in enumerate(grid.q_axis())]
-    assert (tmp_path / "t.csv").read_text() == ref_csv(columns, ref_rows)
-    assert (tmp_path / "t.json").read_text() == ref_json(SPEC, columns, ref_rows)
-    assert (tmp_path / "t.dat").read_text() == ref_dat(w)
+@pytest.mark.parametrize("suffix", [".csv", ".json", ".dat"])
+def test_wigner_writes_hold_one_row_at_a_time(tmp_path, suffix):
+    # once a table's cells are built, writing it again holds no text of
+    # the whole body (nor an encoded copy), only one p row at a time
+    rng = np.random.default_rng(17)
+    grid = QuadratureGrid(-4.0, 6.0, -2.5, 3.5, 301, 201)
+    columns, rows = wigner_table(WignerGrid(grid, rng.uniform(-0.3, 0.3, (201, 301))))
+    write = {".csv": lambda: write_csv(tmp_path / "t.csv", columns, rows),
+             ".json": lambda: write_json(tmp_path / "t.json", SPEC, columns, rows),
+             ".dat": lambda: write_gnuplot(tmp_path / "t.gp", rows)}[suffix]
+    write()
+    tracemalloc.start()
+    try:
+        write()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / f"t{suffix}").stat().st_size
+    assert size > 1_900_000
+    assert peak < size / 4, f"peak {peak} B for a {size} B file"
 
 
 def test_percent_signs_are_written_verbatim(tmp_path, monkeypatch):
