@@ -160,6 +160,8 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
             raise ConfigError(f"unknown format {f!r}; choose from {', '.join(_FORMATS)}")
         if f not in _COMMANDS[args.command][1]:
             raise ConfigError(f"format {f!r} is not supported by {args.command!r}")
+    if len(set(formats)) < len(formats):
+        raise ConfigError(f"each format may be given once, got {','.join(formats)}")
 
     spec = ExperimentSpec(
         command=args.command,
@@ -312,7 +314,8 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
 
     # fig4/fig5: Wigner panels per coupling; fig6/fig7: the g = 10 surfaces,
     # which are copies of the g = 10 panels.  All panels share quad, so one
-    # with the W values of a written panel is a copy of it (sha256 -> name).
+    # with the W values of a written panel is a copy of it; a panel's key is
+    # the sha256 of its folded quadrant and indices (sha256 -> name).
     written: dict[bytes, str] = {}
     for name, surface, nmax, dia in (
         ("fig4a", "fig6a", 2, False),
@@ -323,7 +326,10 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
         for g in wigner_gs:
             w = ground_state_wigner(_model_config(spec, g, dia, nmax), quad)
             panel = f"{name}_g{_g_label(g)}"
-            source = written.setdefault(hashlib.sha256(w.values.tobytes()).digest(), panel)
+            key = hashlib.sha256()
+            for part in w.fold:
+                key.update(part.tobytes())
+            source = written.setdefault(key.digest(), panel)
             if source == panel:
                 _emit_wigner(out, panel, w, spec_doc, spec.formats)
             else:

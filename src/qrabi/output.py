@@ -18,10 +18,15 @@ per-row cell list is built once and shared by the CSV writer and the
 gnuplot data file.  Its JSON cells are the CSV cells except for the few
 that :func:`_json_number` rewrites (integer-valued, ``e+``, ``e-3xx`` and
 non-finite cells), so a column where none is rewritten reuses the CSV
-list.  A table body is an iterator of strings.  A Wigner table yields one
-string per p row, joined from one reusable row of q, p and w pieces: its
-q pieces are the grid's, cached per grid and format, and each row puts in
-its p piece and its slice of the panel's w cells.  The writers pass
+list.  A Wigner table's w column is its grid's folded quadrant
+(``WignerGrid.fold``): on a mirror-symmetric grid the sort and the
+formatting see a quarter of the points, and the quadrant's cells are
+gathered to every row through the two mirror indices.
+
+A table body is an iterator of strings.  A Wigner table yields one string
+per p row, joined from one reusable row of q, p and w pieces: its q pieces
+are the grid's, cached per grid and format, and each row puts in its p
+piece and its slice of the panel's w cells.  The writers pass
 header, rows and tail to the file as they come, so no text of a whole
 Wigner table is ever held.  The CLI writes a panel equal to a written one
 as a copy.
@@ -64,19 +69,26 @@ def _json_number(cell: str) -> str:
 
 
 class Column:
-    """One typed table column: float64, integer or bool values."""
+    """One typed table column: float64, integer or bool values.
 
-    def __init__(self, values) -> None:
+    ``Column(quadrant, (ip, iq))`` is the column of a folded grid (see
+    ``WignerGrid.fold``): its rows are ``quadrant[np.ix_(ip, iq)]`` in
+    row-major order, and only the quadrant is sorted and formatted."""
+
+    def __init__(self, values, index: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         self.values = np.asarray(values)
+        self.index = index
 
     def __len__(self) -> int:
-        return self.values.size
+        return self.values.size if self.index is None else self.index[0].size * self.index[1].size
 
     @functools.cached_property
     def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct values in ascending order and the index of each value's one."""
+        """Distinct values in ascending order and the index of each value's
+        one, in the shape of ``values``."""
         values = self.values if self.values.dtype.kind in "biu" else self.values + 0.0
-        return np.unique(values, return_inverse=True)  # + 0.0 canonicalizes -0.0
+        distinct, inverse = np.unique(values, return_inverse=True)  # + 0.0 canonicalizes -0.0
+        return distinct, inverse.reshape(values.shape)
 
     @functools.cached_property
     def _text(self) -> list[str]:
@@ -86,7 +98,9 @@ class Column:
         return (fmt * distinct.size % tuple(distinct.tolist())).splitlines()
 
     def _expand(self, text: list[str]) -> list[str]:
-        return np.array(text, dtype=object)[self._distinct[1]].tolist()
+        cells = np.array(text, dtype=object)[self._distinct[1]]
+        # a folded grid gathers its cells, not a full-grid index, by (ip, iq)
+        return (cells if self.index is None else cells[np.ix_(*self.index)]).ravel().tolist()
 
     @functools.cached_property
     def _csv_cells(self) -> list[str]:
@@ -147,7 +161,8 @@ class _GridRows:
 
     def __init__(self, w: WignerGrid) -> None:
         self.grid = w.grid
-        self.w = Column(w.values.ravel())
+        quadrant, ip, iq = w.fold
+        self.w = Column(quadrant, (ip, iq))
 
     def __len__(self) -> int:
         return self.grid.n_q * self.grid.n_p

@@ -7,9 +7,12 @@ files; styling is deliberately plain.
 streamed one p row at a time.
 
 A heatmap is one embedded PNG with a pixel per grid point, written with
-stored deflate blocks so its bytes are the same on any machine.  The CLI
-writes a panel equal to a written one as a copy.  A sweep's polyline
-formats all its points in one pass over the mapped coordinates."""
+stored deflate blocks so its bytes are the same on any machine.  Its
+colours are mapped on the grid's folded quadrant (``WignerGrid.fold``) and
+gathered to the full image, so a mirror-symmetric panel colours a quarter
+of its points.  The CLI writes a panel equal to a written one as a copy.
+A sweep's polyline formats all its points in one pass over the mapped
+coordinates."""
 
 from __future__ import annotations
 
@@ -188,9 +191,12 @@ def wigner_svg(w: WignerGrid) -> str:
     frame = _Frame(grid.q_min, grid.q_max, grid.p_min, grid.p_max)
     # the pixel pitch is the sample spacing and the corner samples map to
     # the plot corners, so pixel (i, j) is centred on (x(q_j), y(p_i));
-    # PNG rows run from p_max down to p_min
+    # PNG rows run from p_max down to p_min.  Only the folded quadrant is
+    # coloured: its vmax is the grid's, and -0.0 is coloured as 0.0.
     dx, dy = (_W - _ML - _MR) / (grid.n_q - 1), (_H - _MT - _MB) / (grid.n_p - 1)
-    png = binascii.b2a_base64(_png(_diverging_rgb(w.values)[::-1]), newline=False)
+    quadrant, ip, iq = w.fold
+    rgb = _diverging_rgb(quadrant)[np.ix_(ip[::-1], iq)]
+    png = binascii.b2a_base64(_png(rgb), newline=False)
     image = (
         f'<image x="{_fmt(_ML - dx / 2)}" y="{_fmt(_MT - dy / 2)}" width="{_fmt(grid.n_q * dx)}" '
         f'height="{_fmt(grid.n_p * dy)}" preserveAspectRatio="none" '

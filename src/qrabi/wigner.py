@@ -13,10 +13,15 @@ characteristic-function quadrature is provided as a slow cross-check.
 The model's reduced ground state is real and commutes with parity, so its
 W(q, p) = W(q, -p) = W(-q, p) exactly: ``ground_state_wigner`` evaluates
 one quadrant of a grid symmetric about both axes and mirrors it.
+``WignerGrid.fold`` finds that quadrant again from the values alone, so the
+writers, the heatmap and the CLI's panel dedupe sort, colour and hash a
+quarter of a mirror-symmetric grid; both use one mirror-index rule,
+``_mirror_index``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +93,28 @@ class WignerGrid:
             raise ValueError("Wigner values exceed the 1/pi extremal bound")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @functools.cached_property
+    def fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(quadrant, ip, iq)`` with ``values == quadrant[np.ix_(ip, iq)]``.
+
+        When the values equal their mirror images in both axes, ``quadrant``
+        is ``values[n_p // 2:, n_q // 2:]`` and ``ip``, ``iq`` map each row
+        and column onto it; otherwise ``quadrant`` is ``values`` itself with
+        identity indices.  -0.0 equals 0.0 here, as it does in every writer.
+        """
+        v = self.values
+        if np.array_equal(v, v[::-1]) and np.array_equal(v, v[:, ::-1]):
+            n_p, n_q = v.shape
+            return v[n_p // 2 :, n_q // 2 :], _mirror_index(n_p), _mirror_index(n_q)
+        return v, np.arange(v.shape[0]), np.arange(v.shape[1])
+
+
+def _mirror_index(m: int) -> np.ndarray:
+    """Index into the upper half ``[m // 2:]`` of an axis of ``m`` points
+    mirrored about its centre: point k maps onto max(k, m - 1 - k) - m // 2."""
+    k = np.arange(m)
+    return np.maximum(k, k[::-1]) - m // 2
 
 
 def _laguerre_series(level: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -200,9 +227,8 @@ def ground_state_wigner(cfg: ModelConfig, grid: QuadratureGrid) -> WignerGrid:
     q, p = grid.q_axis(), grid.p_axis()
     if grid.q_min != -grid.q_max or grid.p_min != -grid.p_max:
         return WignerGrid(grid, _clenshaw(rho, q, p))
-    # index k of an axis of m points mirrors onto quadrant index max(k, m - 1 - k) - m // 2
-    iq, ip = (np.maximum(k, k[::-1]) - k.size // 2 for k in (np.arange(q.size), np.arange(p.size)))
-    return WignerGrid(grid, _clenshaw(rho, q[q.size // 2 :], p[p.size // 2 :])[np.ix_(ip, iq)])
+    quadrant = _clenshaw(rho, q[q.size // 2 :], p[p.size // 2 :])
+    return WignerGrid(grid, quadrant[np.ix_(_mirror_index(p.size), _mirror_index(q.size))])
 
 
 def wigner_characteristic(

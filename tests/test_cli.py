@@ -317,6 +317,17 @@ def test_sweep_over_one_coupling_needs_one_step(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [("spectrum", "--format", "csv,csv"),
+                                  ("wigner", "--n-q", "5", "--format", "svg,json,svg"),
+                                  ("crossings", "--format", "json, json")])
+def test_repeated_format_is_rejected(tmp_path, capsys, argv):
+    # each format may be given once; a repeat would write its files twice
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--nmax", "2", "--out", str(out)) == EXIT_CONFIG
+    assert "each format may be given once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_out():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

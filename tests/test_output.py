@@ -203,6 +203,20 @@ def small_wigner() -> WignerGrid:
     return WignerGrid(grid, values)
 
 
+def mirror_wigner() -> WignerGrid:
+    """A 9 x 8 grid equal to its mirror images in both axes, so it folds to
+    its 5 x 4 quadrant, with mirrored pairs of 0.0 and -0.0."""
+    rng = np.random.default_rng(23)
+    quadrant = rng.uniform(-0.3, 0.3, (5, 4))
+    quadrant[0, 1], quadrant[3, 0], quadrant[4, 3] = 0.0, -0.0, 1e-05
+    values = np.hstack([quadrant[:, ::-1], quadrant])
+    values = np.vstack([values[1:][::-1], values])
+    values[4, 2], values[1, 4] = -0.0, 0.0  # the mirrors of [4, 5] = 0.0 and [7, 4] = -0.0
+    w = WignerGrid(QuadratureGrid(-2.0, 2.0, -1.5, 1.5, 8, 9), values)
+    assert w.fold[0].shape == (5, 4)
+    return w
+
+
 def test_wigner_table_and_dat_match_reference(tmp_path):
     w = small_wigner()
     q, p = w.grid.q_axis(), w.grid.p_axis()
@@ -323,6 +337,7 @@ def heatmap_grids():
         pytest.param(WignerGrid(QuadratureGrid(), rng.uniform(-1 / np.pi, 1 / np.pi, (201, 201))),
                      id="random"),
         pytest.param(ground_state_wigner(qrma, QuadratureGrid()), id="qrma_g3_nmax15"),
+        pytest.param(mirror_wigner(), id="mirror_9x8"),
     ]
 
 
@@ -396,6 +411,7 @@ def skeleton_grids():
                                 rng.uniform(-0.2, 0.3, (11, 37))), id="37x11"),
         pytest.param(WignerGrid(QuadratureGrid(-1.0, 1.0, -1.0, 1.0, 2, 2),
                                 np.array([[0.1, -0.0], [1e-05, -0.2]])), id="2x2"),
+        pytest.param(mirror_wigner(), id="mirror_9x8"),
     ]
 
 
@@ -437,6 +453,21 @@ def test_wigner_writes_hold_one_row_at_a_time(tmp_path, suffix):
     size = (tmp_path / f"t{suffix}").stat().st_size
     assert size > 1_900_000
     assert peak < size / 4, f"peak {peak} B for a {size} B file"
+
+
+def test_mirror_symmetric_heatmap_colours_one_quadrant():
+    # a panel equal to its mirror images is coloured on its 101 x 101
+    # quadrant and gathered to the full image; colouring all 40 401 points
+    # peaked at 3.5 times the values' size
+    w = ground_state_wigner(ModelConfig(g=1.0, trunc=FockTruncation(15)), QuadratureGrid())
+    tracemalloc.start()
+    try:
+        wigner_svg(w)  # the fold is found in this call too
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.fold[0].shape == (101, 101)
+    assert peak < 3 * w.values.nbytes, f"peak {peak} B for {w.values.nbytes} B of values"
 
 
 def test_percent_signs_are_written_verbatim(tmp_path, monkeypatch):

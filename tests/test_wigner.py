@@ -340,24 +340,61 @@ def test_mirrored_ground_state_wigner_matches_full_grid(grid, dia, n_max):
 
 
 def test_ground_state_wigner_mirrors_only_symmetric_grids(monkeypatch):
-    axes = []
+    calls = []
     clenshaw = wigner_module._clenshaw
-    monkeypatch.setattr(wigner_module, "_clenshaw",
-                        lambda data, q, p: axes.append((q, p)) or clenshaw(data, q, p))
+    monkeypatch.setattr(
+        wigner_module, "_clenshaw",
+        lambda data, q, p: calls.append((q, p, clenshaw(data, q, p))) or calls[-1][2])
     cfg = ModelConfig(g=1.0, trunc=FockTruncation(15))
     rho = reduced_ground_state(cfg)[1]
 
+    # a symmetric panel folds back to the quadrant it was mirrored from
     symmetric = QuadratureGrid(-3.0, 3.0, -2.5, 2.5, 8, 7)
-    ground_state_wigner(cfg, symmetric)
-    q, p = axes.pop()
+    w = ground_state_wigner(cfg, symmetric)
+    q, p, quadrant = calls.pop()
     assert np.array_equal(q, symmetric.q_axis()[4:]) and np.array_equal(p, symmetric.p_axis()[3:])
+    assert np.array_equal(w.fold[0], quadrant)
 
     for grid in (QuadratureGrid(-4.5, 2.0, -3.0, 3.0, 37, 31),
                  QuadratureGrid(-3.0, 3.0, -1.0, 6.0, 31, 37)):
-        w = ground_state_wigner(cfg, grid).values
-        q, p = axes.pop()
+        w = ground_state_wigner(cfg, grid)
+        q, p, _ = calls.pop()
         assert np.array_equal(q, grid.q_axis()) and np.array_equal(p, grid.p_axis())
-        assert np.max(np.abs(w - wigner(rho, grid).values)) <= 2e-15
+        assert np.max(np.abs(w.values - wigner(rho, grid).values)) <= 2e-15
+        assert w.fold[0] is w.values
+
+
+def mirrored(quadrant, n_p, n_q):
+    """The n_p x n_q grid whose rows and columns mirror ``quadrant``, built
+    by flipping, not by the mirror index under test."""
+    right = np.hstack([quadrant[:, n_q % 2:][:, ::-1], quadrant])
+    assert right.shape == (n_p - n_p // 2, n_q)
+    return np.vstack([right[n_p % 2:][::-1], right])
+
+
+@pytest.mark.parametrize("n_p, n_q", [(7, 9), (8, 6), (7, 6), (2, 3), (201, 201)],
+                         ids=["odd", "even", "mixed", "2x3", "201x201"])
+def test_fold_of_mirror_symmetric_grid_is_its_quadrant(n_p, n_q):
+    rng = np.random.default_rng(n_p * n_q)
+    quadrant = rng.uniform(-0.3, 0.3, (n_p - n_p // 2, n_q - n_q // 2))
+    w = WignerGrid(QuadratureGrid(n_q=n_q, n_p=n_p), mirrored(quadrant, n_p, n_q))
+    folded, ip, iq = w.fold
+    assert np.array_equal(folded, quadrant)
+    assert np.shares_memory(folded, w.values)  # a view, not a copy
+    assert np.array_equal(w.values, folded[np.ix_(ip, iq)])
+    assert np.array_equal(ip, ip[::-1]) and np.array_equal(iq, iq[::-1])
+    assert w.fold is w.fold  # computed once
+
+
+@pytest.mark.parametrize("flip", [0, 1], ids=["p_only", "q_only"])
+def test_fold_of_grid_symmetric_in_one_axis_is_identity(flip):
+    rng = np.random.default_rng(3)
+    half = rng.uniform(-0.3, 0.3, (4, 7))
+    values = np.concatenate([half, np.flip(half, flip)], axis=flip)
+    w = WignerGrid(QuadratureGrid(n_q=values.shape[1], n_p=values.shape[0]), values)
+    folded, ip, iq = w.fold
+    assert folded is w.values
+    assert np.array_equal(ip, np.arange(w.grid.n_p)) and np.array_equal(iq, np.arange(w.grid.n_q))
 
 
 def test_ground_state_wigner_rejects_overflowing_grid():
