@@ -16,7 +16,12 @@ in ``_COMMANDS``: its help text, its formats and its runner.  A command
 offers only the flags it uses.  A config file may set any key, since one
 file may serve several commands; a key the command does not use is echoed
 in the manifest and otherwise ignored, beyond the checks every command
-makes.
+makes.  A parameter rule lives in the library type that owns it: the CLI
+checks only what no type owns (finite floats, ``g_min``, the sweep grid,
+``levels``, formats), builds the run's ``ModelConfig`` and, for wigner,
+its ``QuadratureGrid``, and reports their ``ValueError`` as a
+configuration error.  Every result is written by one emitter, ``_emit``,
+in the formats its caller passes.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O failure.
@@ -178,14 +183,14 @@ def _validate_spec(spec: ExperimentSpec) -> None:
     for name, value in dataclasses.asdict(spec).items():
         if isinstance(value, float) and not np.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
-    if spec.omega_c <= 0:
-        raise ConfigError("omega_c must be > 0")
-    if spec.omega_0 < 0 or spec.g < 0 or spec.g_min < 0:
-        raise ConfigError("frequencies and couplings must be >= 0")
-    if spec.nmax < 2:
-        raise ConfigError("nmax must be >= 2")
-    if spec.d_override is not None and spec.d_override < 0:
-        raise ConfigError("d_override must be >= 0")
+    try:
+        _model_config(spec, spec.g)
+        if spec.command == "wigner":
+            _quadrature_grid(spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if spec.g_min < 0:
+        raise ConfigError("g_min must be >= 0")
     if spec.command in _SWEEPS:
         if spec.g_steps < 1 or spec.g_max < spec.g_min:
             raise ConfigError("need g_min <= g_max and g_steps >= 1")
@@ -197,11 +202,6 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         1 <= spec.levels <= 2 * spec.nmax
     ):
         raise ConfigError(f"levels must be in [1, {2 * spec.nmax}]")
-    if spec.command == "wigner":
-        if not (spec.q_min < spec.q_max and spec.p_min < spec.p_max):
-            raise ConfigError("need q_min < q_max and p_min < p_max")
-        if spec.n_q < 2 or spec.n_p < 2:
-            raise ConfigError("n_q and n_p must be >= 2")
 
 
 def _model_config(
@@ -218,6 +218,10 @@ def _model_config(
     )
 
 
+def _quadrature_grid(spec: ExperimentSpec) -> QuadratureGrid:
+    return QuadratureGrid(spec.q_min, spec.q_max, spec.p_min, spec.p_max, spec.n_q, spec.n_p)
+
+
 def _g_grid(spec: ExperimentSpec) -> np.ndarray:
     return np.linspace(spec.g_min, spec.g_max, spec.g_steps)
 
@@ -228,29 +232,19 @@ def _spec_dict(spec: ExperimentSpec) -> dict:
     return doc
 
 
-def _write_table(out: Path, name: str, spec_doc: dict, columns, rows, formats) -> None:
-    if "csv" in formats:
-        write_csv(out / f"{name}.csv", columns, rows)
-    if "json" in formats:
-        write_json(out / f"{name}.json", spec_doc, columns, rows)
-
-
-def _emit_sweep(out: Path, name: str, sweep, table, spec_doc: dict, formats) -> None:
-    """Write ``table(sweep)`` in the table formats, then the sweep's SVG if asked."""
-    columns, rows = table(sweep)
-    _write_table(out, name, spec_doc, columns, rows, formats)
-    if "svg" in formats:
-        emit_plot(sweep, "svg", out / f"{name}.svg")
-
-
-def _emit_wigner(out: Path, name: str, w, spec_doc: dict, formats) -> None:
+def _emit(out: Path, name: str, data, table, spec_doc: dict, formats) -> None:
+    """Write result ``data`` as ``name`` in each of ``formats``: the CSV, JSON
+    and gnuplot files from the one ``table(data)``, then the SVG."""
     if {"csv", "json", "gnuplot"} & set(formats):
-        columns, rows = wigner_table(w)
-        _write_table(out, name, spec_doc, columns, rows, formats)
-        if "gnuplot" in formats:  # the .dat shares the table's cells
+        columns, rows = table(data)
+        if "csv" in formats:
+            write_csv(out / f"{name}.csv", columns, rows)
+        if "json" in formats:
+            write_json(out / f"{name}.json", spec_doc, columns, rows)
+        if "gnuplot" in formats:
             write_gnuplot(out / f"{name}.gp", rows)
     if "svg" in formats:
-        emit_plot(w, "svg", out / f"{name}.svg")
+        emit_plot(data, "svg", out / f"{name}.svg")
 
 
 def _copy_wigner(out: Path, source: str, name: str, formats) -> None:
@@ -268,26 +262,23 @@ def _copy_wigner(out: Path, source: str, name: str, formats) -> None:
 
 def _run_spectrum(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
     sweep = sweep_spectrum(_model_config(spec), _g_grid(spec), spec.levels)
-    _emit_sweep(out, "spectrum", sweep, spectrum_table, spec_doc, spec.formats)
+    _emit(out, "spectrum", sweep, spectrum_table, spec_doc, spec.formats)
 
 
 def _run_crossings(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
     sweep = sweep_spectrum(_model_config(spec), _g_grid(spec), spec.levels)
     reports = [find_avoided_crossings(sweep, (k, k + 1)) for k in range(spec.levels - 1)]
-    columns, rows = crossings_table(reports)
-    _write_table(out, "crossings", spec_doc, columns, rows, spec.formats)
+    _emit(out, "crossings", reports, crossings_table, spec_doc, spec.formats)
 
 
 def _run_entropy(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
     sweep = entropy_sweep(_model_config(spec), _g_grid(spec))
-    _emit_sweep(out, "entropy", sweep, entropy_table, spec_doc, spec.formats)
+    _emit(out, "entropy", sweep, entropy_table, spec_doc, spec.formats)
 
 
 def _run_wigner(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
-    cfg = _model_config(spec, spec.g)
-    grid = QuadratureGrid(spec.q_min, spec.q_max, spec.p_min, spec.p_max, spec.n_q, spec.n_p)
-    w = ground_state_wigner(cfg, grid)
-    _emit_wigner(out, "wigner", w, spec_doc, spec.formats)
+    w = ground_state_wigner(_model_config(spec, spec.g), _quadrature_grid(spec))
+    _emit(out, "wigner", w, wigner_table, spec_doc, spec.formats)
 
 
 def _g_label(g: float) -> str:
@@ -302,7 +293,9 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
     wigner_gs = (0.0, 0.5, 1.0, 3.0, 7.0, 10.0)
     quad = QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 201, 201)
 
-    # fig1/fig2: spectra for both truncations and both model variants
+    # fig1/fig2: spectra for both truncations and both model variants, in
+    # the formats the spectrum command offers (fig8 likewise), so no gnuplot
+    formats = [f for f in spec.formats if f in _COMMANDS["spectrum"][1]]
     for name, nmax, dia in (
         ("fig1a", 2, False),
         ("fig1b", 2, True),
@@ -310,7 +303,7 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
         ("fig2b", 15, True),
     ):
         sweep = sweep_spectrum(_model_config(spec, 0.0, dia, nmax), grid_34, min(8, 2 * nmax))
-        _emit_sweep(out, name, sweep, spectrum_table, spec_doc, spec.formats)
+        _emit(out, name, sweep, spectrum_table, spec_doc, formats)
 
     # fig4/fig5: Wigner panels per coupling; fig6/fig7: the g = 10 surfaces,
     # which are copies of the g = 10 panels.  All panels share quad, so one
@@ -331,15 +324,16 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
                 key.update(part.tobytes())
             source = written.setdefault(key.digest(), panel)
             if source == panel:
-                _emit_wigner(out, panel, w, spec_doc, spec.formats)
+                _emit(out, panel, w, wigner_table, spec_doc, spec.formats)
             else:
                 _copy_wigner(out, source, panel, spec.formats)
         _copy_wigner(out, f"{name}_g{_g_label(10.0)}", surface, spec.formats)
 
     # fig8: entropy sweeps for both truncations
+    formats = [f for f in spec.formats if f in _COMMANDS["entropy"][1]]
     for name, nmax in (("fig8a", 2), ("fig8b", 15)):
         sweep = entropy_sweep(_model_config(spec, 0.0, False, nmax), grid_34)
-        _emit_sweep(out, name, sweep, entropy_table, spec_doc, spec.formats)
+        _emit(out, name, sweep, entropy_table, spec_doc, formats)
 
 
 # command -> (help text, the formats its --format accepts, runner); the

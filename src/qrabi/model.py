@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int; it must be a whole number >= 2."""
+    if not (value >= 2 and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FockTruncation:
     """Number of Fock states retained in the simulation basis |0> .. |n_max-1>."""
@@ -40,9 +47,7 @@ class FockTruncation:
     n_max: int
 
     def __post_init__(self) -> None:
-        if int(self.n_max) != self.n_max or self.n_max < 2:
-            raise ValueError(f"n_max must be an integer >= 2, got {self.n_max!r}")
-        object.__setattr__(self, "n_max", int(self.n_max))
+        object.__setattr__(self, "n_max", _count("n_max", self.n_max))
 
 
 @dataclass(frozen=True)
@@ -62,14 +67,14 @@ class ModelConfig:
     trunc: FockTruncation = FockTruncation(15)
 
     def __post_init__(self) -> None:
-        if self.omega_c <= 0:
-            raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
-        if self.omega_0 < 0:
-            raise ValueError(f"omega_0 must be >= 0, got {self.omega_0}")
-        if self.g < 0:
-            raise ValueError(f"g must be >= 0, got {self.g}")
-        if self.d_override is not None and self.d_override < 0:
-            raise ValueError(f"d_override must be >= 0, got {self.d_override}")
+        if not 0 < self.omega_c < np.inf:
+            raise ValueError(f"omega_c must be finite and > 0, got {self.omega_c}")
+        if not 0 <= self.omega_0 < np.inf:
+            raise ValueError(f"omega_0 must be finite and >= 0, got {self.omega_0}")
+        if not 0 <= self.g < np.inf:
+            raise ValueError(f"g must be finite and >= 0, got {self.g}")
+        if self.d_override is not None and not 0 <= self.d_override < np.inf:
+            raise ValueError(f"d_override must be finite and >= 0, got {self.d_override}")
 
 
 def _diamagnetic(cfg: ModelConfig, g: np.ndarray) -> np.ndarray:

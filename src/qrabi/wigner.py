@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import DensityMatrix, parity_ground_states
-from .model import ModelConfig
+from .model import ModelConfig, _count
 
 __all__ = [
     "QuadratureGrid",
@@ -60,10 +60,11 @@ class QuadratureGrid:
     n_p: int = 201
 
     def __post_init__(self) -> None:
-        if not (self.q_min < self.q_max and self.p_min < self.p_max):
-            raise ValueError("grid bounds must satisfy q_min < q_max and p_min < p_max")
-        if self.n_q < 2 or self.n_p < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+        if not (-np.inf < self.q_min < self.q_max < np.inf
+                and -np.inf < self.p_min < self.p_max < np.inf):
+            raise ValueError("grid bounds must be finite with q_min < q_max and p_min < p_max")
+        object.__setattr__(self, "n_q", _count("n_q", self.n_q))
+        object.__setattr__(self, "n_p", _count("n_p", self.n_p))
 
     def q_axis(self) -> np.ndarray:
         return np.linspace(self.q_min, self.q_max, self.n_q)
@@ -72,10 +73,10 @@ class QuadratureGrid:
         return np.linspace(self.p_min, self.p_max, self.n_p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerGrid:
     """Real Wigner values on a quadrature grid; ``values[i, j]`` is
-    W(q_axis[j], p_axis[i])."""
+    W(q_axis[j], p_axis[i]).  Grids compare and hash by identity."""
 
     grid: QuadratureGrid
     values: np.ndarray

@@ -206,6 +206,29 @@ def test_config_errors(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, options", [
+    ("spectrum", {"omega_c": "0"}),
+    ("entropy", {"omega_c": "-1"}),
+    ("reproduce-paper", {"omega0": "-1"}),
+    ("wigner", {"g": "-1"}),
+    ("spectrum", {"g_min": "-1"}),
+    ("crossings", {"d_override": "-1"}),
+    ("wigner", {"q_min": "3", "q_max": "1"}),
+    ("wigner", {"p_min": "3", "p_max": "1"}),
+    ("wigner", {"n_q": "1"}),
+    ("wigner", {"n_p": "1"}),
+])
+def test_finite_out_of_range_values_are_config_errors(tmp_path, capsys, command, options):
+    # refused before any output is written, as flags and from a config file
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in options.items()))
+    out = tmp_path / "out"
+    for argv in (flags(options), ["--config", str(cfg)]):
+        assert run_cli(command, *argv, "--out", str(out)) == EXIT_CONFIG, argv
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # a value for every option, each different from its default and from the
 # small-run flags below, and valid for every command
 VALUES = {
@@ -278,6 +301,28 @@ def test_config_file_may_set_every_key(tmp_path, small_preset):
     assert run_cli("entropy", "--config", str(cfg), "--out", str(tmp_path / "off")) == EXIT_OK
     assert (tmp_path / "entropy" / "entropy.csv").read_bytes() == \
         (tmp_path / "off" / "entropy.csv").read_bytes()
+
+
+PRESET_SWEEPS = ["fig1a", "fig1b", "fig2a", "fig2b", "fig8a", "fig8b"]
+PRESET_PANELS = [f"{fig}_g{g}" for fig in ("fig4a", "fig4b", "fig5a", "fig5b")
+                 for g in ("0", "0p5", "1", "3", "7", "10")] + ["fig6a", "fig6b", "fig7a", "fig7b"]
+SUFFIXES = {"csv": [".csv"], "json": [".json"], "svg": [".svg"], "gnuplot": [".gp", ".dat"]}
+
+
+@pytest.mark.parametrize("formats, count", [("csv,json", 69), ("svg,gnuplot", 91),
+                                            ("csv,json,svg,gnuplot", 159)])
+def test_reproduce_paper_file_set(tmp_path, small_preset, formats, count):
+    # the sweeps are written in the formats of their own commands, so never gnuplot
+    def files(names, fmts):
+        return {name + s for name in names for f in fmts for s in SUFFIXES[f]}
+
+    fmts = formats.split(",")
+    expected = (files(PRESET_SWEEPS, [f for f in fmts if f != "gnuplot"])
+                | files(PRESET_PANELS, fmts) | {"manifest.json"})
+    out = tmp_path / "bundle"
+    assert run_cli("reproduce-paper", "--format", formats, "--out", str(out)) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    assert len(expected) == count
 
 
 @pytest.mark.parametrize("argv", [
@@ -450,7 +495,7 @@ def test_reproduce_paper_copies_only_repeated_panels(tmp_path, monkeypatch):
 
     # the vacuum panels equal a direct emission; every script names its own data
     spec_doc = json.loads((out / "fig4a_g0.json").read_text())["spec"]
-    cli._emit_wigner(tmp_path, "direct", panels[0], spec_doc, formats)
+    cli._emit(tmp_path, "direct", panels[0], cli.wigner_table, spec_doc, formats)
     for name in vacuum:
         for suffix in (".csv", ".json", ".svg", ".dat"):
             assert (out / f"{name}{suffix}").read_bytes() == \

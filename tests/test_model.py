@@ -200,6 +200,20 @@ def test_config_validation():
         ModelConfig(d_override=-0.5)
 
 
+@pytest.mark.parametrize("key", ["omega_c", "omega_0", "g", "d_override"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        ModelConfig(**{key: value})
+
+
+def test_truncation_needs_a_whole_number_of_at_least_two():
+    for n_max in (1, 2.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="n_max"):
+            FockTruncation(n_max)
+    assert type(FockTruncation(4.0).n_max) is int
+
+
 def test_model_tag():
     cfg = ModelConfig(g=0.0, trunc=FockTruncation(3))
     assert model_tag(cfg) == "QRM"

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qrabi import plotting
-from qrabi.cli import EXIT_OK, _copy_wigner, _emit_wigner, main
+from qrabi.cli import EXIT_OK, _copy_wigner, _emit, main
 from qrabi.entanglement import entropy_sweep
 from qrabi.model import ModelConfig
 from qrabi.model import FockTruncation
@@ -486,7 +486,7 @@ def test_percent_signs_are_written_verbatim(tmp_path, monkeypatch):
     direct.mkdir()
     w = ground_state_wigner(ModelConfig(g=1.0, trunc=FockTruncation(3)),
                             QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 6, 5))
-    _emit_wigner(direct, "wigner", w, spec, formats.split(","))
+    _emit(direct, "wigner", w, wigner_table, spec, formats.split(","))
     for suffix in (".csv", ".json", ".svg", ".dat", ".gp"):
         assert (out / f"wigner{suffix}").read_bytes() == (direct / f"wigner{suffix}").read_bytes()
 
@@ -495,8 +495,8 @@ def test_copied_wigner_panel_equals_emitted_panel(tmp_path):
     cfg = ModelConfig(omega_c=1.0, omega_0=1.0, g=1.0, trunc=FockTruncation(3))
     w = ground_state_wigner(cfg, QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 9, 7))
     formats = ("csv", "json", "svg", "gnuplot")
-    _emit_wigner(tmp_path, "panel", w, SPEC, formats)
-    _emit_wigner(tmp_path, "direct", w, SPEC, formats)
+    _emit(tmp_path, "panel", w, wigner_table, SPEC, formats)
+    _emit(tmp_path, "direct", w, wigner_table, SPEC, formats)
     _copy_wigner(tmp_path, "panel", "copy", formats)
     for suffix in (".csv", ".json", ".svg", ".dat"):
         assert (tmp_path / f"copy{suffix}").read_bytes() == \

@@ -305,6 +305,22 @@ def test_quadrature_grid_validation():
         QuadratureGrid(n_q=1)
 
 
+@pytest.mark.parametrize("key", ["q_min", "q_max", "p_min", "p_max"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_quadrature_grid_rejects_non_finite_bounds(key, value):
+    with pytest.raises(ValueError, match="finite"):
+        QuadratureGrid(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["n_q", "n_p"])
+def test_quadrature_grid_counts_are_whole_numbers(key):
+    for value in (2.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match=key):
+            QuadratureGrid(**{key: value})
+    grid = QuadratureGrid(**{key: 5.0})
+    assert grid.q_axis().size * grid.p_axis().size == 5 * 201
+
+
 def test_wigner_grid_invariants():
     grid = QuadratureGrid(-1, 1, -1, 1, 5, 5)
     with pytest.raises(ValueError):
@@ -313,6 +329,15 @@ def test_wigner_grid_invariants():
         WignerGrid(grid, np.full((5, 5), np.nan))
     with pytest.raises(ValueError):
         WignerGrid(grid, np.full((5, 5), 1.0))  # above 1/pi bound
+
+
+def test_wigner_grid_compares_and_hashes_by_identity():
+    w = ground_state_wigner(ModelConfig(g=1.0, trunc=FockTruncation(3)),
+                            QuadratureGrid(-3, 3, -3, 3, 9, 7))
+    assert w == w
+    assert w != WignerGrid(w.grid, w.values.copy())
+    assert {w} == {w} and len({w, WignerGrid(w.grid, w.values)}) == 2
+    assert w.fold is w.fold
 
 
 def reduced_ground_state(cfg):
