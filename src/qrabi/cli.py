@@ -23,8 +23,8 @@ its ``QuadratureGrid``, and reports their ``ValueError`` as a
 configuration error.  Every result is written by one emitter, ``_emit``,
 in the formats its caller passes.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure
+(including an array too large to allocate), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -401,7 +401,7 @@ def run(spec: ExperimentSpec) -> int:
     except OSError as exc:
         print(f"qrabi: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SweepError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (SweepError, ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"qrabi: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -5,6 +5,8 @@ States are plain numpy arrays over the qubit (x) cavity basis of
 ``model.build_full`` with their subsystem dims, and operators are plain
 square arrays over the same basis.  Entropy is measured in bits (log base
 2), so a maximally entangled qubit-cavity state has S = 1 exactly.
+``ground_state`` and ``entropy_sweep`` read the ``GroundStates`` record of
+``spectra.parity_ground_states``, which picks the ground state.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelConfig
-from .spectra import ground_sector, solve_parity_blocks
+from .spectra import parity_ground_states
 
 __all__ = [
     "PureState",
@@ -25,7 +27,6 @@ __all__ = [
     "ground_state",
     "partial_trace",
     "von_neumann_entropy",
-    "parity_ground_states",
     "entropy_sweep",
     "expectation",
 ]
@@ -33,8 +34,6 @@ __all__ = [
 # the entropy drops eigenvalues <= 0 as roundoff; one below
 # -REJECT_NEGATIVE marks a broken input
 REJECT_NEGATIVE = 1e-8
-
-DEGENERACY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,17 +95,19 @@ class DensityMatrix:
 
 def ground_state(cfg: ModelConfig) -> PureState:
     """Ground state of ``cfg`` over the qubit (x) cavity basis: the vector of
-    ``parity_ground_states``, so its parity is definite even in a degenerate
-    doublet, with the global phase fixed by making the largest-magnitude
-    amplitude positive.  The flag is set as in ``parity_ground_states``.
+    ``spectra.parity_ground_states``, so its parity is definite even in a
+    degenerate doublet, with the global phase fixed by making the
+    largest-magnitude amplitude positive.  Energy and flag come from the
+    same record.
     """
-    psi, parity, energy, flagged = parity_ground_states(cfg, np.array([cfg.g]))
+    ground = parity_ground_states(cfg, np.array([cfg.g]))
     n = np.arange(cfg.trunc.n_max)
     # chain state n holds the qubit with sigma_z = P (-1)^n: index 0 for +1
     amp = np.zeros(2 * n.size)
-    amp[(parity[0] * (-1) ** n < 0) * n.size + n] = psi[0]
+    amp[(ground.parity[0] * (-1) ** n < 0) * n.size + n] = ground.psi[0]
     amp *= np.sign(amp[np.argmax(np.abs(amp))])
-    return PureState(amp, (2, n.size), energy=float(energy[0]), quasi_degenerate=bool(flagged[0]))
+    energy, flagged = float(ground.levels[0, 0]), bool(ground.quasi_degenerate[0])
+    return PureState(amp, (2, n.size), energy=energy, quasi_degenerate=flagged)
 
 
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
@@ -158,24 +159,6 @@ class EntropySweep:
     degenerate_qrm: np.ndarray
     degenerate_qrma: np.ndarray
 
-    def rows(self):
-        """Iterate (g, S_QRM, S_QRMA) tuples in grid order."""
-        return zip(self.g_grid, self.s_qrm, self.s_qrma)
-
-
-def parity_ground_states(base: ModelConfig, grid: np.ndarray):
-    """``(psi, parity, energy, quasi_degenerate)`` per coupling of ``grid``:
-    the lowest vector and level of the parity sector with the lower lowest
-    level, in the chain basis of ``model.parity_blocks``, so its parity is
-    definite even in a degenerate doublet (a tie as in
-    ``spectra.ground_sector``).  The flag is set when the two lowest levels
-    agree to within 1e-10 relative (the large-g parity doublet)."""
-    values, vectors = solve_parity_blocks(base, grid, np.linalg.eigh)
-    sector = ground_sector(values)
-    e0, e1 = np.sort(np.hstack(values), axis=1)[:, :2].T
-    flagged = (e1 - e0) < DEGENERACY_RTOL * (1.0 + np.abs(e0))
-    return vectors[sector, np.arange(grid.size), :, 0], 2 * sector - 1, e0, flagged
-
 
 def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
     """Entanglement entropy of the ground state for both model variants.
@@ -190,11 +173,12 @@ def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
     columns = []
     for dia in (False, True):
         cfg = dataclasses.replace(base, include_diamagnetic=dia)
-        psi, _, _, flagged = parity_ground_states(cfg, grid)
+        ground = parity_ground_states(cfg, grid)
+        psi = ground.psi
         # the qubit state is diagonal: weights of the even and odd chain states
         lam = np.stack([(psi[:, 0::2] ** 2).sum(axis=1), (psi[:, 1::2] ** 2).sum(axis=1)], 1)
         logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
-        columns += [np.maximum(0.0, -(lam * logs).sum(axis=1)), flagged]
+        columns += [np.maximum(0.0, -(lam * logs).sum(axis=1)), ground.quasi_degenerate]
     s_qrm, flag_qrm, s_qrma, flag_qrma = columns
     return EntropySweep(grid, s_qrm, s_qrma, flag_qrm, flag_qrma)
 

@@ -1,9 +1,13 @@
-"""Coupling sweeps, parity-block eigensolves, truncation checks, and
-avoided-crossing detection.
+"""Coupling sweeps, parity-block eigensolves, ground states, truncation
+checks, and avoided-crossing detection.
 
 Sweeps solve the real parity blocks of the model (``model.parity_blocks``)
 over the whole grid in one batched call; each matrix is solved on its own,
 so a grid point's result does not depend on the rest of the grid.
+``parity_ground_states`` is the one place that picks the ground state:
+its ``GroundStates`` record is what ``entanglement.ground_state``,
+``entanglement.entropy_sweep``, ``wigner.ground_state_wigner`` and
+``check_truncation`` read.
 """
 
 from __future__ import annotations
@@ -20,12 +24,16 @@ __all__ = [
     "CrossingReport",
     "TruncationCheck",
     "SweepError",
+    "GroundStates",
     "solve_parity_blocks",
     "ground_sector",
+    "parity_ground_states",
     "sweep_spectrum",
     "find_avoided_crossings",
     "check_truncation",
 ]
+
+DEGENERACY_RTOL = 1e-10
 
 
 class SweepError(RuntimeError):
@@ -80,6 +88,26 @@ class TruncationCheck:
     top_fock_population: float
 
 
+@dataclass(frozen=True)
+class GroundStates:
+    """Ground state per coupling of a grid, from one solve of the parity blocks.
+
+    ``psi[i]`` holds the n_max amplitudes of the ground state at point i in
+    the chain basis of ``model.parity_blocks``: the lowest vector of the
+    sector whose lowest level is lower, with ties going to parity -1
+    (``ground_sector``).  So ``parity[i]`` (+1 or -1) is definite even in a
+    degenerate doublet.  ``levels[i]`` holds every level of both blocks in
+    ascending order, the ground energy first.  ``quasi_degenerate[i]`` is
+    set when the two lowest levels agree to within ``DEGENERACY_RTOL``
+    relative (the large-g parity doublet).
+    """
+
+    psi: np.ndarray
+    parity: np.ndarray
+    levels: np.ndarray
+    quasi_degenerate: np.ndarray
+
+
 def solve_parity_blocks(base: ModelConfig, grid: np.ndarray, solver):
     """``solver`` on the stacked ``parity_blocks`` of ``base`` over ``grid``.
     ``SweepError`` names the first point that is negative or gives a
@@ -103,6 +131,17 @@ def solve_parity_blocks(base: ModelConfig, grid: np.ndarray, solver):
 def ground_sector(values: np.ndarray) -> np.ndarray:
     """Ground sector per point of ``solve_parity_blocks`` levels; ties go to parity -1."""
     return np.argmin(values[:, :, 0], axis=0)
+
+
+def parity_ground_states(base: ModelConfig, grid: np.ndarray) -> GroundStates:
+    """``GroundStates`` of ``base`` at each coupling of ``grid``."""
+    values, vectors = solve_parity_blocks(base, grid, np.linalg.eigh)
+    sector = ground_sector(values)
+    levels = np.sort(np.hstack(values), axis=1)
+    e0, e1 = levels[:, :2].T
+    flagged = (e1 - e0) < DEGENERACY_RTOL * (1.0 + np.abs(e0))
+    psi = vectors[sector, np.arange(grid.size), :, 0]
+    return GroundStates(psi, 2 * sector - 1, levels, flagged)
 
 
 def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
@@ -178,15 +217,14 @@ def check_truncation(cfg: ModelConfig, k_levels: int, tol: float) -> TruncationC
 
     The basis is considered converged when no level moves by more than
     ``tol`` under doubling.  The top-Fock population of the n_max ground
-    state, taken from its parity block, comes with the report.
+    state (``parity_ground_states``) comes with the report.
     """
     n = cfg.trunc.n_max
     if not 1 <= k_levels <= 2 * n:
         raise ValueError(f"k_levels must be in [1, {2 * n}], got {k_levels}")
     doubled = dataclasses.replace(cfg, trunc=FockTruncation(2 * n))
-    grid = np.array([cfg.g])
-    values, vectors = solve_parity_blocks(cfg, grid, np.linalg.eigh)
-    hi = np.sort(solve_parity_blocks(doubled, grid, np.linalg.eigvalsh).ravel())[:k_levels]
-    shift = float(np.max(np.abs(np.sort(values.ravel())[:k_levels] - hi)))
-    top = float(vectors[ground_sector(values)[0], 0, -1, 0] ** 2)
+    ground = parity_ground_states(cfg, np.array([cfg.g]))
+    hi = sweep_spectrum(doubled, [cfg.g], k_levels).levels[0]
+    shift = float(np.max(np.abs(ground.levels[0, :k_levels] - hi)))
+    top = float(ground.psi[0, -1] ** 2)
     return TruncationCheck(n, 2 * n, shift, shift < tol, top)

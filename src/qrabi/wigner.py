@@ -10,9 +10,11 @@ The Fock-basis series over displaced-parity matrix elements is summed with
 a Clenshaw recurrence over associated Laguerre polynomials, which stays
 stable for any practical cutoff (no factorials are formed).  A direct
 characteristic-function quadrature is provided as a slow cross-check.
-The model's reduced ground state is real and commutes with parity, so its
-W(q, p) = W(q, -p) = W(-q, p) exactly: ``ground_state_wigner`` evaluates
-one quadrant of a grid symmetric about both axes and mirrors it.
+``ground_state_wigner`` reads the model's ground state from the
+``GroundStates`` record of ``spectra.parity_ground_states``.  Its reduced
+state is real and commutes with parity, so its W(q, p) = W(q, -p) =
+W(-q, p) exactly, and ``ground_state_wigner`` evaluates one quadrant of a
+grid symmetric about both axes and mirrors it.
 ``WignerGrid.fold`` finds that quadrant again from the values alone, so the
 writers, the heatmap and the CLI's panel dedupe sort, colour and hash a
 quarter of a mirror-symmetric grid; both use one mirror-index rule,
@@ -26,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import DensityMatrix, parity_ground_states
+from .entanglement import DensityMatrix
 from .model import ModelConfig, _count
+from .spectra import parity_ground_states
 
 __all__ = [
     "QuadratureGrid",
@@ -220,9 +223,9 @@ def marginal_variance(w: WignerGrid, axis: str) -> float:
 
 def ground_state_wigner(cfg: ModelConfig, grid: QuadratureGrid) -> WignerGrid:
     """Wigner function of the reduced cavity ground state of the model.  The
-    state has definite parity (``parity_ground_states``), so the reduced
-    state is rho_c[n, n'] = psi_n psi_n' for n = n' (mod 2), else 0."""
-    psi = parity_ground_states(cfg, np.array([cfg.g]))[0][0]
+    state has definite parity (``spectra.parity_ground_states``), so the
+    reduced state is rho_c[n, n'] = psi_n psi_n' for n = n' (mod 2), else 0."""
+    psi = parity_ground_states(cfg, np.array([cfg.g])).psi[0]
     n = np.arange(psi.size)
     rho = np.outer(psi, psi) * ((n[:, None] - n) % 2 == 0)
     q, p = grid.q_axis(), grid.p_axis()

@@ -420,6 +420,18 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == EXIT_NUMERICAL
 
 
+def test_allocation_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # a grid too large to allocate is a numerical failure, not a traceback
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 745. TiB for an array")
+
+    monkeypatch.setattr(cli, "sweep_spectrum", no_memory)
+    code = run_cli("spectrum", "--nmax", "2", "--levels", "2", "--out", str(tmp_path / "s"))
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["qrabi: numerical failure: Unable to allocate 745. TiB for an array"]
+
+
 @pytest.mark.skipif(os.geteuid() == 0, reason="permission checks are void for root")
 def test_io_failure_exit_code(tmp_path):
     blocked = tmp_path / "blocked"

@@ -16,7 +16,7 @@ from qrabi import (
     partial_trace,
     von_neumann_entropy,
 )
-from qrabi.entanglement import parity_ground_states
+from qrabi.spectra import parity_ground_states
 
 
 def random_pure_state(rng, n):
@@ -47,7 +47,7 @@ def test_ground_state_phase_fix():
 def test_ground_state_energy_is_the_parity_block_level():
     cfg = ModelConfig(g=1.4, trunc=FockTruncation(10))
     energy = ground_state(cfg).energy
-    assert energy == parity_ground_states(cfg, np.array([cfg.g]))[2][0]
+    assert energy == parity_ground_states(cfg, np.array([cfg.g])).levels[0, 0]
     dense = np.linalg.eigvalsh(build_full(cfg))[0]
     assert abs(energy - dense) <= 1e-12 * max(1.0, abs(dense))
 
@@ -179,8 +179,7 @@ def test_entropy_sweep_endpoints_and_flags():
     sweep = entropy_sweep(cfg, [0.0, 1.0])
     assert sweep.s_qrm[0] == 0.0 and sweep.s_qrma[0] == 0.0
     assert sweep.s_qrm[1] > 0.0
-    rows = list(sweep.rows())
-    assert rows[0][0] == 0.0 and len(rows) == 2
+    assert sweep.g_grid.tolist() == [0.0, 1.0]
     # omega_0 = 0 flags every point as quasi-degenerate
     degenerate = entropy_sweep(ModelConfig(omega_0=0.0, trunc=FockTruncation(6)), [0.5])
     assert degenerate.degenerate_qrm[0] and degenerate.degenerate_qrma[0]
@@ -260,12 +259,10 @@ def test_parity_sector_tie_rule():
     # omega_0 = 0 makes both blocks identical: the tie goes to parity -1,
     # the sector of the g = 0 ground state |g, 0>
     grid = np.linspace(0.0, 3.0, 7)
-    _, parity, _, flagged = parity_ground_states(
-        ModelConfig(omega_0=0.0, trunc=FockTruncation(8)), grid
-    )
-    assert np.all(parity == -1) and np.all(flagged)
-    psi, parity, _, _ = parity_ground_states(ModelConfig(trunc=FockTruncation(8)), grid[:1])
-    assert parity[0] == -1 and abs(psi[0, 0]) == 1.0
+    tied = parity_ground_states(ModelConfig(omega_0=0.0, trunc=FockTruncation(8)), grid)
+    assert np.all(tied.parity == -1) and np.all(tied.quasi_degenerate)
+    vacuum = parity_ground_states(ModelConfig(trunc=FockTruncation(8)), grid[:1])
+    assert vacuum.parity[0] == -1 and abs(vacuum.psi[0, 0]) == 1.0
     # ground_state embeds the parity -1 vector: chain state n holds
     # sigma_z = -(-1)^n, so even n sit on the ground qubit (flat index 8 + n)
     cfg = ModelConfig(omega_0=0.0, g=0.8, trunc=FockTruncation(8))

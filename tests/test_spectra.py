@@ -12,9 +12,8 @@ from qrabi import (
     find_avoided_crossings,
     sweep_spectrum,
 )
-from qrabi.entanglement import parity_ground_states
 from qrabi.model import parity_blocks
-from qrabi.spectra import ground_sector, solve_parity_blocks
+from qrabi.spectra import ground_sector, parity_ground_states, solve_parity_blocks
 
 
 def test_eigensystem_qrm_decoupled():
@@ -72,9 +71,13 @@ def test_sweep_matches_pointwise_dense_solve(dia, d_override, nmax, omega_0):
                       trunc=FockTruncation(nmax))
     grid = np.linspace(0, 3, 13)
     sweep = sweep_spectrum(cfg, grid, 2 * nmax)
-    for g, levels in zip(grid, sweep.levels):
+    # the ground-state record carries every level of both blocks as well
+    ground = parity_ground_states(cfg, grid)
+    for g, levels, ground_levels in zip(grid, sweep.levels, ground.levels):
         dense = np.linalg.eigvalsh(build_full(dataclasses.replace(cfg, g=g)))
-        assert np.all(np.abs(levels - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+        bound = 1e-12 * np.maximum(1.0, np.abs(dense))
+        assert np.all(np.abs(levels - dense) <= bound)
+        assert np.all(np.abs(ground_levels - dense) <= bound)
 
 
 @pytest.mark.parametrize("dia,d_override,nmax,omega_0", MODEL_CASES)
@@ -233,7 +236,7 @@ def test_truncation_check_top_fock_of_definite_parity_ground_state():
     # solve returns a parity-mixed vector; the check reads the top Fock
     # weight of the definite-parity ground state instead
     cfg = ModelConfig(g=6.0, trunc=FockTruncation(200))
-    psi = parity_ground_states(cfg, np.array([cfg.g]))[0][0]
+    psi = parity_ground_states(cfg, np.array([cfg.g])).psi[0]
     assert check_truncation(cfg, 1, 1e-4).top_fock_population == psi[-1] ** 2
 
 

@@ -21,7 +21,7 @@ from qrabi import (
     wigner_marginal,
     wigner_normalization,
 )
-from qrabi.entanglement import parity_ground_states
+from qrabi.spectra import parity_ground_states
 
 wigner_module = importlib.import_module("qrabi.wigner")
 
@@ -342,7 +342,7 @@ def test_wigner_grid_compares_and_hashes_by_identity():
 
 def reduced_ground_state(cfg):
     """The parity ground state and its reduced cavity state."""
-    psi = parity_ground_states(cfg, np.array([cfg.g]))[0][0]
+    psi = parity_ground_states(cfg, np.array([cfg.g])).psi[0]
     n = np.arange(psi.size)
     return psi, DensityMatrix(np.outer(psi, psi) * ((n[:, None] - n) % 2 == 0), (psi.size,))
 
