@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import shutil
 import sys
 from collections.abc import Callable
@@ -290,8 +289,6 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
     [0, 3], Wigner panels at g in {0, 0.5, 1, 3, 7, 10}, 3D surfaces at
     g = 10, and entropy sweeps for both truncations."""
     grid_34 = np.linspace(0.0, 3.0, 201)
-    wigner_gs = (0.0, 0.5, 1.0, 3.0, 7.0, 10.0)
-    quad = QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 201, 201)
 
     # fig1/fig2: spectra for both truncations and both model variants, in
     # the formats the spectrum command offers (fig8 likewise), so no gnuplot
@@ -305,35 +302,42 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
         sweep = sweep_spectrum(_model_config(spec, 0.0, dia, nmax), grid_34, min(8, 2 * nmax))
         _emit(out, name, sweep, spectrum_table, spec_doc, formats)
 
-    # fig4/fig5: Wigner panels per coupling; fig6/fig7: the g = 10 surfaces,
-    # which are copies of the g = 10 panels.  All panels share quad, so one
-    # with the W values of a written panel is a copy of it; a panel's key is
-    # the sha256 of its folded quadrant and indices (sha256 -> name).
-    written: dict[bytes, str] = {}
-    for name, surface, nmax, dia in (
-        ("fig4a", "fig6a", 2, False),
-        ("fig4b", "fig6b", 2, True),
-        ("fig5a", "fig7a", 15, False),
-        ("fig5b", "fig7b", 15, True),
-    ):
-        for g in wigner_gs:
-            w = ground_state_wigner(_model_config(spec, g, dia, nmax), quad)
-            panel = f"{name}_g{_g_label(g)}"
-            key = hashlib.sha256()
-            for part in w.fold:
-                key.update(part.tobytes())
-            source = written.setdefault(key.digest(), panel)
-            if source == panel:
-                _emit(out, panel, w, wigner_table, spec_doc, spec.formats)
-            else:
-                _copy_wigner(out, source, panel, spec.formats)
-        _copy_wigner(out, f"{name}_g{_g_label(10.0)}", surface, spec.formats)
+    _write_wigner_panels(spec, out, spec_doc)
 
     # fig8: entropy sweeps for both truncations
     formats = [f for f in spec.formats if f in _COMMANDS["entropy"][1]]
     for name, nmax in (("fig8a", 2), ("fig8b", 15)):
         sweep = entropy_sweep(_model_config(spec, 0.0, False, nmax), grid_34)
         _emit(out, name, sweep, entropy_table, spec_doc, formats)
+
+
+def _write_wigner_panels(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
+    """fig4/fig5: the preset's Wigner panels per coupling; fig6/fig7: the
+    g = 10 surfaces, which are copies of the g = 10 panels.
+
+    All panels share one grid, so a panel with the W values of a written
+    panel is written as a copy of it.  A panel's key is the shape and bytes
+    of each part of its fold, so two panels share a key only when they are
+    bit-equal (-0.0 and 0.0 differ).  The keys, about 85 kB each, are freed
+    when this returns."""
+    quad = QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 201, 201)
+    written: dict[tuple, str] = {}  # key -> name of the panel written with it
+    for name, surface, nmax, dia in (
+        ("fig4a", "fig6a", 2, False),
+        ("fig4b", "fig6b", 2, True),
+        ("fig5a", "fig7a", 15, False),
+        ("fig5b", "fig7b", 15, True),
+    ):
+        for g in (0.0, 0.5, 1.0, 3.0, 7.0, 10.0):
+            w = ground_state_wigner(_model_config(spec, g, dia, nmax), quad)
+            panel = f"{name}_g{_g_label(g)}"
+            key = tuple((part.shape, part.tobytes()) for part in w.fold)
+            source = written.setdefault(key, panel)
+            if source == panel:
+                _emit(out, panel, w, wigner_table, spec_doc, spec.formats)
+            else:
+                _copy_wigner(out, source, panel, spec.formats)
+        _copy_wigner(out, f"{name}_g{_g_label(10.0)}", surface, spec.formats)
 
 
 # command -> (help text, the formats its --format accepts, runner); the
@@ -391,20 +395,32 @@ _OPTIONS = {
 
 
 def run(spec: ExperimentSpec) -> int:
-    """Execute a resolved experiment; returns a process exit code."""
+    """Execute a resolved experiment; returns a process exit code.
+
+    The manifest is written last.  A failed run removes the directories it
+    made for ``out`` while they are still empty; it never deletes a file,
+    so a run that fails midway leaves its partial bundle."""
+    out = Path(spec.out)
+    made: list[Path] = []  # directories this run makes, deepest first
     try:
-        out = Path(spec.out)
+        made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
         spec_doc = _spec_dict(spec)
         _COMMANDS[spec.command][2](spec, out, spec_doc)
         write_manifest(out / "manifest.json", spec_doc)
+        return EXIT_OK
     except OSError as exc:
         print(f"qrabi: I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code = EXIT_IO
     except (SweepError, ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"qrabi: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        code = EXIT_NUMERICAL
+    for d in made:
+        try:
+            d.rmdir()  # fails on a directory that holds anything
+        except OSError:
+            break
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

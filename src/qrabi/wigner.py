@@ -16,9 +16,9 @@ state is real and commutes with parity, so its W(q, p) = W(q, -p) =
 W(-q, p) exactly, and ``ground_state_wigner`` evaluates one quadrant of a
 grid symmetric about both axes and mirrors it.
 ``WignerGrid.fold`` finds that quadrant again from the values alone, so the
-writers, the heatmap and the CLI's panel dedupe sort, colour and hash a
-quarter of a mirror-symmetric grid; both use one mirror-index rule,
-``_mirror_index``.
+writers sort, the heatmap colours and the CLI's panel dedupe compares byte
+for byte a quarter of a mirror-symmetric grid; both use one mirror-index
+rule, ``_mirror_index``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import pytest
 from qrabi import cli
 from qrabi.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from qrabi.plotting import gnuplot_script
-from qrabi.wigner import QuadratureGrid
+from qrabi.wigner import QuadratureGrid, WignerGrid
 
 
 def run_cli(*args):
@@ -383,6 +383,26 @@ def test_cli_import_leaves_scipy_out():
     assert done.stdout.strip() == "False"
 
 
+def test_cli_leaves_openssl_out(tmp_path):
+    # hashlib maps OpenSSL's libcrypto through _hashlib; neither the import
+    # nor a reproduce-paper run should load it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = """if True:
+        import sys
+        from qrabi import cli
+        from qrabi.wigner import QuadratureGrid
+        print("_hashlib" in sys.modules)
+        cli.QuadratureGrid = lambda *a: QuadratureGrid(-3, 3, -3, 3, 9, 7)
+        code = cli.main(["reproduce-paper", "--format", "csv", "--out", sys.argv[1]])
+        print(code, "_hashlib" in sys.modules)
+    """
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", str(EXIT_OK), "False"]
+
+
 @pytest.mark.parametrize("command, nmax, columns", [
     ("spectrum", "2", "g_over_wc,E0,E1,E2,E3"),
     ("crossings", "3", "level_lower,level_upper,g_at_min,min_gap,at_boundary"),
@@ -430,6 +450,47 @@ def test_allocation_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err.splitlines()
     assert err == ["qrabi: numerical failure: Unable to allocate 745. TiB for an array"]
+
+
+@pytest.mark.parametrize("error, exit_code", [
+    (MemoryError("Unable to allocate 745. TiB for an array"), EXIT_NUMERICAL),
+    (OSError("disk full"), EXIT_IO),
+], ids=["numerical", "io"])
+def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, error, exit_code):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "sweep_spectrum", fail)
+    out = tmp_path / "new" / "s"
+    code = run_cli("spectrum", "--nmax", "2", "--levels", "2", "--out", str(out))
+    assert code == exit_code
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_keeps_a_directory_that_existed(tmp_path, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 745. TiB for an array")
+
+    monkeypatch.setattr(cli, "sweep_spectrum", no_memory)
+    out = tmp_path / "existing"
+    out.mkdir()
+    code = run_cli("spectrum", "--nmax", "2", "--levels", "2", "--out", str(out))
+    assert code == EXIT_NUMERICAL
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
+def test_run_that_fails_midway_leaves_its_partial_bundle(tmp_path, monkeypatch, small_preset):
+    # fig8's entropy sweeps run last; the files before them stay, the
+    # manifest (written last) is missing
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 745. TiB for an array")
+
+    monkeypatch.setattr(cli, "entropy_sweep", no_memory)
+    out = tmp_path / "bundle"
+    assert run_cli("reproduce-paper", "--format", "csv", "--out", str(out)) == EXIT_NUMERICAL
+    names = {p.name for p in out.iterdir()}
+    assert {"fig1a.csv", "fig2b.csv", "fig4a_g0.csv", "fig7b.csv"} <= names
+    assert "manifest.json" not in names and "fig8a.csv" not in names
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="permission checks are void for root")
@@ -514,3 +575,48 @@ def test_reproduce_paper_copies_only_repeated_panels(tmp_path, monkeypatch):
                 (tmp_path / f"direct{suffix}").read_bytes(), name + suffix
     for name in names + list(surfaces):
         assert (out / f"{name}.gp").read_text() == gnuplot_script(f"{name}.dat")
+
+
+def test_reproduce_paper_dedupes_panels_by_their_exact_bits(tmp_path, monkeypatch,
+                                                            small_preset):
+    # crafted panels in preset order: fig4a_g0p5 is bit-equal to fig4a_g0,
+    # fig4a_g1 differs from it by one ulp in its centre cell and fig4a_g3 in
+    # the sign of its zero corners (the writers print both zeros as 0, but
+    # the key compares bits); every other panel is distinct
+    grid = QuadratureGrid(-3, 3, -3, 3, 9, 7)
+    q, p = np.meshgrid(grid.q_axis(), grid.p_axis())
+    base = np.exp(-q**2 - p**2) / np.pi
+    base[[0, 0, -1, -1], [0, -1, 0, -1]] = 0.0
+    one_ulp = base.copy()
+    one_ulp[grid.n_p // 2, grid.n_q // 2] = np.nextafter(base[grid.n_p // 2, grid.n_q // 2], 1)
+    signed_zero = base.copy()
+    signed_zero[[0, 0, -1, -1], [0, -1, 0, -1]] = -0.0
+    crafted = [base, base.copy(), one_ulp, signed_zero]
+    calls = []
+
+    def crafted_gsw(cfg, quad):
+        k = len(calls)
+        calls.append(k)
+        values = crafted[k] if k < len(crafted) else base * (1 - 0.01 * k)
+        return WignerGrid(quad, values.copy())
+
+    emitted, copies = [], {}
+    real_emit, real_copy = cli._emit, cli._copy_wigner
+
+    def recording_emit(out, name, *args):
+        emitted.append(name)
+        real_emit(out, name, *args)
+
+    def recording_copy(out, source, name, formats):
+        copies[name] = source
+        real_copy(out, source, name, formats)
+
+    monkeypatch.setattr(cli, "ground_state_wigner", crafted_gsw)
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    monkeypatch.setattr(cli, "_copy_wigner", recording_copy)
+    out = tmp_path / "bundle"
+    assert run_cli("reproduce-paper", "--format", "csv", "--out", str(out)) == EXIT_OK
+    assert len(calls) == 24
+    assert copies == {"fig4a_g0p5": "fig4a_g0", "fig6a": "fig4a_g10", "fig6b": "fig4b_g10",
+                      "fig7a": "fig5a_g10", "fig7b": "fig5b_g10"}
+    assert {"fig4a_g0", "fig4a_g1", "fig4a_g3"} <= set(emitted)
