@@ -49,7 +49,6 @@ from .model import (
     model_tag,
     parity_operator,
 )
-from .plotting import emit_plot
 from .spectra import (
     CrossingReport,
     SpectrumSweep,

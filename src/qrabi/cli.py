@@ -21,7 +21,9 @@ checks only what no type owns (finite floats, ``g_min``, the sweep grid,
 ``levels``, formats), builds the run's ``ModelConfig`` and, for wigner,
 its ``QuadratureGrid``, and reports their ``ValueError`` as a
 configuration error.  Every result is written by one emitter, ``_emit``,
-in the formats its caller passes.
+in the formats its caller passes: tables and gnuplot surfaces through the
+``output`` writers, and SVG as the text of the ``plotting`` renderer the
+caller names.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (including an array too large to allocate), 4 I/O failure.
@@ -46,13 +48,15 @@ from .model import FockTruncation, ModelConfig
 from .output import (
     crossings_table,
     entropy_table,
+    gnuplot_script,
     spectrum_table,
     wigner_table,
     write_csv,
+    write_gnuplot,
     write_json,
     write_manifest,
 )
-from .plotting import emit_plot, gnuplot_script, write_gnuplot
+from .plotting import entropy_svg, spectrum_svg, wigner_svg
 from .spectra import SweepError, find_avoided_crossings, sweep_spectrum
 from .wigner import QuadratureGrid, ground_state_wigner
 
@@ -231,9 +235,10 @@ def _spec_dict(spec: ExperimentSpec) -> dict:
     return doc
 
 
-def _emit(out: Path, name: str, data, table, spec_doc: dict, formats) -> None:
+def _emit(out: Path, name: str, data, table, svg, spec_doc: dict, formats) -> None:
     """Write result ``data`` as ``name`` in each of ``formats``: the CSV, JSON
-    and gnuplot files from the one ``table(data)``, then the SVG."""
+    and gnuplot files from the one ``table(data)``, then the SVG document
+    ``svg(data)`` (``svg`` is None for a result whose formats exclude svg)."""
     if {"csv", "json", "gnuplot"} & set(formats):
         columns, rows = table(data)
         if "csv" in formats:
@@ -243,7 +248,7 @@ def _emit(out: Path, name: str, data, table, spec_doc: dict, formats) -> None:
         if "gnuplot" in formats:
             write_gnuplot(out / f"{name}.gp", rows)
     if "svg" in formats:
-        emit_plot(data, "svg", out / f"{name}.svg")
+        (out / f"{name}.svg").write_text(svg(data), encoding="utf-8", newline="\n")
 
 
 def _copy_wigner(out: Path, source: str, name: str, formats) -> None:
@@ -261,23 +266,23 @@ def _copy_wigner(out: Path, source: str, name: str, formats) -> None:
 
 def _run_spectrum(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
     sweep = sweep_spectrum(_model_config(spec), _g_grid(spec), spec.levels)
-    _emit(out, "spectrum", sweep, spectrum_table, spec_doc, spec.formats)
+    _emit(out, "spectrum", sweep, spectrum_table, spectrum_svg, spec_doc, spec.formats)
 
 
 def _run_crossings(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
     sweep = sweep_spectrum(_model_config(spec), _g_grid(spec), spec.levels)
     reports = [find_avoided_crossings(sweep, (k, k + 1)) for k in range(spec.levels - 1)]
-    _emit(out, "crossings", reports, crossings_table, spec_doc, spec.formats)
+    _emit(out, "crossings", reports, crossings_table, None, spec_doc, spec.formats)
 
 
 def _run_entropy(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
     sweep = entropy_sweep(_model_config(spec), _g_grid(spec))
-    _emit(out, "entropy", sweep, entropy_table, spec_doc, spec.formats)
+    _emit(out, "entropy", sweep, entropy_table, entropy_svg, spec_doc, spec.formats)
 
 
 def _run_wigner(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
     w = ground_state_wigner(_model_config(spec, spec.g), _quadrature_grid(spec))
-    _emit(out, "wigner", w, wigner_table, spec_doc, spec.formats)
+    _emit(out, "wigner", w, wigner_table, wigner_svg, spec_doc, spec.formats)
 
 
 def _g_label(g: float) -> str:
@@ -300,7 +305,7 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
         ("fig2b", 15, True),
     ):
         sweep = sweep_spectrum(_model_config(spec, 0.0, dia, nmax), grid_34, min(8, 2 * nmax))
-        _emit(out, name, sweep, spectrum_table, spec_doc, formats)
+        _emit(out, name, sweep, spectrum_table, spectrum_svg, spec_doc, formats)
 
     _write_wigner_panels(spec, out, spec_doc)
 
@@ -308,7 +313,7 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
     formats = [f for f in spec.formats if f in _COMMANDS["entropy"][1]]
     for name, nmax in (("fig8a", 2), ("fig8b", 15)):
         sweep = entropy_sweep(_model_config(spec, 0.0, False, nmax), grid_34)
-        _emit(out, name, sweep, entropy_table, spec_doc, formats)
+        _emit(out, name, sweep, entropy_table, entropy_svg, spec_doc, formats)
 
 
 def _write_wigner_panels(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
@@ -334,7 +339,7 @@ def _write_wigner_panels(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
             key = tuple((part.shape, part.tobytes()) for part in w.fold)
             source = written.setdefault(key, panel)
             if source == panel:
-                _emit(out, panel, w, wigner_table, spec_doc, spec.formats)
+                _emit(out, panel, w, wigner_table, wigner_svg, spec_doc, spec.formats)
             else:
                 _copy_wigner(out, source, panel, spec.formats)
         _copy_wigner(out, f"{name}_g{_g_label(10.0)}", surface, spec.formats)

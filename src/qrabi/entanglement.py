@@ -151,7 +151,8 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 @dataclass(frozen=True)
 class EntropySweep:
     """Ground-state qubit entropy (bits) of both model variants per
-    coupling grid point, with per-point quasi-degeneracy flags."""
+    coupling grid point, with per-point quasi-degeneracy flags.
+    ``g_grid`` holds each coupling divided by omega_c."""
 
     g_grid: np.ndarray
     s_qrm: np.ndarray
@@ -165,6 +166,7 @@ def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
 
     ``base.include_diamagnetic`` is ignored: the table always contains one
     column per variant, computed from the same remaining parameters.
+    ``g_grid`` holds couplings g in the same unit as ``base.omega_c``.
     """
     grid = np.asarray(g_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -180,7 +182,7 @@ def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
         logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
         columns += [np.maximum(0.0, -(lam * logs).sum(axis=1)), ground.quasi_degenerate]
     s_qrm, flag_qrm, s_qrma, flag_qrma = columns
-    return EntropySweep(grid, s_qrm, s_qrma, flag_qrm, flag_qrma)
+    return EntropySweep(grid / base.omega_c, s_qrm, s_qrma, flag_qrm, flag_qrma)
 
 
 def expectation(op: np.ndarray, state: PureState) -> complex:

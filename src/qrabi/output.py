@@ -1,4 +1,5 @@
-"""Deterministic CSV/JSON artifact writers.
+"""Deterministic artifact writers: CSV and JSON tables, the run manifest
+and gnuplot surfaces.
 
 Formatting is pinned so identical inputs produce identical bytes: floats
 carry 12 significant digits (%.12g), CSV uses comma separators, UTF-8 and
@@ -30,6 +31,9 @@ piece and its slice of the panel's w cells.  The writers pass
 header, rows and tail to the file as they come, so no text of a whole
 Wigner table is ever held.  The CLI writes a panel equal to a written one
 as a copy.
+
+:func:`write_gnuplot` is the one writer of a ``.gp`` script and its
+``.dat`` grid; the grid is a Wigner table's body in the ``dat`` format.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ __all__ = [
     "write_csv",
     "write_json",
     "write_manifest",
+    "gnuplot_script",
+    "write_gnuplot",
     "spectrum_table",
     "entropy_table",
     "wigner_table",
@@ -219,6 +225,33 @@ def write_manifest(path: Path, spec: dict) -> None:
     path.write_text(
         json.dumps(spec, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
     )
+
+
+def gnuplot_script(data_filename: str) -> str:
+    """Gnuplot surface script that plots the grid file ``data_filename``."""
+    return "\n".join(
+        [
+            "# run with: gnuplot -p <this file>",
+            "set xlabel 'q'",
+            "set ylabel 'p'",
+            "set zlabel 'W(q,p)'",
+            "set hidden3d",
+            "set pm3d",
+            "set view 55, 30",
+            f"splot '{data_filename}' using 1:2:3 with pm3d notitle",
+            "",
+        ]
+    )
+
+
+def write_gnuplot(path: str | Path, rows: Rows) -> None:
+    """Write a Wigner table's ``rows`` as a gnuplot surface: a ``.gp``
+    script at ``path`` plus the ``.dat`` grid file next to it, whose cells
+    are those of the CSV table, streamed one p row at a time."""
+    path = Path(path)
+    dat = path.with_suffix(".dat")
+    path.with_suffix(".gp").write_text(gnuplot_script(dat.name), encoding="utf-8", newline="\n")
+    write_pieces(dat, rows.body("dat"), ["\n"])
 
 
 def spectrum_table(sweep: SpectrumSweep) -> tuple[list[str], Rows]:

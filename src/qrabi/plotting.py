@@ -1,10 +1,8 @@
-"""Minimal self-contained plot emitters: SVG line plots and heatmaps plus
-gnuplot surface scripts.  No external runtime is needed to produce the
-files; styling is deliberately plain.
-
-:func:`write_gnuplot` is the one writer of a ``.gp`` script and its
-``.dat`` grid; the grid is a Wigner table's rows in the ``dat`` format,
-streamed one p row at a time.
+"""Minimal self-contained SVG renderers: line plots of the sweeps and
+heatmaps of Wigner grids.  Each renderer returns the document as text and
+writes no file; the CLI writes it, and ``output.write_gnuplot`` writes the
+gnuplot surfaces.  No external runtime is needed; styling is deliberately
+plain.
 
 A heatmap is one embedded PNG with a pixel per grid point, written with
 stored deflate blocks so its bytes are the same on any machine.  Its
@@ -19,23 +17,14 @@ from __future__ import annotations
 import binascii
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
 from .entanglement import EntropySweep
-from .output import Rows, wigner_table, write_pieces
 from .spectra import SpectrumSweep
 from .wigner import WignerGrid
 
-__all__ = [
-    "emit_plot",
-    "spectrum_svg",
-    "entropy_svg",
-    "wigner_svg",
-    "gnuplot_script",
-    "write_gnuplot",
-]
+__all__ = ["spectrum_svg", "entropy_svg", "wigner_svg"]
 
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 64, 16, 16, 48
@@ -203,55 +192,3 @@ def wigner_svg(w: WignerGrid) -> str:
         f'style="image-rendering:pixelated" href="data:image/png;base64,{png.decode("ascii")}"/>'
     )
     return _document([image] + _axes(frame, "q", "p"))
-
-
-_SVG = {SpectrumSweep: spectrum_svg, EntropySweep: entropy_svg, WignerGrid: wigner_svg}
-
-
-def emit_plot(data, fmt: str, path: Path) -> None:
-    """Render one result to ``path`` in the requested format.
-
-    SVG is available for sweeps, entropy tables and Wigner grids; gnuplot
-    (a ``.gp`` script plus ``.dat`` grid file next to it) only for Wigner
-    grids.  Raises ValueError for a format the data kind does not support.
-    """
-    path = Path(path)
-    if fmt == "svg":
-        render = _SVG.get(type(data))
-        if render is None:
-            raise ValueError(f"no svg rendering for {type(data).__name__}")
-        path.write_text(render(data), encoding="utf-8", newline="\n")
-        return
-    if fmt == "gnuplot":
-        if not isinstance(data, WignerGrid):
-            raise ValueError(f"no gnuplot rendering for {type(data).__name__}")
-        write_gnuplot(path, wigner_table(data)[1])
-        return
-    raise ValueError(f"unsupported plot format {fmt!r}")
-
-
-def gnuplot_script(data_filename: str) -> str:
-    """Gnuplot surface script that plots the grid file ``data_filename``."""
-    return "\n".join(
-        [
-            "# run with: gnuplot -p <this file>",
-            "set xlabel 'q'",
-            "set ylabel 'p'",
-            "set zlabel 'W(q,p)'",
-            "set hidden3d",
-            "set pm3d",
-            "set view 55, 30",
-            f"splot '{data_filename}' using 1:2:3 with pm3d notitle",
-            "",
-        ]
-    )
-
-
-def write_gnuplot(path: str | Path, rows: Rows) -> None:
-    """Write a Wigner table's ``rows`` as a gnuplot surface: a ``.gp``
-    script at ``path`` plus the ``.dat`` grid file next to it, whose cells
-    are those of the CSV table, streamed one p row at a time."""
-    path = Path(path)
-    dat = path.with_suffix(".dat")
-    path.with_suffix(".gp").write_text(gnuplot_script(dat.name), encoding="utf-8", newline="\n")
-    write_pieces(dat, rows.body("dat"), ["\n"])

@@ -49,7 +49,9 @@ class SweepError(RuntimeError):
 class SpectrumSweep:
     """Lowest ``k`` eigenvalues per coupling grid point.
 
-    ``levels[i]`` holds the sorted lowest eigenvalues at ``g_grid[i]``.
+    ``g_grid`` holds each coupling divided by omega_c, and ``levels[i]``
+    the sorted lowest eigenvalues at ``g_grid[i]``, in the same unit as
+    omega_c.
     """
 
     g_grid: np.ndarray
@@ -61,6 +63,8 @@ class SpectrumSweep:
 class CrossingReport:
     """Location and size of the minimal gap between two adjacent levels.
 
+    ``g_at_min`` is a coupling divided by omega_c, as the sweep's
+    ``g_grid`` is.
     ``at_boundary`` is set when the minimum sits at a sweep endpoint, in
     which case no parabolic refinement was applied and the gap may still
     be decreasing beyond the window.
@@ -152,7 +156,8 @@ def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
     base : ModelConfig
         Configuration whose ``g`` is replaced by each grid value.
     g_grid : array_like
-        Strictly ascending, non-empty coupling values (units of omega_c).
+        Strictly ascending, non-empty coupling values g, in the same unit
+        as ``base.omega_c``; the sweep's ``g_grid`` holds them divided by it.
     k_levels : int
         Number of levels per grid point; at most 2 * n_max.
     """
@@ -166,7 +171,7 @@ def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
         raise ValueError(f"k_levels must be in [1, {dim}], got {k_levels}")
 
     levels = np.sort(np.hstack(solve_parity_blocks(base, grid, np.linalg.eigvalsh)), axis=1)
-    return SpectrumSweep(grid, levels[:, :k_levels], model_tag(base))
+    return SpectrumSweep(grid / base.omega_c, levels[:, :k_levels], model_tag(base))
 
 
 def _parabola_min(xs: np.ndarray, ys: np.ndarray, i: int) -> tuple[float, float]:

@@ -130,8 +130,6 @@ def _laguerre_series(level: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     """
     if len(coeffs) == 1:
         y0, y1 = coeffs[0], 0.0
-    elif len(coeffs) == 2:
-        y0, y1 = coeffs[0], coeffs[1]
     else:
         k = len(coeffs)
         y0, y1 = coeffs[-2], coeffs[-1]
@@ -235,47 +233,49 @@ def ground_state_wigner(cfg: ModelConfig, grid: QuadratureGrid) -> WignerGrid:
     return WignerGrid(grid, quadrant[np.ix_(_mirror_index(p.size), _mirror_index(q.size))])
 
 
-def wigner_characteristic(
-    rho: DensityMatrix,
-    points,
-    lam_max: float = 6.0,
-    n_radial: int = 64,
-    n_angular: int = 128,
-) -> np.ndarray:
+# quadrature of wigner_characteristic: the radius of the lam disk and the
+# number of radial and angular nodes
+_CHAR_LAM_MAX = 6.0
+_CHAR_N_RADIAL = 64
+_CHAR_N_ANGULAR = 128
+
+
+def wigner_characteristic(rho: DensityMatrix, points) -> np.ndarray:
     """W at a handful of (q, p) points via the characteristic function
     chi(lam) = Tr(rho D(lam)).
 
     Evaluates (1/(2 pi^2)) * integral of chi(lam) exp(lam* gamma - lam gamma*)
-    d^2 lam with gamma = (q + i p)/sqrt(2), over a disk |lam| <= lam_max in
-    polar coordinates (Gauss-Legendre radially, uniform angularly).  The
-    displacement operators are matrix exponentials in an enlarged Fock
-    space so their low-index block matches the untruncated operator, taken
-    for every radius from one eigendecomposition of the generator, and
-    rotation of lam through a phase is applied analytically.  Much slower
-    per value than ``wigner``; intended as an independent spot check.
+    d^2 lam with gamma = (q + i p)/sqrt(2), over a disk |lam| <= _CHAR_LAM_MAX
+    in polar coordinates (``_CHAR_N_RADIAL`` Gauss-Legendre nodes radially,
+    ``_CHAR_N_ANGULAR`` uniform angles).  The displacement operators are
+    matrix exponentials in an enlarged Fock space so their low-index block
+    matches the untruncated operator, taken for every radius from one
+    eigendecomposition of the generator, and rotation of lam through a
+    phase is applied analytically.  Much slower per value than ``wigner``;
+    intended as an independent spot check.
     """
     if len(rho.dims) != 1:
         raise ValueError("cavity-only density matrix required")
     n = rho.dims[0]
     # a displaced |k> with k < n needs Fock indices up to roughly
-    # lam_max^2 + O(lam_max) before its tail is negligible
-    embed = n + int(np.ceil(lam_max**2 + 4.0 * lam_max)) + 10
+    # _CHAR_LAM_MAX^2 + O(_CHAR_LAM_MAX) before its tail is negligible
+    embed = n + int(np.ceil(_CHAR_LAM_MAX**2 + 4.0 * _CHAR_LAM_MAX)) + 10
     ladder = np.diag(np.sqrt(np.arange(1, embed, dtype=float)), k=1)
     # D(r) = expm(r G) for real r, with G = a† - a real antisymmetric: iG is
     # Hermitian, so with iG = V diag(lam) V†, expm(r G) = V diag(e^{-i r lam}) V†
     lam, vecs = np.linalg.eigh(1j * (ladder.T - ladder))
 
-    nodes, gl_weights = np.polynomial.legendre.leggauss(n_radial)
-    radii = 0.5 * lam_max * (nodes + 1.0)
-    weights = 0.5 * lam_max * gl_weights
+    nodes, gl_weights = np.polynomial.legendre.leggauss(_CHAR_N_RADIAL)
+    radii = 0.5 * _CHAR_LAM_MAX * (nodes + 1.0)
+    weights = 0.5 * _CHAR_LAM_MAX * gl_weights
 
-    theta = np.linspace(0.0, 2.0 * np.pi, n_angular, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, _CHAR_N_ANGULAR, endpoint=False)
     ks, ms = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     # chi(r e^{i th}) = sum_{m,k} rho[m,k] e^{i th (k-m)} <k|D(r)|m>
     phase_pow = (ks - ms)[None, :, :] * theta[:, None, None]
     phases = np.exp(1j * phase_pow)
 
-    chis = np.empty((n_radial, n_angular), dtype=complex)
+    chis = np.empty((_CHAR_N_RADIAL, _CHAR_N_ANGULAR), dtype=complex)
     for i, r in enumerate(radii):
         block = ((vecs[:n] * np.exp(-1j * r * lam)) @ vecs[:n].conj().T).real
         chis[i] = np.einsum("km,tkm->t", rho.data.T * block, phases)

@@ -14,7 +14,7 @@ import pytest
 
 from qrabi import cli
 from qrabi.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
-from qrabi.plotting import gnuplot_script
+from qrabi.output import gnuplot_script
 from qrabi.wigner import QuadratureGrid, WignerGrid
 
 
@@ -42,6 +42,21 @@ def test_entropy_single_point_csv(tmp_path):
     assert code == EXIT_OK
     text = (out / "entropy.csv").read_text()
     assert text == "g_over_wc,S_qrm_bits,S_qrma_bits\n0,0,0\n"
+
+
+@pytest.mark.parametrize("command, csv", [
+    ("spectrum", "g_over_wc,E0,E1\n0,-0.5,0.5\n0.25,-0.581138830084,0.292893218813\n"
+                 "0.5,-0.802775637732,-0.11803398875\n"),
+    ("entropy", "g_over_wc,S_qrm_bits,S_qrma_bits\n0,0,0\n"
+                "0.25,0.172127862784,0.172127862784\n0.5,0.416032265889,0.416032265889\n"),
+], ids=["spectrum", "entropy"])
+def test_g_column_is_divided_by_omega_c(tmp_path, command, csv):
+    # g runs 0, 0.5, 1 in the same unit as omega_c = 2, so the column reads 0,
+    # 0.25, 0.5; the energies and entropies are those of g = 0, 0.5, 1
+    argv = [command, "--omega-c", "2", "--g-min", "0", "--g-max", "1", "--g-steps", "3",
+            "--nmax", "2", "--out", str(tmp_path)]
+    assert run_cli(*argv, *(["--levels", "2"] if command == "spectrum" else [])) == EXIT_OK
+    assert (tmp_path / f"{command}.csv").read_text() == csv
 
 
 def test_manifest_echoes_resolved_spec(tmp_path):
@@ -383,6 +398,18 @@ def test_cli_import_leaves_scipy_out():
     assert done.stdout.strip() == "False"
 
 
+def test_package_import_loads_no_writer():
+    # the writers and their json are loaded by qrabi.cli, not by the library
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, qrabi; "
+            "print(*(m in sys.modules for m in ('qrabi.plotting', 'qrabi.output', 'json')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["False", "False", "False"]
+
+
 def test_cli_leaves_openssl_out(tmp_path):
     # hashlib maps OpenSSL's libcrypto through _hashlib; neither the import
     # nor a reproduce-paper run should load it
@@ -508,18 +535,6 @@ def test_io_failure_exit_code(tmp_path):
         blocked.chmod(stat.S_IRWXU)
 
 
-def test_emit_plot_rejects_unsupported_kind(tmp_path):
-    from qrabi import SpectrumSweep, emit_plot
-
-    sweep = SpectrumSweep(np.linspace(0, 1, 3), np.zeros((3, 2)), "QRM")
-    with pytest.raises(ValueError):
-        emit_plot(sweep, "gnuplot", tmp_path / "s.gp")
-    with pytest.raises(ValueError):
-        emit_plot(sweep, "png", tmp_path / "s.png")
-    emit_plot(sweep, "svg", tmp_path / "s.svg")
-    assert (tmp_path / "s.svg").read_text().startswith("<svg")
-
-
 def test_io_failure_out_path_is_file(tmp_path):
     target = tmp_path / "occupied"
     target.write_text("a file, not a directory")
@@ -568,7 +583,8 @@ def test_reproduce_paper_copies_only_repeated_panels(tmp_path, monkeypatch):
 
     # the vacuum panels equal a direct emission; every script names its own data
     spec_doc = json.loads((out / "fig4a_g0.json").read_text())["spec"]
-    cli._emit(tmp_path, "direct", panels[0], cli.wigner_table, spec_doc, formats)
+    cli._emit(tmp_path, "direct", panels[0], cli.wigner_table, cli.wigner_svg, spec_doc,
+              formats)
     for name in vacuum:
         for suffix in (".csv", ".json", ".svg", ".dat"):
             assert (out / f"{name}{suffix}").read_bytes() == \

@@ -24,12 +24,10 @@ from qrabi.output import (
     spectrum_table,
     wigner_table,
     write_csv,
+    write_gnuplot,
     write_json,
 )
-from qrabi.plotting import (
-    _Frame, _axes, _document, _fmt, emit_plot, entropy_svg, spectrum_svg, wigner_svg,
-    write_gnuplot,
-)
+from qrabi.plotting import _Frame, _axes, _document, _fmt, entropy_svg, spectrum_svg, wigner_svg
 from qrabi.spectra import CrossingReport, SpectrumSweep, sweep_spectrum
 from qrabi.wigner import QuadratureGrid, WignerGrid, ground_state_wigner
 
@@ -242,7 +240,7 @@ def ref_dat(w: WignerGrid) -> str:
 
 def test_dat_prints_negative_zero_as_zero(tmp_path):
     # the .dat shares the table cells, so -0.0 is written as 0 as in the CSV
-    emit_plot(small_wigner(), "gnuplot", tmp_path / "w.gp")
+    write_gnuplot(tmp_path / "w.gp", wigner_table(small_wigner())[1])
     dat = (tmp_path / "w.dat").read_text()
     first = dat.split("\n")[0]
     assert first == "-1.5 -1 0"
@@ -350,12 +348,10 @@ def assert_same_text(got, want):
 
 
 @pytest.mark.parametrize("w", heatmap_grids())
-def test_wigner_svg_matches_per_cell_reference(tmp_path, w):
+def test_wigner_svg_matches_per_cell_reference(w):
     svg = wigner_svg(w)
     assert_heatmap_matches_reference(svg, w)
     assert wigner_svg(w) == svg  # rendering twice gives the same bytes
-    emit_plot(w, "svg", tmp_path / "w.svg")
-    assert (tmp_path / "w.svg").read_bytes() == svg.encode()
 
 
 # Reference: the per-point polyline the one-pass one replaced.
@@ -486,7 +482,7 @@ def test_percent_signs_are_written_verbatim(tmp_path, monkeypatch):
     direct.mkdir()
     w = ground_state_wigner(ModelConfig(g=1.0, trunc=FockTruncation(3)),
                             QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 6, 5))
-    _emit(direct, "wigner", w, wigner_table, spec, formats.split(","))
+    _emit(direct, "wigner", w, wigner_table, wigner_svg, spec, formats.split(","))
     for suffix in (".csv", ".json", ".svg", ".dat", ".gp"):
         assert (out / f"wigner{suffix}").read_bytes() == (direct / f"wigner{suffix}").read_bytes()
 
@@ -495,8 +491,10 @@ def test_copied_wigner_panel_equals_emitted_panel(tmp_path):
     cfg = ModelConfig(omega_c=1.0, omega_0=1.0, g=1.0, trunc=FockTruncation(3))
     w = ground_state_wigner(cfg, QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 9, 7))
     formats = ("csv", "json", "svg", "gnuplot")
-    _emit(tmp_path, "panel", w, wigner_table, SPEC, formats)
-    _emit(tmp_path, "direct", w, wigner_table, SPEC, formats)
+    _emit(tmp_path, "panel", w, wigner_table, wigner_svg, SPEC, formats)
+    _emit(tmp_path, "direct", w, wigner_table, wigner_svg, SPEC, formats)
+    # the SVG is the renderer's text as UTF-8 with LF line endings
+    assert (tmp_path / "direct.svg").read_bytes() == wigner_svg(w).encode()
     _copy_wigner(tmp_path, "panel", "copy", formats)
     for suffix in (".csv", ".json", ".svg", ".dat"):
         assert (tmp_path / f"copy{suffix}").read_bytes() == \

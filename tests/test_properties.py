@@ -1,0 +1,88 @@
+"""Properties of the Wigner grid's fold and of its table writers, checked on
+grids that hypothesis draws and shrinks (down to 2 x 2)."""
+
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+with warnings.catch_warnings():
+    # hypothesis's pytest plugin imports this module to suggest a patch when
+    # a property fails; where it imports libcst, libcst can raise a
+    # DeprecationWarning, which the suite's filters make an error that aborts
+    # the whole run instead of reporting the failure, so import it here
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
+
+from qrabi.output import wigner_table, write_csv, write_gnuplot, write_json  # noqa: E402
+from qrabi.wigner import QuadratureGrid, WignerGrid  # noqa: E402
+
+# no example database: a run leaves no files behind
+PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+VALUES = st.floats(-0.3, 0.3)
+
+
+@st.composite
+def wigner_grids(draw):
+    """A grid of 2-12 points a side over drawn bounds; its values are
+    random or mirror-symmetric about both axes."""
+    n_p, n_q = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    q_min, p_min = draw(st.floats(-50, 50)), draw(st.floats(-50, 50))
+    q_max = q_min + draw(st.floats(1e-3, 50))
+    p_max = p_min + draw(st.floats(1e-3, 50))
+    grid = QuadratureGrid(q_min, q_max, p_min, p_max, n_q, n_p)
+    if not draw(st.booleans()):
+        return WignerGrid(grid, draw(arrays(np.float64, (n_p, n_q), elements=VALUES)))
+    # mirrored by flipping, not by the mirror index the fold uses
+    quadrant = draw(arrays(np.float64, (n_p - n_p // 2, n_q - n_q // 2), elements=VALUES))
+    right = np.hstack([quadrant[:, n_q % 2:][:, ::-1], quadrant])
+    return WignerGrid(grid, np.vstack([right[n_p % 2:][::-1], right]))
+
+
+@PROPERTY
+@given(wigner_grids())
+def test_fold_reproduces_the_values(w):
+    quadrant, ip, iq = w.fold
+    v = w.values
+    assert np.array_equal(quadrant[np.ix_(ip, iq)], v)
+    if np.array_equal(v, v[::-1]) and np.array_equal(v, v[:, ::-1]):
+        assert quadrant.shape == ((v.shape[0] + 1) // 2, (v.shape[1] + 1) // 2)
+    else:
+        assert quadrant is v
+
+
+def parsed_tables(w: WignerGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The q, p, w cells of the CSV, JSON and .dat files of ``w``'s table,
+    parsed as floats, one row per table row."""
+    columns, rows = wigner_table(w)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_csv(out / "t.csv", columns, rows)
+        write_json(out / "t.json", {}, columns, rows)
+        write_gnuplot(out / "t.gp", rows)
+        csv = [line.split(",") for line in (out / "t.csv").read_text().splitlines()[1:]]
+        doc = json.loads((out / "t.json").read_text())
+        dat = [line.split() for line in (out / "t.dat").read_text().splitlines() if line]
+    return tuple(np.array(cells, dtype=float) for cells in (csv, doc["rows"], dat))
+
+
+@PROPERTY
+@given(wigner_grids())
+def test_csv_json_and_dat_cells_parse_to_the_same_floats(w):
+    q, p = np.meshgrid(w.grid.q_axis(), w.grid.p_axis())
+    exact = np.stack([q.ravel(), p.ravel(), w.values.ravel()], axis=1)
+    csv, js, dat = parsed_tables(w)
+    assert np.array_equal(csv, js) and np.array_equal(csv, dat)
+    # %.12g moves a value by at most half a unit in its 12th digit
+    assert np.all(np.abs(csv - exact) <= 5e-12 * np.abs(exact))

@@ -47,6 +47,12 @@ def test_sweep_single_point():
     assert np.allclose(sweep.levels[0], [-0.5, 0.5, 0.5, 1.5], atol=1e-12)
 
 
+def test_sweep_grid_is_divided_by_omega_c():
+    # the input is g in the same unit as omega_c; the record holds g / omega_c
+    sweep = sweep_spectrum(ModelConfig(omega_c=2.0, trunc=FockTruncation(2)), [0.0, 1.0], 2)
+    assert sweep.g_grid.tolist() == [0.0, 0.5]
+
+
 def test_sweep_rows_sorted_and_finite():
     sweep = sweep_spectrum(
         ModelConfig(include_diamagnetic=True, trunc=FockTruncation(8)),
