@@ -10,20 +10,20 @@ reproduce-paper  curated preset regenerating the standard figure bundle
 
 Options may come from a ``key = value`` config file (``--config``); explicit
 command-line flags win over the file, which wins over built-in defaults.
-Each option is declared once, in ``_OPTIONS``: its type, default, help
-text and the commands whose parser offers it as a flag; each command once,
-in ``_COMMANDS``: its help text, its formats and its runner.  A command
-offers only the flags it uses.  A config file may set any key, since one
-file may serve several commands; a key the command does not use is echoed
-in the manifest and otherwise ignored, beyond the checks every command
-makes.  A parameter rule lives in the library type that owns it: the CLI
-checks only what no type owns (finite floats, ``g_min``, the sweep grid,
-``levels``, formats), builds the run's ``ModelConfig`` and, for wigner,
-its ``QuadratureGrid``, and reports their ``ValueError`` as a
-configuration error.  Every result is written by one emitter, ``_emit``,
-in the formats its caller passes: tables and gnuplot surfaces through the
-``output`` writers, and SVG as the text of the ``plotting`` renderer the
-caller names.
+Each option is declared once, as a field of ``ExperimentSpec`` (see
+``_option``): its default, parser, help text and the commands whose parser
+offers it as a flag, which list it in field order; each command once, in
+``_COMMANDS``: its help text, its formats and its runner.  A command offers
+only the flags it uses.  A config file may set any key, since one file may
+serve several commands; a key the command does not use is echoed in the
+manifest and otherwise ignored, beyond the checks every command makes.  A
+parameter rule lives in the library type that owns it: the CLI checks only
+what no type owns (finite floats, ``g_min``, the sweep grid, ``levels``,
+formats), builds the run's ``ModelConfig`` and, for wigner, its
+``QuadratureGrid``, and reports their ``ValueError`` as a configuration
+error.  Every result is written by one emitter, ``_emit``, in the formats
+its caller passes: tables and gnuplot surfaces through the ``output``
+writers, and SVG as the text of the ``plotting`` renderer the caller names.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (including an array too large to allocate), 4 I/O failure.
@@ -35,10 +35,8 @@ import argparse
 import dataclasses
 import shutil
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,31 +71,6 @@ class ConfigError(ValueError):
     """Invalid command line, config file, or parameter combination."""
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Fully resolved parameters of one CLI run."""
-
-    command: str
-    omega_c: float
-    omega_0: float
-    g: float
-    g_min: float
-    g_max: float
-    g_steps: int
-    nmax: int
-    diamagnetic: bool
-    d_override: float | None
-    levels: int
-    q_min: float
-    q_max: float
-    p_min: float
-    p_max: float
-    n_q: int
-    n_p: int
-    out: str
-    formats: tuple[str, ...]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrabi",
@@ -112,10 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (help_text, _formats, _runner) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key = value config file; flags override it")
-        for key, option in _OPTIONS.items():
-            if command in option.commands:
-                p.add_argument("--" + key.replace("_", "-"), type=option.type,
-                               choices=option.choices, help=option.help)
+        for key, field in _KEYS.items():
+            option = field.metadata
+            if command in option["commands"]:
+                p.add_argument("--" + key.replace("_", "-"), type=option["type"],
+                               choices=option["choices"], help=option["help"])
     return parser
 
 
@@ -134,55 +108,49 @@ def load_config(path: str) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _OPTIONS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _coerce(key, value)
     return values
 
 
 def _coerce(key: str, value) -> object:
-    option = _OPTIONS[key]
+    option = _KEYS[key].metadata
     try:
-        value = option.type(value)
+        value = option["type"](value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    if option.choices and value not in option.choices:
-        raise ConfigError(f"{key} must be {' or '.join(option.choices)}, got {value!r}")
+    if option["choices"] and value not in option["choices"]:
+        raise ConfigError(f"{key} must be {' or '.join(option['choices'])}, got {value!r}")
     return value
 
 
 def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     given = load_config(args.config) if args.config else {}
-    for key, value in vars(args).items():
-        if key in _OPTIONS and value is not None:  # argparse applied its type
-            given[key] = value
-    merged = {key: option.default for key, option in _OPTIONS.items()} | given
-    if "levels" not in given and args.command in _OPTIONS["levels"].commands:
-        merged["levels"] = min(merged["levels"], 2 * merged["nmax"])  # as the preset does
-
-    formats = tuple(f.strip() for f in merged.pop("format").split(",") if f.strip())
-    if not formats:
-        raise ConfigError("at least one output format is required")
-    for f in formats:
-        if f not in _FORMATS:
-            raise ConfigError(f"unknown format {f!r}; choose from {', '.join(_FORMATS)}")
-        if f not in _COMMANDS[args.command][1]:
-            raise ConfigError(f"format {f!r} is not supported by {args.command!r}")
-    if len(set(formats)) < len(formats):
-        raise ConfigError(f"each format may be given once, got {','.join(formats)}")
-
-    spec = ExperimentSpec(
-        command=args.command,
-        omega_0=merged.pop("omega0"),
-        diamagnetic=merged.pop("diamagnetic") == "on",
-        formats=formats,
-        **merged,
-    )
+    # the flags given, to which argparse applied their type and choices
+    given |= {key: getattr(args, key) for key in _KEYS if getattr(args, key, None) is not None}
+    values = {}
+    for key, value in given.items():
+        choices = _KEYS[key].metadata["choices"]
+        values[_KEYS[key].name] = choices[value] if choices else value
+    spec = ExperimentSpec(args.command, **values)
+    # a command that offers --levels defaults it to min(8, 2*nmax), as the preset does
+    if "levels" not in given and hasattr(args, "levels"):
+        spec = dataclasses.replace(spec, levels=min(spec.levels, 2 * spec.nmax))
     _validate_spec(spec)
     return spec
 
 
 def _validate_spec(spec: ExperimentSpec) -> None:
+    if not spec.formats:
+        raise ConfigError("at least one output format is required")
+    for f in spec.formats:
+        if f not in _FORMATS:
+            raise ConfigError(f"unknown format {f!r}; choose from {', '.join(_FORMATS)}")
+        if f not in _COMMANDS[spec.command][1]:
+            raise ConfigError(f"format {f!r} is not supported by {spec.command!r}")
+    if len(set(spec.formats)) < len(spec.formats):
+        raise ConfigError(f"each format may be given once, got {','.join(spec.formats)}")
     for name, value in dataclasses.asdict(spec).items():
         if isinstance(value, float) and not np.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
@@ -356,47 +324,62 @@ _COMMANDS = {
 }
 
 
-class _Option(NamedTuple):
-    """One option: a ``--flag`` of the commands that use it and a config key."""
-
-    type: Callable[[str], object]
-    default: object
-    help: str | None
-    commands: tuple[str, ...]
-    choices: tuple[str, ...] | None = None
-
-
-_ALL = tuple(_COMMANDS)
 _SWEEPS = ("spectrum", "crossings", "entropy")
 
-# key -> option; the order is the order of the flags in each command's help.
-# reproduce-paper fixes its own truncations and model variants, and entropy
-# always solves both variants, so neither offers the flags it would ignore.
-_OPTIONS = {
-    "omega_c": _Option(float, 1.0, "cavity frequency (default 1.0; all units relative to it)",
-                       _ALL),
-    "omega0": _Option(float, 1.0, "qubit transition frequency (default 1.0, i.e. resonance)",
-                      _ALL),
-    "nmax": _Option(int, 15, "Fock states kept (default 15)", _SWEEPS + ("wigner",)),
-    "diamagnetic": _Option(str.lower, "off", "include the diamagnetic A^2 term (default off)",
-                           ("spectrum", "crossings", "wigner"), choices=("on", "off")),
-    "d_override": _Option(float, None, "explicit diamagnetic constant D (default g^2/omega_c)",
-                          _ALL),
-    "out": _Option(str, "qrabi_out", "output directory (default ./qrabi_out)", _ALL),
-    "format": _Option(str, "csv", "comma list of csv,json,svg,gnuplot (default csv)", _ALL),
-    "g_min": _Option(float, 0.0, "sweep start (default 0)", _SWEEPS),
-    "g_max": _Option(float, 3.0, "sweep end (default 3)", _SWEEPS),
-    "g_steps": _Option(int, 201, "number of grid points (default 201)", _SWEEPS),
-    "levels": _Option(int, 8, "levels per grid point (default min(8, 2*nmax))",
-                      ("spectrum", "crossings")),
-    "g": _Option(float, 1.0, "coupling strength (default 1.0)", ("wigner",)),
-    "q_min": _Option(float, -6.0, None, ("wigner",)),
-    "q_max": _Option(float, 6.0, None, ("wigner",)),
-    "p_min": _Option(float, -6.0, None, ("wigner",)),
-    "p_max": _Option(float, 6.0, None, ("wigner",)),
-    "n_q": _Option(int, 201, None, ("wigner",)),
-    "n_p": _Option(int, 201, None, ("wigner",)),
-}
+
+def _format_list(text: str) -> tuple[str, ...]:
+    return tuple(f.strip() for f in text.split(",") if f.strip())
+
+
+def _option(default, help=None, commands=tuple(_COMMANDS), *, parse=None, key=None, choices=None):
+    """A field of ``ExperimentSpec`` with its ``default`` and, as metadata,
+    the parser of its flag and config value (the default's type unless
+    given), its help text, the commands that offer its flag, its flag and
+    config key where that is not the field name, and ``choices``, a map from
+    each value the parser may give to the field's value."""
+    return dataclasses.field(default=default, metadata={
+        "type": parse or type(default), "help": help, "commands": commands,
+        "key": key, "choices": choices,
+    })
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """Fully resolved parameters of one CLI run, in the order of the ``spec``
+    that every JSON artifact echoes.  reproduce-paper fixes its own
+    truncations and model variants, and entropy always solves both variants,
+    so neither offers the flags it would ignore."""
+
+    command: str
+    omega_c: float = _option(1.0, "cavity frequency (default 1.0; all units relative to it)")
+    omega_0: float = _option(1.0, "qubit transition frequency (default 1.0, i.e. resonance)",
+                             key="omega0")
+    g: float = _option(1.0, "coupling strength (default 1.0)", ("wigner",))
+    g_min: float = _option(0.0, "sweep start (default 0)", _SWEEPS)
+    g_max: float = _option(3.0, "sweep end (default 3)", _SWEEPS)
+    g_steps: int = _option(201, "number of grid points (default 201)", _SWEEPS)
+    nmax: int = _option(15, "Fock states kept (default 15)", _SWEEPS + ("wigner",))
+    diamagnetic: bool = _option(False, "include the diamagnetic A^2 term (default off)",
+                                ("spectrum", "crossings", "wigner"), parse=str.lower,
+                                choices={"on": True, "off": False})
+    d_override: float | None = _option(
+        None, "explicit diamagnetic constant D (default g^2/omega_c)", parse=float)
+    levels: int = _option(8, "levels per grid point (default min(8, 2*nmax))",
+                          ("spectrum", "crossings"))
+    q_min: float = _option(-6.0, commands=("wigner",))
+    q_max: float = _option(6.0, commands=("wigner",))
+    p_min: float = _option(-6.0, commands=("wigner",))
+    p_max: float = _option(6.0, commands=("wigner",))
+    n_q: int = _option(201, commands=("wigner",))
+    n_p: int = _option(201, commands=("wigner",))
+    out: str = _option("qrabi_out", "output directory (default ./qrabi_out)")
+    formats: tuple[str, ...] = _option(
+        ("csv",), "comma list of csv,json,svg,gnuplot (default csv)", parse=_format_list,
+        key="format")
+
+
+# flag and config key -> its field of ExperimentSpec, in field order
+_KEYS = {f.metadata["key"] or f.name: f for f in dataclasses.fields(ExperimentSpec) if f.metadata}
 
 
 def run(spec: ExperimentSpec) -> int:

@@ -40,6 +40,7 @@ class SweepError(RuntimeError):
     """Failure of one grid point of a parameter sweep."""
 
     def __init__(self, g: float, cause: Exception):
+        g = float(g)  # a numpy scalar's repr reads np.float64(...) on numpy 2
         super().__init__(f"sweep failed at g = {g!r}: {cause}")
         self.g = g
         self.cause = cause

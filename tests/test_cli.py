@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import os
 import re
@@ -269,13 +270,20 @@ def small_preset(monkeypatch):
     monkeypatch.setattr(cli, "QuadratureGrid", lambda *a: QuadratureGrid(-3, 3, -3, 3, 9, 7))
 
 
+def declared_keys(command=None):
+    """The config key of each option that ``ExperimentSpec`` declares (of
+    those ``command`` offers as flags, if given), in field order."""
+    return [f.metadata["key"] or f.name for f in dataclasses.fields(cli.ExperimentSpec)
+            if f.metadata and (command is None or command in f.metadata["commands"])]
+
+
 def flags(options):
     return [f"--{key.replace('_', '-')}={value}" for key, value in options.items()]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_flag_and_config_key_give_the_same_manifest_value(tmp_path, small_preset, command):
-    offered = [key for key, option in cli._OPTIONS.items() if command in option.commands]
+    offered = declared_keys(command)
     assert set(SMALL[command]) <= set(offered)
     for key in offered:
         small = flags({k: v for k, v in SMALL[command].items() if k != key})
@@ -300,10 +308,32 @@ def test_flag_and_config_key_give_the_same_manifest_value(tmp_path, small_preset
             assert flag_doc[field] == (typed[key] if key in typed else json.loads(value)), key
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_the_declared_options_in_field_order(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == EXIT_OK
+    offered = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert offered == ["--config", *(f"--{key.replace('_', '-')}" for key in
+                                     declared_keys(command))]
+
+
+def test_spec_echo_is_the_fields_in_order(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("entropy", "--nmax", "2", "--g-steps", "2", "--format", "json",
+                   "--out", str(out)) == EXIT_OK
+    fields = [f.name for f in dataclasses.fields(cli.ExperimentSpec)]
+    assert fields[:3] == ["command", "omega_c", "omega_0"] and fields[-1] == "formats"
+    spec = json.loads((out / "entropy.json").read_text())["spec"]
+    assert list(spec) == [*fields, "version"]
+    # the manifest holds the same keys, sorted
+    assert list(json.loads((out / "manifest.json").read_text())) == sorted(spec)
+
+
 def test_config_file_may_set_every_key(tmp_path, small_preset):
     cfg = tmp_path / "all.cfg"
     keys = {**VALUES, "nmax": "3", "format": "csv,json", "out": str(tmp_path / "unused")}
-    assert set(keys) == set(cli._OPTIONS)
+    assert set(keys) == set(declared_keys())
     cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
     for command in COMMANDS:
         out = tmp_path / command
@@ -465,6 +495,16 @@ def test_numerical_failure_exit_code(tmp_path):
         "--n-q", "5", "--n-p", "5", "--out", str(tmp_path / "w"),
     )
     assert code == EXIT_NUMERICAL
+
+
+def test_sweep_failure_names_the_coupling_as_a_float(tmp_path, capsys):
+    # D = 1e308 makes D X^2 overflow, so the Hamiltonian is not finite
+    code = run_cli("wigner", "--d-override", "1e308", "--diamagnetic", "on", "--g", "1",
+                   "--nmax", "3", "--n-q", "3", "--n-p", "3", "--out", str(tmp_path / "w"))
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == [
+        "qrabi: numerical failure: sweep failed at g = 1.0: "
+        "need g >= 0 and a finite Hamiltonian"]
 
 
 def test_allocation_failure_exit_code(tmp_path, monkeypatch, capsys):

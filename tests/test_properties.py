@@ -1,5 +1,6 @@
 """Properties of the Wigner grid's fold and of its table writers, checked on
-grids that hypothesis draws and shrinks (down to 2 x 2)."""
+grids that hypothesis draws and shrinks (down to 2 x 2), and of the
+Hamiltonian and its ground state, checked on drawn model parameters."""
 
 import json
 import tempfile
@@ -24,6 +25,13 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
+from qrabi.entanglement import (  # noqa: E402
+    entropy_sweep,
+    ground_state,
+    partial_trace,
+    von_neumann_entropy,
+)
+from qrabi.model import FockTruncation, ModelConfig, parity_blocks  # noqa: E402
 from qrabi.output import wigner_table, write_csv, write_gnuplot, write_json  # noqa: E402
 from qrabi.wigner import QuadratureGrid, WignerGrid  # noqa: E402
 
@@ -86,3 +94,33 @@ def test_csv_json_and_dat_cells_parse_to_the_same_floats(w):
     assert np.array_equal(csv, js) and np.array_equal(csv, dat)
     # %.12g moves a value by at most half a unit in its 12th digit
     assert np.all(np.abs(csv - exact) <= 5e-12 * np.abs(exact))
+
+
+@PROPERTY
+@given(st.floats(0.1, 3), st.floats(0, 2), st.integers(2, 20), st.floats(0, 5),
+       st.floats(0, 25))
+def test_parity_blocks_are_affine_in_g_and_d(omega_c, omega_0, n_max, g, d):
+    def blocks(g, d):
+        cfg = ModelConfig(omega_c, omega_0, include_diamagnetic=True, d_override=d,
+                          trunc=FockTruncation(n_max))
+        return parity_blocks(cfg, [g])
+
+    h0 = blocks(0.0, 0.0)
+    affine = h0 + g * (blocks(1.0, 0.0) - h0) + d * (blocks(0.0, 1.0) - h0)
+    h = blocks(g, d)
+    assert np.max(np.abs(h - affine)) <= 1e-13 * np.max(np.abs(h))
+
+
+@PROPERTY
+@given(st.one_of(st.just(0.0), st.floats(0, 2)), st.floats(0, 5), st.integers(2, 20),
+       st.booleans())
+def test_ground_state_has_schmidt_rank_at_most_two(omega_0, g, n_max, dia):
+    cfg = ModelConfig(omega_0=omega_0, g=g, include_diamagnetic=dia,
+                      trunc=FockTruncation(n_max))
+    rho = ground_state(cfg).to_density()
+    cavity = partial_trace(rho, "cavity")
+    assert np.count_nonzero(np.linalg.eigvalsh(cavity.data) > 1e-12) <= 2
+    s_cavity = von_neumann_entropy(cavity)
+    assert abs(s_cavity - von_neumann_entropy(partial_trace(rho, "qubit"))) <= 1e-12
+    sweep = entropy_sweep(cfg, [g])
+    assert abs(s_cavity - (sweep.s_qrma if dia else sweep.s_qrm)[0]) <= 1e-12

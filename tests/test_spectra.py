@@ -145,6 +145,7 @@ def test_sweep_error_carries_grid_point():
         with pytest.raises(SweepError) as err:
             sweep_spectrum(cfg, grid, 2)
         assert err.value.g == bad
+        assert type(err.value.g) is float  # a numpy scalar would print as np.float64(...)
         assert repr(bad) in str(err.value)
     # D = g^2 overflows: the Hamiltonian is not finite
     dia = dataclasses.replace(cfg, include_diamagnetic=True)
@@ -166,7 +167,7 @@ def test_batched_solve_failure_names_the_grid_point():
     assert solve_parity_blocks(cfg, np.array([0.5, 1.0]), solver).shape == (2, 2, 4)
     with pytest.raises(SweepError) as err:
         solve_parity_blocks(cfg, np.array([0.5, 0.75, 1.0]), solver)
-    assert err.value.g == 0.75
+    assert err.value.g == 0.75 and type(err.value.g) is float
     assert isinstance(err.value.cause, np.linalg.LinAlgError)
 
 
