@@ -24,6 +24,9 @@ formats), builds the run's ``ModelConfig`` and, for wigner, its
 error.  Every result is written by one emitter, ``_emit``, in the formats
 its caller passes: tables and gnuplot surfaces through the ``output``
 writers, and SVG as the text of the ``plotting`` renderer the caller names.
+reproduce-paper computes nothing itself: each figure is a fresh spec of
+its command (``_figure``), run by that command's code, so its files equal
+the command's.  A flag, like a config key, must be spelled in full.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (including an array too large to allocate), 4 I/O failure.
@@ -83,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qrabi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _formats, _runner) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        # no abbreviated flags: a config key must be spelled in full too
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="key = value config file; flags override it")
         for key, field in _KEYS.items():
             option = field.metadata
@@ -133,11 +137,17 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     for key, value in given.items():
         choices = _KEYS[key].metadata["choices"]
         values[_KEYS[key].name] = choices[value] if choices else value
-    spec = ExperimentSpec(args.command, **values)
-    # a command that offers --levels defaults it to min(8, 2*nmax), as the preset does
-    if "levels" not in given and hasattr(args, "levels"):
-        spec = dataclasses.replace(spec, levels=min(spec.levels, 2 * spec.nmax))
+    spec = _new_spec(args.command, **values)
     _validate_spec(spec)
+    return spec
+
+
+def _new_spec(command: str, **values) -> ExperimentSpec:
+    """``command``'s spec of ``values`` (by field name) over the defaults; a
+    command that offers --levels gets min(8, 2*nmax) unless given one."""
+    spec = ExperimentSpec(command, **values)
+    if "levels" not in values and command in _KEYS["levels"].metadata["commands"]:
+        spec = dataclasses.replace(spec, levels=min(spec.levels, 2 * spec.nmax))
     return spec
 
 
@@ -155,7 +165,7 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         if isinstance(value, float) and not np.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
     try:
-        _model_config(spec, spec.g)
+        _model_config(spec)
         if spec.command == "wigner":
             _quadrature_grid(spec)
     except ValueError as exc:
@@ -175,17 +185,15 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(f"levels must be in [1, {2 * spec.nmax}]")
 
 
-def _model_config(
-    spec: ExperimentSpec, g: float = 0.0, dia: bool | None = None, nmax: int | None = None
-) -> ModelConfig:
-    """The spec's model at coupling ``g``; ``dia`` and ``nmax`` override the spec's."""
+def _model_config(spec: ExperimentSpec) -> ModelConfig:
+    """The spec's model; a sweep replaces its ``g`` with each grid point."""
     return ModelConfig(
         omega_c=spec.omega_c,
         omega_0=spec.omega_0,
-        g=g,
-        include_diamagnetic=spec.diamagnetic if dia is None else dia,
+        g=spec.g,
+        include_diamagnetic=spec.diamagnetic,
         d_override=spec.d_override,
-        trunc=FockTruncation(spec.nmax if nmax is None else nmax),
+        trunc=FockTruncation(spec.nmax),
     )
 
 
@@ -232,9 +240,9 @@ def _copy_wigner(out: Path, source: str, name: str, formats) -> None:
         )
 
 
-def _run_spectrum(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
+def _run_spectrum(spec: ExperimentSpec, out: Path, spec_doc: dict, name: str = "spectrum") -> None:
     sweep = sweep_spectrum(_model_config(spec), _g_grid(spec), spec.levels)
-    _emit(out, "spectrum", sweep, spectrum_table, spectrum_svg, spec_doc, spec.formats)
+    _emit(out, name, sweep, spectrum_table, spectrum_svg, spec_doc, spec.formats)
 
 
 def _run_crossings(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
@@ -243,13 +251,13 @@ def _run_crossings(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
     _emit(out, "crossings", reports, crossings_table, None, spec_doc, spec.formats)
 
 
-def _run_entropy(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
+def _run_entropy(spec: ExperimentSpec, out: Path, spec_doc: dict, name: str = "entropy") -> None:
     sweep = entropy_sweep(_model_config(spec), _g_grid(spec))
-    _emit(out, "entropy", sweep, entropy_table, entropy_svg, spec_doc, spec.formats)
+    _emit(out, name, sweep, entropy_table, entropy_svg, spec_doc, spec.formats)
 
 
 def _run_wigner(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
-    w = ground_state_wigner(_model_config(spec, spec.g), _quadrature_grid(spec))
+    w = ground_state_wigner(_model_config(spec), _quadrature_grid(spec))
     _emit(out, "wigner", w, wigner_table, wigner_svg, spec_doc, spec.formats)
 
 
@@ -258,58 +266,48 @@ def _g_label(g: float) -> str:
 
 
 def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
-    """Curated preset: resonance, n_max in {2, 15}, coupling sweeps over
-    [0, 3], Wigner panels at g in {0, 0.5, 1, 3, 7, 10}, 3D surfaces at
-    g = 10, and entropy sweeps for both truncations."""
-    grid_34 = np.linspace(0.0, 3.0, 201)
-
-    # fig1/fig2: spectra for both truncations and both model variants, in
-    # the formats the spectrum command offers (fig8 likewise), so no gnuplot
-    formats = [f for f in spec.formats if f in _COMMANDS["spectrum"][1]]
-    for name, nmax, dia in (
-        ("fig1a", 2, False),
-        ("fig1b", 2, True),
-        ("fig2a", 15, False),
-        ("fig2b", 15, True),
-    ):
-        sweep = sweep_spectrum(_model_config(spec, 0.0, dia, nmax), grid_34, min(8, 2 * nmax))
-        _emit(out, name, sweep, spectrum_table, spectrum_svg, spec_doc, formats)
-
+    """The preset at n_max in {2, 15}: spectra of both model variants (fig1,
+    fig2), Wigner panels (fig4-fig7, see ``_write_wigner_panels``) and
+    entropy sweeps (fig8); every JSON file echoes the preset's spec."""
+    for name, nmax, dia in (("fig1a", 2, False), ("fig1b", 2, True),
+                            ("fig2a", 15, False), ("fig2b", 15, True)):
+        _run_spectrum(_figure(spec, "spectrum", nmax=nmax, diamagnetic=dia), out, spec_doc, name)
     _write_wigner_panels(spec, out, spec_doc)
-
-    # fig8: entropy sweeps for both truncations
-    formats = [f for f in spec.formats if f in _COMMANDS["entropy"][1]]
     for name, nmax in (("fig8a", 2), ("fig8b", 15)):
-        sweep = entropy_sweep(_model_config(spec, 0.0, False, nmax), grid_34)
-        _emit(out, name, sweep, entropy_table, entropy_svg, spec_doc, formats)
+        _run_entropy(_figure(spec, "entropy", nmax=nmax), out, spec_doc, name)
+
+
+def _figure(spec: ExperimentSpec, command: str, **figure) -> ExperimentSpec:
+    """A preset figure as a fresh spec of ``command``: its defaults, with the
+    preset's omega_c, omega_0 and d_override, those of the preset's formats
+    that the command offers, and the ``figure``'s nmax, diamagnetic and g."""
+    formats = tuple(f for f in spec.formats if f in _COMMANDS[command][1])
+    return _new_spec(command, omega_c=spec.omega_c, omega_0=spec.omega_0,
+                     d_override=spec.d_override, formats=formats, **figure)
 
 
 def _write_wigner_panels(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
     """fig4/fig5: the preset's Wigner panels per coupling; fig6/fig7: the
     g = 10 surfaces, which are copies of the g = 10 panels.
 
-    All panels share one grid, so a panel with the W values of a written
-    panel is written as a copy of it.  A panel's key is the shape and bytes
-    of each part of its fold, so two panels share a key only when they are
-    bit-equal (-0.0 and 0.0 differ).  The keys, about 85 kB each, are freed
-    when this returns."""
-    quad = QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 201, 201)
+    All panels share the wigner command's default grid, so a panel with the
+    W values of a written panel is written as a copy of it.  A panel's key
+    is the shape and bytes of each part of its fold, so two panels share a
+    key only when they are bit-equal (-0.0 and 0.0 differ).  The keys,
+    about 85 kB each, are freed when this returns."""
     written: dict[tuple, str] = {}  # key -> name of the panel written with it
-    for name, surface, nmax, dia in (
-        ("fig4a", "fig6a", 2, False),
-        ("fig4b", "fig6b", 2, True),
-        ("fig5a", "fig7a", 15, False),
-        ("fig5b", "fig7b", 15, True),
-    ):
+    for name, surface, nmax, dia in (("fig4a", "fig6a", 2, False), ("fig4b", "fig6b", 2, True),
+                                     ("fig5a", "fig7a", 15, False), ("fig5b", "fig7b", 15, True)):
         for g in (0.0, 0.5, 1.0, 3.0, 7.0, 10.0):
-            w = ground_state_wigner(_model_config(spec, g, dia, nmax), quad)
+            fig = _figure(spec, "wigner", nmax=nmax, diamagnetic=dia, g=g)
+            w = ground_state_wigner(_model_config(fig), _quadrature_grid(fig))
             panel = f"{name}_g{_g_label(g)}"
             key = tuple((part.shape, part.tobytes()) for part in w.fold)
             source = written.setdefault(key, panel)
             if source == panel:
-                _emit(out, panel, w, wigner_table, wigner_svg, spec_doc, spec.formats)
+                _emit(out, panel, w, wigner_table, wigner_svg, spec_doc, fig.formats)
             else:
-                _copy_wigner(out, source, panel, spec.formats)
+                _copy_wigner(out, source, panel, fig.formats)
         _copy_wigner(out, f"{name}_g{_g_label(10.0)}", surface, spec.formats)
 
 

@@ -383,6 +383,44 @@ def test_flags_a_command_ignores_are_rejected(tmp_path, argv):
     assert not out.exists()
 
 
+def test_flags_may_not_be_abbreviated(tmp_path):
+    # a config key must be spelled in full (form = json is an unknown key), and
+    # so must a flag, or the two routes would accept different options
+    out = tmp_path / "abbreviated"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("spectrum", "--nmax", "2", "--form", "json", "--out", str(out))
+    assert exc.value.code == EXIT_CONFIG
+    cfg = tmp_path / "form.cfg"
+    cfg.write_text("form = json\n")
+    assert run_cli("spectrum", "--nmax", "2", "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+    out = tmp_path / "full"
+    assert run_cli("spectrum", "--nmax", "2", "--g-steps", "3", "--format", "json",
+                   "--out", str(out)) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "spectrum.json"]
+
+
+def test_each_preset_figure_is_its_command(tmp_path):
+    # at full size, a preset figure is its command at the defaults with the
+    # figure's n_max, variant and coupling; only the JSON files differ, as
+    # they echo the spec of the run
+    bundle = tmp_path / "bundle"
+    assert run_cli("reproduce-paper", "--format", "csv,svg,gnuplot",
+                   "--out", str(bundle)) == EXIT_OK
+    for figure, argv, formats, suffixes in [
+        ("fig1b", ["spectrum", "--nmax", "2", "--diamagnetic", "on"], "csv,svg", [".csv", ".svg"]),
+        ("fig2a", ["spectrum"], "csv", [".csv"]),
+        ("fig8a", ["entropy", "--nmax", "2"], "csv,svg", [".csv", ".svg"]),
+        ("fig5b_g3", ["wigner", "--g", "3", "--diamagnetic", "on"], "csv,svg,gnuplot",
+         [".csv", ".svg", ".dat"]),
+    ]:
+        out = tmp_path / figure
+        assert run_cli(*argv, "--format", formats, "--out", str(out)) == EXIT_OK, figure
+        for suffix in suffixes:
+            assert (bundle / f"{figure}{suffix}").read_bytes() == \
+                (out / f"{argv[0]}{suffix}").read_bytes(), figure + suffix
+
+
 def test_diamagnetic_config_value_is_on_or_off(tmp_path):
     for value, expected in (("yes", None), ("true", None), ("on", True), ("ON", True),
                             ("off", False)):

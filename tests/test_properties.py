@@ -1,6 +1,7 @@
 """Properties of the Wigner grid's fold and of its table writers, checked on
 grids that hypothesis draws and shrinks (down to 2 x 2), and of the
-Hamiltonian and its ground state, checked on drawn model parameters."""
+Hamiltonian and its ground state (affinity, Schmidt rank, definite parity),
+checked on drawn model parameters."""
 
 import json
 import tempfile
@@ -27,11 +28,19 @@ with warnings.catch_warnings():
 
 from qrabi.entanglement import (  # noqa: E402
     entropy_sweep,
+    expectation,
     ground_state,
     partial_trace,
     von_neumann_entropy,
 )
-from qrabi.model import FockTruncation, ModelConfig, parity_blocks  # noqa: E402
+from qrabi.model import (  # noqa: E402
+    FockTruncation,
+    build_full,
+    ModelConfig,
+    parity_blocks,
+    parity_operator,
+)
+from qrabi.spectra import parity_ground_states  # noqa: E402
 from qrabi.output import wigner_table, write_csv, write_gnuplot, write_json  # noqa: E402
 from qrabi.wigner import QuadratureGrid, WignerGrid  # noqa: E402
 
@@ -124,3 +133,28 @@ def test_ground_state_has_schmidt_rank_at_most_two(omega_0, g, n_max, dia):
     assert abs(s_cavity - von_neumann_entropy(partial_trace(rho, "qubit"))) <= 1e-12
     sweep = entropy_sweep(cfg, [g])
     assert abs(s_cavity - (sweep.s_qrma if dia else sweep.s_qrm)[0]) <= 1e-12
+
+
+@PROPERTY
+@given(st.one_of(st.just(0.0), st.floats(0, 2)), st.floats(0, 5), st.integers(2, 20),
+       st.booleans())
+def test_ground_state_has_definite_parity(omega_0, g, n_max, dia):
+    cfg = ModelConfig(omega_0=omega_0, g=g, include_diamagnetic=dia,
+                      trunc=FockTruncation(n_max))
+    state = ground_state(cfg)
+    parity = parity_ground_states(cfg, np.array([g])).parity[0]
+    assert parity in (-1, 1)
+    assert abs(expectation(parity_operator(cfg.trunc), state) - parity) <= 1e-12
+    # the lowest level of each parity block, -1 then +1; the ground state
+    # lies in the lower one, so at omega_0 = 0, where the blocks are equal,
+    # the tie goes to parity -1
+    lowest = np.linalg.eigvalsh(parity_blocks(cfg, [g]))[:, 0, 0]
+    tol = 1e-12 * (1.0 + abs(state.energy))
+    assert abs(state.energy - lowest.min()) <= tol
+    assert abs(lowest[(parity + 1) // 2] - state.energy) <= tol
+    # and so is the state's own <H>
+    h = build_full(cfg)
+    psi = state.amplitudes.real
+    assert abs(psi @ h @ psi - lowest.min()) <= 1e-12 * np.abs(h).max()
+    if omega_0 == 0.0:
+        assert parity == -1
