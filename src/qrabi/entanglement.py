@@ -141,8 +141,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
             f"density matrix has eigenvalue {lam[0]:.3e} < -{REJECT_NEGATIVE:g}; not PSD"
         )
     lam = lam[lam > 0.0]
-    if lam.size == 0:
-        return 0.0
     # clamp at 0: eigenvalues a rounding step above 1 would otherwise
     # produce a tiny negative entropy
     return float(max(0.0, -(lam * np.log2(lam)).sum()))

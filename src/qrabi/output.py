@@ -14,20 +14,19 @@ float repr: integer-valued floats end in ``.0`` (CSV ``-6``, JSON
 columns are ``1``/``0`` in CSV and ``true``/``false`` in JSON.
 
 Tables are held column-wise (:class:`Column`, :class:`Rows`).  A column's
-distinct values are found by one sort and each is formatted once; its
-per-row cell list is built once and shared by the CSV writer and the
-gnuplot data file.  Its JSON cells are the CSV cells except for the few
-that :func:`_json_number` rewrites (integer-valued, ``e+``, ``e-3xx`` and
-non-finite cells), so a column where none is rewritten reuses the CSV
-list.  A Wigner table's w column is its grid's folded quadrant
-(``WignerGrid.fold``): on a mirror-symmetric grid the sort and the
-formatting see a quarter of the points, and the quadrant's cells are
-gathered to every row through the two mirror indices.
+cells are an object array in its values' shape, formatted once and shared
+by the CSV writer and the gnuplot data file.  Its JSON cells are the CSV
+cells except for the few that :func:`_json_number` rewrites
+(integer-valued, ``e+``, ``e-3xx`` and non-finite cells), so a column
+where none is rewritten reuses the CSV cells.  A Wigner table's w column
+is its grid's folded quadrant (``WignerGrid.fold``): on a
+mirror-symmetric grid the formatting sees a quarter of the points.
 
 A table body is an iterator of strings.  A Wigner table yields one string
 per p row, joined from one reusable row of q, p and w pieces: its q pieces
 are the grid's, cached per grid and format, and each row puts in its p
-piece and its slice of the panel's w cells.  The writers pass
+piece and its w cells: the quadrant row its mirror index names, gathered
+to the q columns once for CSV and once for JSON cells.  The writers pass
 header, rows and tail to the file as they come, so no text of a whole
 Wigner table is ever held.  The CLI writes a panel equal to a written one
 as a copy.
@@ -75,48 +74,26 @@ def _json_number(cell: str) -> str:
 
 
 class Column:
-    """One typed table column: float64, integer or bool values.
+    """One typed table column: float64, integer or bool values, in any shape."""
 
-    ``Column(quadrant, (ip, iq))`` is the column of a folded grid (see
-    ``WignerGrid.fold``): its rows are ``quadrant[np.ix_(ip, iq)]`` in
-    row-major order, and only the quadrant is sorted and formatted."""
-
-    def __init__(self, values, index: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    def __init__(self, values) -> None:
         self.values = np.asarray(values)
-        self.index = index
 
     def __len__(self) -> int:
-        return self.values.size if self.index is None else self.index[0].size * self.index[1].size
+        return self.values.size
 
     @functools.cached_property
-    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct values in ascending order and the index of each value's
-        one, in the shape of ``values``."""
-        values = self.values if self.values.dtype.kind in "biu" else self.values + 0.0
-        distinct, inverse = np.unique(values, return_inverse=True)  # + 0.0 canonicalizes -0.0
-        return distinct, inverse.reshape(values.shape)
+    def _csv_cells(self) -> np.ndarray:
+        v = self.values
+        fmt, v = ("%d\n", v) if v.dtype.kind in "biu" else ("%.12g\n", v + 0.0)  # -0.0 -> 0
+        text = (fmt * v.size % tuple(v.ravel().tolist())).splitlines()
+        return np.array(text, dtype=object).reshape(v.shape)
 
     @functools.cached_property
-    def _text(self) -> list[str]:
-        """CSV cell of each distinct value, each formatted once."""
-        distinct = self._distinct[0]
-        fmt = "%d\n" if distinct.dtype.kind in "biu" else "%.12g\n"
-        return (fmt * distinct.size % tuple(distinct.tolist())).splitlines()
-
-    def _expand(self, text: list[str]) -> list[str]:
-        cells = np.array(text, dtype=object)[self._distinct[1]]
-        # a folded grid gathers its cells, not a full-grid index, by (ip, iq)
-        return (cells if self.index is None else cells[np.ix_(*self.index)]).ravel().tolist()
-
-    @functools.cached_property
-    def _csv_cells(self) -> list[str]:
-        return self._expand(self._text)
-
-    @functools.cached_property
-    def _json_cells(self) -> list[str]:
+    def _json_cells(self) -> np.ndarray:
         kind = self.values.dtype.kind
         if kind == "b":
-            return self._expand(["true" if c == "1" else "false" for c in self._text])
+            return np.where(self.values, "true", "false").astype(object)
         if kind in "iu":
             return self._csv_cells
         # _json_number rewrites only integer-valued, "e+", "e-3xx" and
@@ -125,18 +102,19 @@ class Column:
         # value by under 5e-12 of its size, and every value from 5e9 up
         # passes, which covers all "e+" cells), values below 1e-298, and
         # nan and infinities, set to 0 here
-        x = self._distinct[0]
-        x = np.where(np.isfinite(x), x, 0.0)
+        x = np.where(np.isfinite(self.values), self.values, 0.0)
         size = np.abs(x)
         rewrite = (size < 1e-298) | (np.abs(x - np.rint(x)) <= 1e-10 * size)
-        text = list(self._text)
-        for i in np.flatnonzero(rewrite).tolist():
-            text[i] = _json_number(text[i])
-        return self._csv_cells if text == self._text else self._expand(text)
+        if not rewrite.any():
+            return self._csv_cells
+        cells = self._csv_cells.copy()
+        cells[rewrite] = [_json_number(c) for c in cells[rewrite]]
+        return cells
 
-    def cells(self, json_numbers: bool = False) -> list[str]:
-        """Cell text of every row, as CSV or as JSON numbers; the list is
-        built once per column and shared, so callers must not change it."""
+    def cells(self, json_numbers: bool = False) -> np.ndarray:
+        """Cell text of every value, as CSV or as JSON numbers, in an object
+        array of the values' shape; it is built once per column and shared,
+        so callers must not change it."""
         return self._json_cells if json_numbers else self._csv_cells
 
 
@@ -158,7 +136,7 @@ class Rows:
         """Rows as csv, json or dat text, without header, brackets or final
         newline, as one string."""
         sep, row_sep, _, json_numbers = _BODY[fmt]
-        rows = zip(*(c.cells(json_numbers) for c in self.columns))
+        rows = zip(*(c.cells(json_numbers).tolist() for c in self.columns))
         yield row_sep.join(map(sep.join, rows))
 
 
@@ -167,8 +145,9 @@ class _GridRows:
 
     def __init__(self, w: WignerGrid) -> None:
         self.grid = w.grid
-        quadrant, ip, iq = w.fold
-        self.w = Column(quadrant, (ip, iq))
+        quadrant, self.ip, self.iq = w.fold
+        self.w = Column(quadrant)
+        self._w_rows: dict[bool, list[list[str]]] = {}
 
     def __len__(self) -> int:
         return self.grid.n_q * self.grid.n_p
@@ -179,14 +158,18 @@ class _GridRows:
         block_sep, json_numbers = _BODY[fmt][2:]
         q, p = _axis_pieces(self.grid, fmt)
         n_q = len(q)
-        cells = self.w.cells(json_numbers)
+        # the w cells of each quadrant row, gathered to the n_q columns
+        # once per flavour; p row i is quadrant row ip[i]
+        w_rows = self._w_rows.get(json_numbers)
+        if w_rows is None:
+            w_rows = self._w_rows[json_numbers] = self.w.cells(json_numbers)[:, self.iq].tolist()
         row: list[str | None] = [None] * (3 * n_q)  # a q, a p and a w piece per point
         row[0::3] = q
-        for i, pc in enumerate(p):
+        for i, (pc, k) in enumerate(zip(p, self.ip.tolist())):
             if i:
                 yield block_sep
             row[1::3] = [pc] * n_q
-            row[2::3] = cells[i * n_q:(i + 1) * n_q]
+            row[2::3] = w_rows[k]
             yield "".join(row)
 
 

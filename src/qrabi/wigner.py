@@ -128,17 +128,14 @@ def _laguerre_series(level: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarra
 
     without forming factorials or individual polynomials.
     """
-    if len(coeffs) == 1:
-        y0, y1 = coeffs[0], 0.0
-    else:
-        k = len(coeffs)
-        y0, y1 = coeffs[-2], coeffs[-1]
-        for i in range(3, len(coeffs) + 1):
-            k -= 1
-            y0, y1 = (
-                coeffs[-i] - y1 * np.sqrt(((k - 1.0) * (level + k - 1.0)) / ((level + k) * k)),
-                y0 - y1 * ((level + 2.0 * k - 1.0) - x) / np.sqrt((level + k) * k),
-            )
+    k = len(coeffs)  # at least 2: _clenshaw passes diagonals level <= n - 2
+    y0, y1 = coeffs[-2], coeffs[-1]
+    for i in range(3, len(coeffs) + 1):
+        k -= 1
+        y0, y1 = (
+            coeffs[-i] - y1 * np.sqrt(((k - 1.0) * (level + k - 1.0)) / ((level + k) * k)),
+            y0 - y1 * ((level + 2.0 * k - 1.0) - x) / np.sqrt((level + k) * k),
+        )
     return y0 - y1 * ((level + 1.0) - x) / np.sqrt(level + 1.0)
 
 

@@ -456,6 +456,23 @@ def test_repeated_format_is_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (("spectrum", "--config", "{tmp}/missing.cfg"), None, "cannot read config file"),
+    (("spectrum", "--config", "{tmp}/bad.cfg"), "nmax = x\n", "bad value for nmax: 'x'"),
+    (("spectrum", "--format", ","), None, "at least one output format is required"),
+    (("crossings", "--g-steps", "2"), None, "crossings needs at least 3 grid points"),
+], ids=["missing_config", "bad_config_value", "no_format", "crossings_two_points"])
+def test_configuration_error_messages(tmp_path, capsys, argv, config, message):
+    # each is refused with exit 2 and its message before any output is written
+    if config is not None:
+        (tmp_path / "bad.cfg").write_text(config)
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run_cli(*argv, "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"qrabi: configuration error: {message}")
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_out():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

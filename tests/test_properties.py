@@ -1,4 +1,5 @@
-"""Properties of the Wigner grid's fold and of its table writers, checked on
+"""Properties of the Wigner grid's fold and of its table writers (their bytes
+against the per-cell reference writers of ``test_output``), checked on
 grids that hypothesis draws and shrinks (down to 2 x 2), and of the
 Hamiltonian and its ground state (affinity, Schmidt rank, definite parity),
 checked on drawn model parameters."""
@@ -43,6 +44,7 @@ from qrabi.model import (  # noqa: E402
 from qrabi.spectra import parity_ground_states  # noqa: E402
 from qrabi.output import wigner_table, write_csv, write_gnuplot, write_json  # noqa: E402
 from qrabi.wigner import QuadratureGrid, WignerGrid  # noqa: E402
+from test_output import ref_csv, ref_dat, ref_json  # noqa: E402
 
 # no example database: a run leaves no files behind
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
@@ -79,19 +81,36 @@ def test_fold_reproduces_the_values(w):
         assert quadrant is v
 
 
-def parsed_tables(w: WignerGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The q, p, w cells of the CSV, JSON and .dat files of ``w``'s table,
-    parsed as floats, one row per table row."""
+def written_tables(w: WignerGrid) -> tuple[bytes, bytes, bytes]:
+    """The bytes of the CSV, JSON and .dat files of ``w``'s table."""
     columns, rows = wigner_table(w)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         write_csv(out / "t.csv", columns, rows)
         write_json(out / "t.json", {}, columns, rows)
         write_gnuplot(out / "t.gp", rows)
-        csv = [line.split(",") for line in (out / "t.csv").read_text().splitlines()[1:]]
-        doc = json.loads((out / "t.json").read_text())
-        dat = [line.split() for line in (out / "t.dat").read_text().splitlines() if line]
-    return tuple(np.array(cells, dtype=float) for cells in (csv, doc["rows"], dat))
+        return tuple((out / name).read_bytes() for name in ("t.csv", "t.json", "t.dat"))
+
+
+def parsed_tables(w: WignerGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The q, p, w cells of the CSV, JSON and .dat files of ``w``'s table,
+    parsed as floats, one row per table row."""
+    csv, js, dat = (b.decode() for b in written_tables(w))
+    csv = [line.split(",") for line in csv.splitlines()[1:]]
+    dat = [line.split() for line in dat.splitlines() if line]
+    return tuple(np.array(cells, dtype=float) for cells in (csv, json.loads(js)["rows"], dat))
+
+
+@PROPERTY
+@given(wigner_grids())
+def test_csv_json_and_dat_bytes_equal_the_per_cell_reference(w):
+    # every row's w cells come from the folded quadrant, gathered through
+    # the mirror indices; the per-cell writers format each point on its own
+    columns = ["q", "p", "w"]
+    rows = [[qv, pv, w.values[i, j]] for i, pv in enumerate(w.grid.p_axis())
+            for j, qv in enumerate(w.grid.q_axis())]
+    assert written_tables(w) == (ref_csv(columns, rows).encode(),
+                                 ref_json({}, columns, rows).encode(), ref_dat(w).encode())
 
 
 @PROPERTY
