@@ -26,7 +26,9 @@ its caller passes: tables and gnuplot surfaces through the ``output``
 writers, and SVG as the text of the ``plotting`` renderer the caller names.
 reproduce-paper computes nothing itself: each figure is a fresh spec of
 its command (``_figure``), run by that command's code, so its files equal
-the command's.  A flag, like a config key, must be spelled in full.
+the command's; ``_run_wigner`` writes a panel whose fold is bit-equal to
+that of a panel already written in the run as a copy of it.  A flag, like
+a config key, must be spelled in full.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (including an array too large to allocate), 4 I/O failure.
@@ -256,9 +258,20 @@ def _run_entropy(spec: ExperimentSpec, out: Path, spec_doc: dict, name: str = "e
     _emit(out, name, sweep, entropy_table, entropy_svg, spec_doc, spec.formats)
 
 
-def _run_wigner(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
+def _run_wigner(spec: ExperimentSpec, out: Path, spec_doc: dict, name: str = "wigner",
+                written: dict | None = None) -> None:
+    """The panel ``name``; with ``written``, a registry of the panels written
+    so far, a panel bit-equal to one of them is written as a copy of it.  A
+    panel's key is the shape and bytes of each part of its fold, so two
+    panels share a key only when they are bit-equal (-0.0 and 0.0 differ)."""
     w = ground_state_wigner(_model_config(spec), _quadrature_grid(spec))
-    _emit(out, "wigner", w, wigner_table, wigner_svg, spec_doc, spec.formats)
+    source = name
+    if written is not None:
+        source = written.setdefault(tuple((part.shape, part.tobytes()) for part in w.fold), name)
+    if source == name:
+        _emit(out, name, w, wigner_table, wigner_svg, spec_doc, spec.formats)
+    else:
+        _copy_wigner(out, source, name, spec.formats)
 
 
 def _g_label(g: float) -> str:
@@ -267,12 +280,20 @@ def _g_label(g: float) -> str:
 
 def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
     """The preset at n_max in {2, 15}: spectra of both model variants (fig1,
-    fig2), Wigner panels (fig4-fig7, see ``_write_wigner_panels``) and
-    entropy sweeps (fig8); every JSON file echoes the preset's spec."""
+    fig2), Wigner panels (fig4, fig5) with copies of the g = 10 panels as
+    surfaces (fig6, fig7), and entropy sweeps (fig8); every JSON file
+    echoes the preset's spec."""
     for name, nmax, dia in (("fig1a", 2, False), ("fig1b", 2, True),
                             ("fig2a", 15, False), ("fig2b", 15, True)):
         _run_spectrum(_figure(spec, "spectrum", nmax=nmax, diamagnetic=dia), out, spec_doc, name)
-    _write_wigner_panels(spec, out, spec_doc)
+    written: dict[tuple, str] = {}  # panel key -> name of the panel written with it
+    for name, surface, nmax, dia in (("fig4a", "fig6a", 2, False), ("fig4b", "fig6b", 2, True),
+                                     ("fig5a", "fig7a", 15, False), ("fig5b", "fig7b", 15, True)):
+        for g in (0.0, 0.5, 1.0, 3.0, 7.0, 10.0):
+            _run_wigner(_figure(spec, "wigner", nmax=nmax, diamagnetic=dia, g=g), out, spec_doc,
+                        f"{name}_g{_g_label(g)}", written)
+        _copy_wigner(out, f"{name}_g{_g_label(10.0)}", surface, spec.formats)
+    del written  # its keys, about 85 kB a panel, are not held through fig8
     for name, nmax in (("fig8a", 2), ("fig8b", 15)):
         _run_entropy(_figure(spec, "entropy", nmax=nmax), out, spec_doc, name)
 
@@ -284,31 +305,6 @@ def _figure(spec: ExperimentSpec, command: str, **figure) -> ExperimentSpec:
     formats = tuple(f for f in spec.formats if f in _COMMANDS[command][1])
     return _new_spec(command, omega_c=spec.omega_c, omega_0=spec.omega_0,
                      d_override=spec.d_override, formats=formats, **figure)
-
-
-def _write_wigner_panels(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
-    """fig4/fig5: the preset's Wigner panels per coupling; fig6/fig7: the
-    g = 10 surfaces, which are copies of the g = 10 panels.
-
-    All panels share the wigner command's default grid, so a panel with the
-    W values of a written panel is written as a copy of it.  A panel's key
-    is the shape and bytes of each part of its fold, so two panels share a
-    key only when they are bit-equal (-0.0 and 0.0 differ).  The keys,
-    about 85 kB each, are freed when this returns."""
-    written: dict[tuple, str] = {}  # key -> name of the panel written with it
-    for name, surface, nmax, dia in (("fig4a", "fig6a", 2, False), ("fig4b", "fig6b", 2, True),
-                                     ("fig5a", "fig7a", 15, False), ("fig5b", "fig7b", 15, True)):
-        for g in (0.0, 0.5, 1.0, 3.0, 7.0, 10.0):
-            fig = _figure(spec, "wigner", nmax=nmax, diamagnetic=dia, g=g)
-            w = ground_state_wigner(_model_config(fig), _quadrature_grid(fig))
-            panel = f"{name}_g{_g_label(g)}"
-            key = tuple((part.shape, part.tobytes()) for part in w.fold)
-            source = written.setdefault(key, panel)
-            if source == panel:
-                _emit(out, panel, w, wigner_table, wigner_svg, spec_doc, fig.formats)
-            else:
-                _copy_wigner(out, source, panel, fig.formats)
-        _copy_wigner(out, f"{name}_g{_g_label(10.0)}", surface, spec.formats)
 
 
 # command -> (help text, the formats its --format accepts, runner); the

@@ -99,12 +99,12 @@ class GroundStates:
 
     ``psi[i]`` holds the n_max amplitudes of the ground state at point i in
     the chain basis of ``model.parity_blocks``: the lowest vector of the
-    sector whose lowest level is lower, with ties going to parity -1
-    (``ground_sector``).  So ``parity[i]`` (+1 or -1) is definite even in a
-    degenerate doublet.  ``levels[i]`` holds every level of both blocks in
-    ascending order, the ground energy first.  ``quasi_degenerate[i]`` is
-    set when the two lowest levels agree to within ``DEGENERACY_RTOL``
-    relative (the large-g parity doublet).
+    sector whose lowest level is lower, with a quasi-degenerate doublet
+    going to parity -1 (``ground_sector``).  So ``parity[i]`` (+1 or -1) is
+    definite even in a degenerate doublet.  ``levels[i]`` holds every level
+    of both blocks in ascending order, the ground energy first.
+    ``quasi_degenerate[i]`` is set when the two lowest levels agree to
+    within ``DEGENERACY_RTOL`` relative (the large-g parity doublet).
     """
 
     psi: np.ndarray
@@ -133,9 +133,21 @@ def solve_parity_blocks(base: ModelConfig, grid: np.ndarray, solver):
         raise
 
 
+def _degeneracy_band(e0: np.ndarray) -> np.ndarray:
+    """Levels closer than this to the ground energy ``e0`` are quasi-degenerate."""
+    return DEGENERACY_RTOL * (1.0 + np.abs(e0))
+
+
 def ground_sector(values: np.ndarray) -> np.ndarray:
-    """Ground sector per point of ``solve_parity_blocks`` levels; ties go to parity -1."""
-    return np.argmin(values[:, :, 0], axis=0)
+    """Ground sector per point of ``solve_parity_blocks`` levels: 1 (parity
+    +1) only where its lowest level is lower than parity -1's by more than
+    the quasi-degeneracy band, else 0.  Inside the band, ties included, the
+    sign of the gap is rounding, and the sector is parity -1's: that of the
+    g = 0 ground state, and for omega_0 > 0 of the ground state at every g,
+    which never crosses another level (M. Hirokawa & F. Hiroshima, Commun.
+    Stoch. Anal. 8, 551 (2014))."""
+    minus, plus = values[:, :, 0]
+    return (minus - plus > _degeneracy_band(np.minimum(minus, plus))).astype(np.intp)
 
 
 def parity_ground_states(base: ModelConfig, grid: np.ndarray) -> GroundStates:
@@ -144,7 +156,7 @@ def parity_ground_states(base: ModelConfig, grid: np.ndarray) -> GroundStates:
     sector = ground_sector(values)
     levels = np.sort(np.hstack(values), axis=1)
     e0, e1 = levels[:, :2].T
-    flagged = (e1 - e0) < DEGENERACY_RTOL * (1.0 + np.abs(e0))
+    flagged = (e1 - e0) < _degeneracy_band(e0)
     psi = vectors[sector, np.arange(grid.size), :, 0]
     return GroundStates(psi, 2 * sector - 1, levels, flagged)
 

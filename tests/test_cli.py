@@ -403,22 +403,32 @@ def test_flags_may_not_be_abbreviated(tmp_path):
 def test_each_preset_figure_is_its_command(tmp_path):
     # at full size, a preset figure is its command at the defaults with the
     # figure's n_max, variant and coupling; only the JSON files differ, as
-    # they echo the spec of the run
+    # they echo the spec of the run, and a gnuplot script, as it names its
+    # own data file.  Copied panels are pinned too: fig4b_g3 is a copy of
+    # fig4a_g3, fig5a_g0 of the vacuum fig4a_g0 and the surface fig7b of
+    # fig5b_g10
     bundle = tmp_path / "bundle"
     assert run_cli("reproduce-paper", "--format", "csv,svg,gnuplot",
                    "--out", str(bundle)) == EXIT_OK
+    panel = [".csv", ".svg", ".dat"]
     for figure, argv, formats, suffixes in [
         ("fig1b", ["spectrum", "--nmax", "2", "--diamagnetic", "on"], "csv,svg", [".csv", ".svg"]),
         ("fig2a", ["spectrum"], "csv", [".csv"]),
         ("fig8a", ["entropy", "--nmax", "2"], "csv,svg", [".csv", ".svg"]),
-        ("fig5b_g3", ["wigner", "--g", "3", "--diamagnetic", "on"], "csv,svg,gnuplot",
-         [".csv", ".svg", ".dat"]),
+        ("fig5b_g3", ["wigner", "--g", "3", "--diamagnetic", "on"], "csv,svg,gnuplot", panel),
+        ("fig4b_g3", ["wigner", "--g", "3", "--nmax", "2", "--diamagnetic", "on"],
+         "csv,svg,gnuplot", panel),
+        ("fig5a_g0", ["wigner", "--g", "0"], "csv,svg,gnuplot", panel),
+        ("fig7b", ["wigner", "--g", "10", "--diamagnetic", "on"], "csv,svg,gnuplot",
+         panel + [".gp"]),
     ]:
         out = tmp_path / figure
         assert run_cli(*argv, "--format", formats, "--out", str(out)) == EXIT_OK, figure
         for suffix in suffixes:
-            assert (bundle / f"{figure}{suffix}").read_bytes() == \
-                (out / f"{argv[0]}{suffix}").read_bytes(), figure + suffix
+            expected = (out / f"{argv[0]}{suffix}").read_bytes()
+            if suffix == ".gp":
+                expected = expected.replace(b"wigner.dat", f"{figure}.dat".encode())
+            assert (bundle / f"{figure}{suffix}").read_bytes() == expected, figure + suffix
 
 
 def test_diamagnetic_config_value_is_on_or_off(tmp_path):

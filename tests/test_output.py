@@ -397,7 +397,7 @@ def assert_wigner_files_match_reference(tmp_path, w, spec=SPEC):
     assert_heatmap_matches_reference(wigner_svg(w), w)
 
 
-def skeleton_grids():
+def streamed_grids():
     rng = np.random.default_rng(5)
     qrm = ModelConfig(g=1.0, trunc=FockTruncation(15))
     return [
@@ -411,17 +411,18 @@ def skeleton_grids():
     ]
 
 
-@pytest.mark.parametrize("w", skeleton_grids())
-def test_wigner_skeleton_writers_match_reference(tmp_path, w):
+@pytest.mark.parametrize("w", streamed_grids())
+def test_streamed_wigner_rows_match_per_cell_reference(tmp_path, w):
     # every Wigner format is streamed one p row at a time from the grid's
     # q and p pieces and the panel's w cells; the per-cell writers above
     # are the reference
     assert_wigner_files_match_reference(tmp_path, w)
 
 
-def test_skeletons_follow_grid_bounds(tmp_path):
-    # same shape, different bounds, written alternately: q and p pieces cached
-    # under the wrong key would give one grid the other's q, p or geometry
+def test_axis_pieces_are_cached_per_grid_bounds(tmp_path):
+    # output._axis_pieces caches a grid's q and p pieces by its bounds and
+    # shape; two grids of one shape and different bounds, written alternately,
+    # would read the other's q and p pieces if the key left the bounds out
     rng = np.random.default_rng(9)
     grids = [QuadratureGrid(-2.0, 2.0, -1.0, 1.0, 5, 4), QuadratureGrid(-1.0, 3.0, 0.5, 2.5, 5, 4)]
     for grid in grids * 2:

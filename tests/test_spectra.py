@@ -248,7 +248,35 @@ def test_truncation_check_top_fock_of_definite_parity_ground_state():
 
 
 def test_ground_sector_picks_lower_block_and_breaks_ties_to_parity_minus_one():
-    # (2 sectors, 3 grid points, 2 levels): lower in -1, lower in +1, exact tie
-    values = np.array([[[0.0, 5.0], [1.0, 2.0], [3.0, 4.0]],
-                       [[1.0, 2.0], [0.5, 9.0], [3.0, 3.5]]])
-    assert ground_sector(values).tolist() == [0, 1, 0]
+    # (2 sectors, 6 grid points, 2 levels): lower in -1, lower in +1, exact
+    # tie; then +1 lower by 0.5, -1.5 and 2.5 times the band 1e-10 (1 + |E0|)
+    # at E0 = -2: a lead inside the band is rounding and goes to -1 as well
+    band = 1e-10 * (1.0 + 2.0)
+    near = [[-2.0 + k * band, 0.0] for k in (0.5, -1.5, 2.5)]
+    values = np.array([[[0.0, 5.0], [1.0, 2.0], [3.0, 4.0], *near],
+                       [[1.0, 2.0], [0.5, 9.0], [3.0, 3.5], *[[-2.0, 0.0]] * 3]])
+    assert ground_sector(values).tolist() == [0, 1, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("n_max, omega_0, dia, grid, n_flagged", [
+    # eigh's P+ - P- is -2.8e-14, -1.4e-14 (n_max = 200) and +3.6e-15,
+    # +6.4e-14 (n_max = 100), far inside the band
+    (200, 1.0, False, [6.0, 10.0], 2),
+    (100, 1.0, False, [5.0, 7.0], 2),
+    # deep-strong sweeps; at n_max = 100 truncation splits the doublet from
+    # g = 8.5 on, so only its first points must be flagged
+    (100, 1.0, False, np.linspace(4.0, 10.0, 25), 10),
+    (200, 1.0, False, np.linspace(4.0, 12.0, 33), 33),
+    # omega_0 = 0 makes both blocks equal: an exact tie at every g (the QRM's
+    # is in test_parity_sector_tie_rule)
+    (8, 0.0, True, np.linspace(0.0, 3.0, 7), 7),
+], ids=["nmax200", "nmax100", "sweep_nmax100", "sweep_nmax200", "tie_dia"])
+def test_every_quasi_degenerate_point_has_parity_minus_one(n_max, omega_0, dia, grid,
+                                                           n_flagged):
+    # for omega_0 > 0 the ground state never crosses another level, so its
+    # parity is that of g = 0 (Hirokawa & Hiroshima 2014); within a doublet
+    # too narrow to order, that theorem and not rounding picks the sector
+    cfg = ModelConfig(omega_0=omega_0, include_diamagnetic=dia, trunc=FockTruncation(n_max))
+    ground = parity_ground_states(cfg, np.asarray(grid))
+    assert ground.quasi_degenerate[:n_flagged].all()
+    assert np.all(ground.parity[ground.quasi_degenerate] == -1)
