@@ -43,7 +43,10 @@ class PureState:
 
     ``quasi_degenerate`` is set when the state was extracted from a
     nearly degenerate ground doublet, in which case observables derived
-    from it are sensitive to tiny perturbations.
+    from it are sensitive to tiny perturbations.  ``energy``, when given by
+    ``ground_state``, is the lowest level of the spectrum; in such a
+    doublet the state's own <H> can exceed it by up to
+    ``spectra.DEGENERACY_RTOL * (1 + |energy|)``.
     """
 
     amplitudes: np.ndarray
@@ -98,7 +101,9 @@ def ground_state(cfg: ModelConfig) -> PureState:
     ``spectra.parity_ground_states``, so its parity is definite even in a
     degenerate doublet, with the global phase fixed by making the
     largest-magnitude amplitude positive.  Energy and flag come from the
-    same record.
+    same record: the energy is the lowest level of either parity block, so
+    where ``quasi_degenerate`` is set and the state is parity -1's, its
+    <H> can be higher by up to ``DEGENERACY_RTOL * (1 + |energy|)``.
     """
     ground = parity_ground_states(cfg, np.array([cfg.g]))
     n = np.arange(cfg.trunc.n_max)

@@ -18,6 +18,7 @@ The solvers use the two real parity blocks of H (``parity_blocks``);
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "FockTruncation",
     "ModelConfig",
     "diamagnetic_constant",
+    "bogoliubov_map",
     "build_full",
     "parity_blocks",
     "parity_operator",
@@ -87,6 +89,28 @@ def _diamagnetic(cfg: ModelConfig, g: np.ndarray) -> np.ndarray:
 def diamagnetic_constant(cfg: ModelConfig) -> float:
     """Diamagnetic coupling constant D for the given configuration."""
     return float(_diamagnetic(cfg, np.asarray(cfg.g, dtype=float)))
+
+
+def bogoliubov_map(cfg: ModelConfig) -> tuple[ModelConfig, float, float]:
+    """``(qrm, shift, squeeze)``: the QRM that ``cfg`` without its Fock cutoff
+    is unitarily equivalent to (C. Nataf & C. Ciuti, Nat. Commun. 1, 72
+    (2010)).
+
+    omega_c a†a + D (a + a†)^2 is an oscillator of frequency
+    omega' = sqrt(omega_c^2 + 4 D omega_c) squeezed on the cavity alone, so
+    the untruncated QRMA has the levels of ``qrm`` (omega', the same omega_0
+    and cutoff, g' = g sqrt(omega_c / omega'), no A^2 term) plus ``shift``
+    = (omega' - omega_c) / 2, parity by parity, and the same qubit entropy.
+    Its Wigner function is W_QRMA(q, p) = W_qrm(s q, p / s) with ``squeeze``
+    s = sqrt(omega' / omega_c).  D is ``diamagnetic_constant(cfg)``; without
+    the A^2 term the map is the identity: ``(cfg, 0.0, 1.0)``.
+    """
+    if not cfg.include_diamagnetic:
+        return cfg, 0.0, 1.0
+    omega = math.sqrt(cfg.omega_c**2 + 4.0 * diamagnetic_constant(cfg) * cfg.omega_c)
+    qrm = ModelConfig(omega_c=omega, omega_0=cfg.omega_0, g=cfg.g * math.sqrt(cfg.omega_c / omega),
+                      trunc=cfg.trunc)
+    return qrm, (omega - cfg.omega_c) / 2.0, math.sqrt(omega / cfg.omega_c)
 
 
 def _field(n_max: int) -> np.ndarray:

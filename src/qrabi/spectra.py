@@ -105,6 +105,10 @@ class GroundStates:
     of both blocks in ascending order, the ground energy first.
     ``quasi_degenerate[i]`` is set when the two lowest levels agree to
     within ``DEGENERACY_RTOL`` relative (the large-g parity doublet).
+    ``levels[i, 0]`` is the lowest level of either block: inside the
+    quasi-degeneracy band ``psi[i]`` is parity -1's vector, whose energy,
+    its own block's lowest level, can be higher by up to
+    ``DEGENERACY_RTOL * (1 + |levels[i, 0]|)``.
     """
 
     psi: np.ndarray

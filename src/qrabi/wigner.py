@@ -16,7 +16,7 @@ state is real and commutes with parity, so its W(q, p) = W(q, -p) =
 W(-q, p) exactly, and ``ground_state_wigner`` evaluates one quadrant of a
 grid symmetric about both axes and mirrors it.
 ``WignerGrid.fold`` finds that quadrant again from the values alone, so the
-writers sort, the heatmap colours and the CLI's panel dedupe compares byte
+writers format, the heatmap colours and the CLI's panel dedupe compares byte
 for byte a quarter of a mirror-symmetric grid; both use one mirror-index
 rule, ``_mirror_index``.
 """
@@ -145,8 +145,9 @@ def wigner(rho: DensityMatrix, grid: QuadratureGrid) -> WignerGrid:
     Parameters
     ----------
     rho : DensityMatrix
-        State over the cavity alone (dims of length 1).  Composite states
-        must be reduced with ``partial_trace`` first.
+        Any state over the cavity alone (dims of length 1), a one-state
+        cavity, the vacuum, included.  Composite states must be reduced
+        with ``partial_trace`` first.
     grid : QuadratureGrid
         Evaluation grid; the row index runs over p, the column over q.
     """
@@ -155,9 +156,6 @@ def wigner(rho: DensityMatrix, grid: QuadratureGrid) -> WignerGrid:
             f"wigner expects a cavity-only density matrix, got dims {rho.dims}; "
             "apply partial_trace(..., keep='cavity') first"
         )
-    n = rho.dims[0]
-    if n < 2:
-        raise ValueError(f"cavity dimension must be >= 2, got {n}")
     return WignerGrid(grid, _clenshaw(rho.data, grid.q_axis(), grid.p_axis()))
 
 

@@ -1,7 +1,8 @@
 """Parity-block levels against Braak's G-function, which gives the regular
 QRM spectrum of each parity with no Fock cutoff (D. Braak, PRL 107, 100401
-(2011)).  Through the Bogoliubov map of the A^2 term the same function
-gives the QRMA levels.  The model code shares nothing with this oracle."""
+(2011)).  Through the Bogoliubov map of the A^2 term
+(``model.bogoliubov_map``) the same function gives the QRMA levels.  The
+model code shares nothing else with this oracle."""
 
 import functools
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from qrabi import FockTruncation, ModelConfig
-from qrabi.model import parity_blocks
+from qrabi.model import bogoliubov_map, parity_blocks
 
 N_MAX = 120
 LEVELS = 6
@@ -91,18 +92,12 @@ def test_qrm_parity_levels_match_braak(g, omega_0, sector):
 
 @pytest.mark.parametrize("sector", SECTORS)
 def test_qrma_parity_levels_match_braak_through_the_map(sector):
-    # omega_c a†a + D X^2 is an oscillator of frequency omega' squeezed on
-    # the cavity alone, so QRMA(omega_c, omega_0, g, D) has the levels of
-    # QRM(omega', omega_0, g sqrt(omega_c / omega')) + (omega' - omega_c) / 2,
-    # parity by parity; in units of omega' that QRM is Braak's
-    omega_c, omega_0, g = 1.0, 1.0, 1.0
-    cfg = ModelConfig(omega_c=omega_c, omega_0=omega_0, include_diamagnetic=True,
-                      trunc=FockTruncation(N_MAX))
-    d = g * g / omega_c
-    omega = np.sqrt(omega_c**2 + 4.0 * d * omega_c)
-    g_mapped = g * np.sqrt(omega_c / omega)
-    shift = (omega - omega_c) / 2.0
-    point = (g_mapped / omega, omega_0 / (2.0 * omega))
+    # the QRMA has the levels of the mapped QRM plus the shift, parity by
+    # parity; in units of its frequency omega' that QRM is Braak's
+    cfg = ModelConfig(g=1.0, include_diamagnetic=True, trunc=FockTruncation(N_MAX))
+    qrm, shift, _ = bogoliubov_map(cfg)
+    omega = qrm.omega_c
+    point = (qrm.g / omega, qrm.omega_0 / (2.0 * omega))
     expected = omega * oracle((point,))[point][sector] + shift
-    levels = block_levels(cfg, g)[sector]
+    levels = block_levels(cfg, cfg.g)[sector]
     assert np.max(np.abs(levels - expected)) <= TOL

@@ -209,6 +209,13 @@ def test_entropy_sweep_matches_pointwise_dense_solve(nmax, omega_0, d_override):
     assert compared >= 13
 
 
+def test_entropy_sweep_validation():
+    cfg = ModelConfig(trunc=FockTruncation(4))
+    for grid in ([], [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            entropy_sweep(cfg, grid)
+
+
 def test_entropy_sweep_error_carries_grid_point():
     from qrabi import SweepError
 

@@ -170,6 +170,15 @@ def test_batched_solve_failure_names_the_grid_point():
     assert err.value.g == 0.75 and type(err.value.g) is float
     assert isinstance(err.value.cause, np.linalg.LinAlgError)
 
+    def stacked_only(blocks):
+        # fails on the whole stack but on no single point: no point to name
+        if blocks.ndim == 4:
+            raise np.linalg.LinAlgError("stack failed")
+        return np.linalg.eigvalsh(blocks)
+
+    with pytest.raises(np.linalg.LinAlgError, match="stack failed"):
+        solve_parity_blocks(cfg, np.array([0.5, 0.75, 1.0]), stacked_only)
+
 
 def test_crossing_flat_levels_boundary_flag():
     grid = np.linspace(0, 1, 11)
@@ -201,6 +210,15 @@ def test_crossing_refinement_off_grid_minimum():
     assert not report.at_boundary
     assert report.g_at_min == pytest.approx(1.0, abs=2e-3)
     assert report.min_gap == pytest.approx(2.0 * delta, abs=2e-3)
+
+
+def test_crossing_refinement_falls_back_to_grid_point_when_parabola_underflows():
+    # gaps of a few subnormals: the parabola's denominator, 0.01 * -2e-323,
+    # rounds to 0, so the vertex is the grid point itself
+    grid = np.array([0.0, 0.01, 0.02])
+    levels = np.column_stack([np.zeros(3), [3e-323, 1e-323, 1e-323]])
+    report = find_avoided_crossings(SpectrumSweep(grid, levels, "QRM"), (0, 1))
+    assert (report.g_at_min, report.min_gap, report.at_boundary) == (0.01, 1e-323, False)
 
 
 def test_crossing_validation():

@@ -77,6 +77,16 @@ def test_vacuum_wigner_closed_form():
     assert w.values[100, 100] == pytest.approx(1.0 / np.pi, abs=1e-14)
 
 
+def test_one_state_cavity_is_the_vacuum():
+    # a cavity truncated to |0> holds only the vacuum; the Clenshaw sum of
+    # its single entry is the same arithmetic as that of diag(1, 0)
+    grid = QuadratureGrid(-3, 3, -2.5, 3.5, 31, 31)
+    w = wigner(DensityMatrix([[1.0]], (1,)), grid)
+    qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis())
+    assert np.max(np.abs(w.values - np.exp(-(qq**2) - pp**2) / np.pi)) <= 1e-12
+    assert np.array_equal(w.values, wigner(fock_density(2, 0), grid).values)
+
+
 def test_fock_one_maximal_negativity():
     grid = QuadratureGrid(-5, 5, -5, 5, 101, 101)
     w = wigner(fock_density(5, 1), grid)
@@ -223,7 +233,7 @@ def test_wigner_bound_random_states():
 
 def test_characteristic_function_cross_check():
     points = [(0.0, 0.0), (1.0, 0.5), (-0.7, 0.3), (0.4, -1.1)]
-    for rho in (fock_density(4, 0), fock_density(4, 1)):
+    for rho in (fock_density(1, 0), fock_density(4, 0), fock_density(4, 1)):
         direct = wigner_characteristic(rho, points)
         series = [
             wigner(rho, QuadratureGrid(q - 1, q + 1, p - 1, p + 1, 3, 3)).values[1, 1]
@@ -282,8 +292,10 @@ def test_squeezed_ground_state_variances():
 
 def test_wigner_rejects_composite_dims():
     rho = DensityMatrix(np.eye(4) / 4.0, (2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cavity-only"):
         wigner(rho, QuadratureGrid())
+    with pytest.raises(ValueError, match="cavity-only"):
+        wigner_characteristic(rho, [(0.0, 0.0)])
 
 
 def test_wigner_rejects_density_matrix_not_matching_dims():
