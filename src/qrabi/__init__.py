@@ -54,15 +54,18 @@ from .spectra import (
     SpectrumSweep,
     SweepError,
     TruncationCheck,
+    TruncationReport,
     check_truncation,
     find_avoided_crossings,
     sweep_spectrum,
+    truncation_report,
 )
 from .wigner import (
     QuadratureGrid,
     WignerGrid,
     ground_state_wigner,
     marginal_variance,
+    negativity_volume,
     wigner,
     wigner_characteristic,
     wigner_marginal,

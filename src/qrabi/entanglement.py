@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelConfig
-from .spectra import parity_ground_states
+from .spectra import _coupling_grid, parity_ground_states
 
 __all__ = [
     "PureState",
@@ -36,7 +36,7 @@ __all__ = [
 REJECT_NEGATIVE = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector over the composite qubit (x) cavity basis,
     one amplitude per basis state (the product of ``dims``).
@@ -46,7 +46,8 @@ class PureState:
     from it are sensitive to tiny perturbations.  ``energy``, when given by
     ``ground_state``, is the lowest level of the spectrum; in such a
     doublet the state's own <H> can exceed it by up to
-    ``spectra.DEGENERACY_RTOL * (1 + |energy|)``.
+    ``spectra.DEGENERACY_RTOL * (1 + |energy|)``.  States compare and hash
+    by identity.
     """
 
     amplitudes: np.ndarray
@@ -69,13 +70,14 @@ class PureState:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace complex matrix over one or more subsystems.
 
     Its side must be the product of ``dims``.  Shape, Hermiticity and
     trace are validated on construction; positivity is enforced where
-    eigenvalues are actually consumed (entropy).
+    eigenvalues are actually consumed (entropy).  Matrices compare and
+    hash by identity.
     """
 
     data: np.ndarray
@@ -151,11 +153,12 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(max(0.0, -(lam * np.log2(lam)).sum()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntropySweep:
     """Ground-state qubit entropy (bits) of both model variants per
     coupling grid point, with per-point quasi-degeneracy flags.
-    ``g_grid`` holds each coupling divided by omega_c."""
+    ``g_grid`` holds each coupling divided by omega_c.  Sweeps compare and
+    hash by identity."""
 
     g_grid: np.ndarray
     s_qrm: np.ndarray
@@ -171,9 +174,7 @@ def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
     column per variant, computed from the same remaining parameters.
     ``g_grid`` holds couplings g in the same unit as ``base.omega_c``.
     """
-    grid = np.asarray(g_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("g_grid must be a non-empty 1-D sequence")
+    grid = _coupling_grid(g_grid)
 
     columns = []
     for dia in (False, True):

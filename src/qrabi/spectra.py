@@ -7,7 +7,10 @@ so a grid point's result does not depend on the rest of the grid.
 ``parity_ground_states`` is the one place that picks the ground state:
 its ``GroundStates`` record is what ``entanglement.ground_state``,
 ``entanglement.entropy_sweep``, ``wigner.ground_state_wigner`` and
-``check_truncation`` read.
+``truncation_report`` read.  ``truncation_report`` gives, per point of a
+grid, the level shift under doubling of n_max, the top-Fock population,
+the ground parity, the quasi-degeneracy flag and the doublet gap;
+``check_truncation`` is its one-point view.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "SpectrumSweep",
     "CrossingReport",
     "TruncationCheck",
+    "TruncationReport",
     "SweepError",
     "GroundStates",
     "solve_parity_blocks",
@@ -30,6 +34,7 @@ __all__ = [
     "parity_ground_states",
     "sweep_spectrum",
     "find_avoided_crossings",
+    "truncation_report",
     "check_truncation",
 ]
 
@@ -46,13 +51,13 @@ class SweepError(RuntimeError):
         self.cause = cause
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumSweep:
     """Lowest ``k`` eigenvalues per coupling grid point.
 
     ``g_grid`` holds each coupling divided by omega_c, and ``levels[i]``
     the sorted lowest eigenvalues at ``g_grid[i]``, in the same unit as
-    omega_c.
+    omega_c.  Sweeps compare and hash by identity.
     """
 
     g_grid: np.ndarray
@@ -93,7 +98,27 @@ class TruncationCheck:
     top_fock_population: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class TruncationReport:
+    """Truncation figures per coupling of a grid (``truncation_report``).
+
+    ``max_shift[i]`` is the largest move of the lowest ``k_levels`` levels
+    at point i when n_max is doubled, ``top_fock_population[i]`` the weight
+    of Fock state n_max - 1 in the n_max ground state, and ``parity``,
+    ``quasi_degenerate`` and ``doublet_gap`` (the two lowest levels' gap)
+    come from that ground state's ``GroundStates`` record.  For omega_0 > 0
+    a parity of +1 where ``quasi_degenerate`` is not set is a truncation
+    artifact (``ground_sector``).  Reports compare and hash by identity.
+    """
+
+    max_shift: np.ndarray
+    top_fock_population: np.ndarray
+    parity: np.ndarray
+    quasi_degenerate: np.ndarray
+    doublet_gap: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class GroundStates:
     """Ground state per coupling of a grid, from one solve of the parity blocks.
 
@@ -108,7 +133,8 @@ class GroundStates:
     ``levels[i, 0]`` is the lowest level of either block: inside the
     quasi-degeneracy band ``psi[i]`` is parity -1's vector, whose energy,
     its own block's lowest level, can be higher by up to
-    ``DEGENERACY_RTOL * (1 + |levels[i, 0]|)``.
+    ``DEGENERACY_RTOL * (1 + |levels[i, 0]|)``.  Records compare and hash
+    by identity.
     """
 
     psi: np.ndarray
@@ -165,6 +191,14 @@ def parity_ground_states(base: ModelConfig, grid: np.ndarray) -> GroundStates:
     return GroundStates(psi, 2 * sector - 1, levels, flagged)
 
 
+def _coupling_grid(g_grid) -> np.ndarray:
+    """``g_grid`` as a float array, which must be non-empty and 1-D."""
+    grid = np.asarray(g_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("g_grid must be a non-empty 1-D sequence")
+    return grid
+
+
 def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
     """Lowest ``k_levels`` eigenvalues of the full model at each coupling.
 
@@ -178,9 +212,7 @@ def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
     k_levels : int
         Number of levels per grid point; at most 2 * n_max.
     """
-    grid = np.asarray(g_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("g_grid must be a non-empty 1-D sequence")
+    grid = _coupling_grid(g_grid)
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("g_grid must be strictly ascending")
     dim = 2 * base.trunc.n_max
@@ -234,19 +266,33 @@ def find_avoided_crossings(sweep: SpectrumSweep, pair: tuple[int, int]) -> Cross
     return CrossingReport((k, k1), g_min, gap_min, False)
 
 
+def truncation_report(base: ModelConfig, g_grid, k_levels: int) -> TruncationReport:
+    """``TruncationReport`` of ``base`` at each coupling of the non-empty
+    1-D ``g_grid``, from one ``parity_ground_states`` at n_max and one
+    stacked ``eigvalsh`` of the parity blocks at 2 n_max.  ``k_levels`` is
+    at most 2 n_max."""
+    n = base.trunc.n_max
+    if not 1 <= k_levels <= 2 * n:
+        raise ValueError(f"k_levels must be in [1, {2 * n}], got {k_levels}")
+    grid = _coupling_grid(g_grid)
+    doubled = dataclasses.replace(base, trunc=FockTruncation(2 * n))
+    ground = parity_ground_states(base, grid)
+    hi = np.sort(np.hstack(solve_parity_blocks(doubled, grid, np.linalg.eigvalsh)), axis=1)
+    shift = np.max(np.abs(ground.levels[:, :k_levels] - hi[:, :k_levels]), axis=1)
+    gap = ground.levels[:, 1] - ground.levels[:, 0]
+    return TruncationReport(shift, ground.psi[:, -1] ** 2, ground.parity,
+                            ground.quasi_degenerate, gap)
+
+
 def check_truncation(cfg: ModelConfig, k_levels: int, tol: float) -> TruncationCheck:
     """Compare the lowest ``k_levels`` eigenvalues at n_max and 2 n_max.
 
     The basis is considered converged when no level moves by more than
     ``tol`` under doubling.  The top-Fock population of the n_max ground
-    state (``parity_ground_states``) comes with the report.
+    state (``parity_ground_states``) comes with the check.  This is the
+    one-point view of ``truncation_report``.
     """
     n = cfg.trunc.n_max
-    if not 1 <= k_levels <= 2 * n:
-        raise ValueError(f"k_levels must be in [1, {2 * n}], got {k_levels}")
-    doubled = dataclasses.replace(cfg, trunc=FockTruncation(2 * n))
-    ground = parity_ground_states(cfg, np.array([cfg.g]))
-    hi = sweep_spectrum(doubled, [cfg.g], k_levels).levels[0]
-    shift = float(np.max(np.abs(ground.levels[0, :k_levels] - hi)))
-    top = float(ground.psi[0, -1] ** 2)
-    return TruncationCheck(n, 2 * n, shift, shift < tol, top)
+    report = truncation_report(cfg, np.array([cfg.g]), k_levels)
+    shift = float(report.max_shift[0])
+    return TruncationCheck(n, 2 * n, shift, shift < tol, float(report.top_fock_population[0]))

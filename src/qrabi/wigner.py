@@ -19,6 +19,8 @@ grid symmetric about both axes and mirrors it.
 writers format, the heatmap colours and the CLI's panel dedupe compares byte
 for byte a quarter of a mirror-symmetric grid; both use one mirror-index
 rule, ``_mirror_index``.
+``wigner_normalization`` and ``negativity_volume`` (the integral of
+|W| - W, Kenfack & Zyczkowski 2004) are trapezoidal integrals over the grid.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "WignerGrid",
     "wigner",
     "wigner_normalization",
+    "negativity_volume",
     "wigner_marginal",
     "marginal_variance",
     "ground_state_wigner",
@@ -79,13 +82,16 @@ class QuadratureGrid:
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
     """Real Wigner values on a quadrature grid; ``values[i, j]`` is
-    W(q_axis[j], p_axis[i]).  Grids compare and hash by identity."""
+    W(q_axis[j], p_axis[i]), a read-only copy of the array given.  Grids
+    compare and hash by identity."""
 
     grid: QuadratureGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        # a copy: a view of the caller's array would change under a write
+        # to it while the cached ``fold`` kept the old values
+        values = np.array(self.values, dtype=float)
         if values.shape != (self.grid.n_p, self.grid.n_q):
             raise ValueError(
                 f"values shape {values.shape} != (n_p, n_q) = "
@@ -185,11 +191,25 @@ def _clenshaw(data: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return w.real * np.exp(-0.5 * b) / np.pi
 
 
+def _integral(grid: QuadratureGrid, f: np.ndarray) -> float:
+    """Trapezoidal integral over ``grid`` of ``f[i, j]`` = f(q_axis[j], p_axis[i])."""
+    inner = np.trapezoid(f, grid.q_axis(), axis=1)
+    return float(np.trapezoid(inner, grid.p_axis()))
+
+
 def wigner_normalization(w: WignerGrid) -> float:
     """Trapezoidal integral of W over the grid; approaches 1 when the grid
     covers the state's support."""
-    inner = np.trapezoid(w.values, w.grid.q_axis(), axis=1)
-    return float(np.trapezoid(inner, w.grid.p_axis()))
+    return _integral(w.grid, w.values)
+
+
+def negativity_volume(w: WignerGrid) -> float:
+    """Negativity volume: the trapezoidal integral of |W| - W over the grid,
+    twice the volume where W < 0 (A. Kenfack & K. Zyczkowski, J. Opt. B 6,
+    396 (2004)).  It equals integral |W| - 1 when the grid holds the whole
+    state, but it is exactly 0 where W >= 0 and is never negative where the
+    grid cuts off a tail."""
+    return _integral(w.grid, np.abs(w.values) - w.values)
 
 
 def wigner_marginal(w: WignerGrid, axis: str) -> np.ndarray:

@@ -8,7 +8,8 @@ so levels, entropy and Wigner function agree to rounding."""
 import numpy as np
 import pytest
 
-from qrabi import FockTruncation, ModelConfig, QuadratureGrid, entropy_sweep, ground_state_wigner
+from qrabi import (FockTruncation, ModelConfig, QuadratureGrid, entropy_sweep, ground_state_wigner,
+                   negativity_volume)
 from qrabi.model import bogoliubov_map, parity_blocks
 
 TOL = 1e-12
@@ -59,6 +60,17 @@ def test_qrma_wigner_is_the_squeezed_qrm_wigner(g, d_override):
     mapped = ground_state_wigner(qrm, QuadratureGrid(-6 * s, 6 * s, -6 / s, 6 / s, 101, 101))
     assert np.max(np.abs(w.values)) > 0.1
     assert np.max(np.abs(w.values - mapped.values)) <= TOL
+
+
+def test_qrma_negativity_volume_is_the_mapped_qrm_value():
+    # the scaling (q, p) -> (s q, p / s) has unit Jacobian, and the scaled
+    # grid's nodes are the QRMA grid's images, so both trapezoid sums agree
+    cfg = qrma(2.0, 0.1, n_max=120)
+    qrm, _, s = bogoliubov_map(cfg)
+    delta = negativity_volume(ground_state_wigner(cfg, QuadratureGrid(-8, 8, -8, 8, 201, 201)))
+    grid = QuadratureGrid(-8 * s, 8 * s, -8 / s, 8 / s, 201, 201)
+    assert delta == pytest.approx(0.0230504, abs=1e-7)
+    assert abs(delta - negativity_volume(ground_state_wigner(qrm, grid))) <= TOL
 
 
 def test_qrma_entropy_falls_at_large_coupling():

@@ -11,6 +11,7 @@ from qrabi import (
     check_truncation,
     find_avoided_crossings,
     sweep_spectrum,
+    truncation_report,
 )
 from qrabi.model import parity_blocks
 from qrabi.spectra import ground_sector, parity_ground_states, solve_parity_blocks
@@ -130,6 +131,9 @@ def test_sweep_validation():
         sweep_spectrum(cfg, [1.0, 0.5], 2)
     with pytest.raises(ValueError):
         sweep_spectrum(cfg, [0.0, 1.0], 9)
+    for grid in ([], [[0.5, 1.0]], 0.5):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            truncation_report(cfg, grid, 2)
 
 
 def test_sweep_error_carries_grid_point():
@@ -263,6 +267,50 @@ def test_truncation_check_top_fock_of_definite_parity_ground_state():
     cfg = ModelConfig(g=6.0, trunc=FockTruncation(200))
     psi = parity_ground_states(cfg, np.array([cfg.g])).psi[0]
     assert check_truncation(cfg, 1, 1e-4).top_fock_population == psi[-1] ** 2
+
+
+PRESET_GRID = np.linspace(0.0, 3.0, 201)
+
+
+@pytest.mark.parametrize("dia", [False, True], ids=["QRM", "QRMA"])
+def test_truncation_report_points_are_check_truncation(dia):
+    # each matrix of the stacked solves is solved on its own, so every
+    # point of the report is the one-point check, bit for bit
+    cfg = ModelConfig(include_diamagnetic=dia, trunc=FockTruncation(15))
+    report = truncation_report(cfg, PRESET_GRID, 8)
+    for i in range(0, PRESET_GRID.size, 10):
+        check = check_truncation(dataclasses.replace(cfg, g=PRESET_GRID[i]), 8, 1e-4)
+        assert check.max_shift == report.max_shift[i]
+        assert check.top_fock_population == report.top_fock_population[i]
+        assert check.converged == (report.max_shift[i] < 1e-4)
+
+
+@pytest.mark.parametrize("dia, top_fock_from, top_fock, shift_from, parity_plus", [
+    (False, 2.16, 1.07e-4, 1.2, (2.505, 34)),
+    (True, 1.845, 1.05e-4, 0.705, None),
+], ids=["QRM", "QRMA"])
+def test_truncation_report_of_the_preset_grid(dia, top_fock_from, top_fock, shift_from,
+                                              parity_plus):
+    # the first point where each figure crosses its threshold at the
+    # preset's n_max = 15; at n_max = 40 the whole grid is converged
+    def first(flags):
+        return (float(PRESET_GRID[flags][0]), int(flags.sum())) if flags.any() else None
+
+    cfg = ModelConfig(include_diamagnetic=dia, trunc=FockTruncation(15))
+    report = truncation_report(cfg, PRESET_GRID, 8)
+    assert first(report.top_fock_population > 1e-4)[0] == top_fock_from
+    assert report.top_fock_population[report.top_fock_population > 1e-4][0] == pytest.approx(
+        top_fock, rel=1e-2)
+    assert first(report.max_shift > 1e-4)[0] == shift_from
+    assert first(report.parity == 1) == parity_plus
+    assert not report.quasi_degenerate.any()
+    levels = parity_ground_states(cfg, PRESET_GRID).levels
+    assert np.array_equal(report.doublet_gap, levels[:, 1] - levels[:, 0])
+    # by the theorem a parity of +1 outside the quasi-degeneracy band is
+    # truncation; at n_max = 40 that exact flag shows nothing
+    deep = truncation_report(dataclasses.replace(cfg, trunc=FockTruncation(40)), PRESET_GRID, 8)
+    assert np.all(deep.parity == -1) and np.all(deep.top_fock_population < 1e-4)
+    assert not np.any((deep.parity == 1) & ~deep.quasi_degenerate)
 
 
 def test_ground_sector_picks_lower_block_and_breaks_ties_to_parity_minus_one():

@@ -13,9 +13,14 @@ from qrabi import (
     QuadratureGrid,
     WignerGrid,
     build_full,
+    entropy_sweep,
+    ground_state,
     ground_state_wigner,
     marginal_variance,
+    negativity_volume,
     partial_trace,
+    sweep_spectrum,
+    truncation_report,
     wigner,
     wigner_characteristic,
     wigner_marginal,
@@ -177,6 +182,18 @@ def test_normalization_converges_with_grid():
     fine = wigner_normalization(wigner(rho, QuadratureGrid(-6, 6, -6, 6, 201, 201)))
     assert abs(fine - 1.0) <= abs(coarse - 1.0)
     assert abs(fine - 1.0) <= 1e-6
+
+
+def test_negativity_volume_of_vacuum_and_fock_one():
+    # |W| - W is exactly 0 where W >= 0, so the vacuum reads 0 even on a
+    # window that cuts its tails, where integral |W| - 1 reads erf(1)^2 - 1
+    window = wigner(fock_density(4, 0), QuadratureGrid(-1, 1, -1, 1, 51, 51))
+    assert negativity_volume(window) == 0.0 and wigner_normalization(window) < 0.8
+    assert negativity_volume(wigner(fock_density(4, 0), QuadratureGrid())) == 0.0
+    # W_1 = (2 r^2 - 1) exp(-r^2) / pi is negative for r^2 < 1/2, with
+    # integral (|W| - W) = 4 / sqrt(e) - 2
+    w = wigner(fock_density(3, 1), QuadratureGrid(-6, 6, -6, 6, 801, 801))
+    assert abs(negativity_volume(w) - (4.0 / np.sqrt(np.e) - 2.0)) <= 1e-5
 
 
 def test_marginals_closed_forms():
@@ -344,12 +361,42 @@ def test_wigner_grid_invariants():
 
 
 def test_wigner_grid_compares_and_hashes_by_identity():
-    w = ground_state_wigner(ModelConfig(g=1.0, trunc=FockTruncation(3)),
-                            QuadratureGrid(-3, 3, -3, 3, 9, 7))
-    assert w == w
-    assert w != WignerGrid(w.grid, w.values.copy())
-    assert {w} == {w} and len({w, WignerGrid(w.grid, w.values)}) == 2
+    # every record that holds arrays: two built from equal arrays differ
+    cfg = ModelConfig(g=1.0, trunc=FockTruncation(3))
+    g_grid = np.linspace(0.0, 1.0, 3)
+    builds = [
+        lambda: ground_state_wigner(cfg, QuadratureGrid(-3, 3, -3, 3, 9, 7)),
+        lambda: sweep_spectrum(cfg, g_grid, 4),
+        lambda: parity_ground_states(cfg, g_grid),
+        lambda: ground_state(cfg),
+        lambda: ground_state(cfg).to_density(),
+        lambda: entropy_sweep(cfg, g_grid),
+        lambda: truncation_report(cfg, g_grid, 4),
+    ]
+    for build in builds:
+        a, b = build(), build()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and {a} == {a} and len({a, b}) == 2
+    w = builds[0]()
+    assert w != WignerGrid(w.grid, w.values)
     assert w.fold is w.fold
+
+
+def test_wigner_grid_owns_its_values():
+    # the grid copies its values: the caller's array stays writable, and a
+    # write to it changes neither the values nor their cached fold
+    grid = QuadratureGrid(-1, 1, -1, 1, 3, 3)
+    base = np.zeros((3, 3))
+    base[1, 1] = 0.25
+    w = WignerGrid(grid, base)
+    view = WignerGrid(grid, base[:, :])
+    assert base.flags.writeable
+    assert view.fold[0].shape == (2, 2)
+    base[0, 0] = 0.1
+    for grid_of_base in (w, view):
+        quadrant, ip, iq = grid_of_base.fold
+        assert grid_of_base.values[0, 0] == 0.0
+        assert np.array_equal(quadrant[np.ix_(ip, iq)], grid_of_base.values)
 
 
 def reduced_ground_state(cfg):
