@@ -147,10 +147,17 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
         raise ValueError(
             f"density matrix has eigenvalue {lam[0]:.3e} < -{REJECT_NEGATIVE:g}; not PSD"
         )
-    lam = lam[lam > 0.0]
-    # clamp at 0: eigenvalues a rounding step above 1 would otherwise
-    # produce a tiny negative entropy
-    return float(max(0.0, -(lam * np.log2(lam)).sum()))
+    # the zeros are dropped, not summed: they would move the sum's rounding
+    return float(_entropy_bits(lam[lam > 0.0]))
+
+
+def _entropy_bits(lam: np.ndarray) -> np.ndarray:
+    """-sum lam log2 lam over the last axis, with 0 log 0 := 0, clamped at
+    +0.0: weights a rounding step above 1 would otherwise give a tiny
+    negative entropy, and a pure state -0.0."""
+    logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    s = -(lam * logs).sum(axis=-1)
+    return np.where(s > 0.0, s, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +190,7 @@ def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
         psi = ground.psi
         # the qubit state is diagonal: weights of the even and odd chain states
         lam = np.stack([(psi[:, 0::2] ** 2).sum(axis=1), (psi[:, 1::2] ** 2).sum(axis=1)], 1)
-        logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
-        columns += [np.maximum(0.0, -(lam * logs).sum(axis=1)), ground.quasi_degenerate]
+        columns += [_entropy_bits(lam), ground.quasi_degenerate]
     s_qrm, flag_qrm, s_qrma, flag_qrma = columns
     return EntropySweep(grid / base.omega_c, s_qrm, s_qrma, flag_qrm, flag_qrma)
 

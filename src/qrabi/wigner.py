@@ -10,15 +10,13 @@ The Fock-basis series over displaced-parity matrix elements is summed with
 a Clenshaw recurrence over associated Laguerre polynomials, which stays
 stable for any practical cutoff (no factorials are formed).  A direct
 characteristic-function quadrature is provided as a slow cross-check.
-``ground_state_wigner`` reads the model's ground state from the
-``GroundStates`` record of ``spectra.parity_ground_states``.  Its reduced
-state is real and commutes with parity, so its W(q, p) = W(q, -p) =
-W(-q, p) exactly, and ``ground_state_wigner`` evaluates one quadrant of a
-grid symmetric about both axes and mirrors it.
-``WignerGrid.fold`` finds that quadrant again from the values alone, so the
-writers format, the heatmap colours and the CLI's panel dedupe compares byte
-for byte a quarter of a mirror-symmetric grid; both use one mirror-index
-rule, ``_mirror_index``.
+A real state that commutes with photon parity has W(q, p) = W(q, -p) =
+W(-q, p) exactly, so on a grid symmetric about both axes ``wigner``
+evaluates one quadrant and mirrors it; ``ground_state_wigner`` is ``wigner``
+of the model's reduced cavity ground state, always such a state.
+``WignerGrid.fold`` finds the quadrant again from the values alone (both use
+``_mirror_index``), so the writers format, the heatmap colours and the CLI's
+panel dedupe compares byte for byte a quarter of a mirror-symmetric grid.
 ``wigner_normalization`` and ``negativity_volume`` (the integral of
 |W| - W, Kenfack & Zyczkowski 2004) are trapezoidal integrals over the grid.
 """
@@ -146,7 +144,8 @@ def _laguerre_series(level: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarra
 
 
 def wigner(rho: DensityMatrix, grid: QuadratureGrid) -> WignerGrid:
-    """Wigner function of a cavity-only density matrix.
+    """Wigner function of a cavity-only density matrix, mirrored from one
+    quadrant for a real, parity-commuting state on a symmetric grid.
 
     Parameters
     ----------
@@ -162,7 +161,13 @@ def wigner(rho: DensityMatrix, grid: QuadratureGrid) -> WignerGrid:
             f"wigner expects a cavity-only density matrix, got dims {rho.dims}; "
             "apply partial_trace(..., keep='cavity') first"
         )
-    return WignerGrid(grid, _clenshaw(rho.data, grid.q_axis(), grid.p_axis()))
+    data, q, p = rho.data, grid.q_axis(), grid.p_axis()
+    # an entry at an odd offset from the diagonal breaks photon parity
+    if (data.imag.any() or data[::2, 1::2].any() or data[1::2, ::2].any()
+            or grid.q_min != -grid.q_max or grid.p_min != -grid.p_max):
+        return WignerGrid(grid, _clenshaw(data, q, p))
+    quadrant = _clenshaw(data.real, q[q.size // 2 :], p[p.size // 2 :])
+    return WignerGrid(grid, quadrant[np.ix_(_mirror_index(p.size), _mirror_index(q.size))])
 
 
 def _clenshaw(data: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -235,17 +240,12 @@ def marginal_variance(w: WignerGrid, axis: str) -> float:
 
 
 def ground_state_wigner(cfg: ModelConfig, grid: QuadratureGrid) -> WignerGrid:
-    """Wigner function of the reduced cavity ground state of the model.  The
-    state has definite parity (``spectra.parity_ground_states``), so the
-    reduced state is rho_c[n, n'] = psi_n psi_n' for n = n' (mod 2), else 0."""
+    """``wigner`` of the model's reduced cavity ground state, real and of
+    definite parity: rho_c[n, n'] = psi_n psi_n' for n = n' (mod 2), else 0."""
     psi = parity_ground_states(cfg, np.array([cfg.g])).psi[0]
     n = np.arange(psi.size)
     rho = np.outer(psi, psi) * ((n[:, None] - n) % 2 == 0)
-    q, p = grid.q_axis(), grid.p_axis()
-    if grid.q_min != -grid.q_max or grid.p_min != -grid.p_max:
-        return WignerGrid(grid, _clenshaw(rho, q, p))
-    quadrant = _clenshaw(rho, q[q.size // 2 :], p[p.size // 2 :])
-    return WignerGrid(grid, quadrant[np.ix_(_mirror_index(p.size), _mirror_index(q.size))])
+    return wigner(DensityMatrix(rho, (psi.size,)), grid)
 
 
 # quadrature of wigner_characteristic: the radius of the lam disk and the

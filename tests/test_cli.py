@@ -650,6 +650,20 @@ def test_io_failure_out_path_is_file(tmp_path):
     assert code == EXIT_IO
 
 
+def test_io_failure_out_path_under_a_file(tmp_path):
+    # mkdir fails on a path through a regular file, for root as well, and
+    # the cleanup's rmdir of the directory it could not make fails too
+    target = tmp_path / "occupied"
+    target.write_text("a file, not a directory")
+    code = run_cli(
+        "entropy", "--g-min", "0", "--g-max", "0", "--g-steps", "1",
+        "--nmax", "2", "--out", str(target / "sub"),
+    )
+    assert code == EXIT_IO
+    assert target.read_text() == "a file, not a directory"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_reproduce_paper_copies_only_repeated_panels(tmp_path, monkeypatch):
     # a small grid in place of the preset's 201 x 201 keeps the run short
     monkeypatch.setattr(cli, "QuadratureGrid", lambda *a: QuadratureGrid(-3, 3, -3, 3, 9, 7))

@@ -1,8 +1,9 @@
 """Properties of the Wigner grid's fold and of its table writers (their bytes
 against the per-cell reference writers of ``test_output``), checked on
-grids that hypothesis draws and shrinks (down to 2 x 2), and of the
-Hamiltonian and its ground state (affinity, Schmidt rank, definite parity),
-checked on drawn model parameters."""
+grids that hypothesis draws and shrinks (down to 2 x 2), of ``wigner``'s
+choice between a mirrored quadrant and the full axes, checked on drawn
+states and grids, and of the Hamiltonian and its ground state (affinity,
+Schmidt rank, definite parity), checked on drawn model parameters."""
 
 import json
 import tempfile
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 with warnings.catch_warnings():
@@ -28,6 +29,7 @@ with warnings.catch_warnings():
         pass
 
 from qrabi.entanglement import (  # noqa: E402
+    DensityMatrix,
     entropy_sweep,
     expectation,
     ground_state,
@@ -43,7 +45,7 @@ from qrabi.model import (  # noqa: E402
 )
 from qrabi.spectra import DEGENERACY_RTOL, parity_ground_states  # noqa: E402
 from qrabi.output import wigner_table, write_csv, write_gnuplot, write_json  # noqa: E402
-from qrabi.wigner import QuadratureGrid, WignerGrid  # noqa: E402
+from qrabi.wigner import QuadratureGrid, WignerGrid, _clenshaw, wigner  # noqa: E402
 from test_output import ref_csv, ref_dat, ref_json  # noqa: E402
 
 # no example database: a run leaves no files behind
@@ -122,6 +124,50 @@ def test_csv_json_and_dat_cells_parse_to_the_same_floats(w):
     assert np.array_equal(csv, js) and np.array_equal(csv, dat)
     # %.12g moves a value by at most half a unit in its 12th digit
     assert np.all(np.abs(csv - exact) <= 5e-12 * np.abs(exact))
+
+
+@st.composite
+def cavity_states(draw):
+    """``(kind, rho)``: a drawn cavity state of 1-8 Fock states, real and
+    parity-commuting (``"parity"``), complex and parity-commuting or not,
+    or real with entries at odd offsets from the diagonal (``"mixed"``)."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["parity", "complex", "mixed"]))
+    m = draw(arrays(np.float64, (n, n), elements=st.floats(-1, 1)))
+    if kind == "complex":
+        m = m + 1j * draw(arrays(np.float64, (n, n), elements=st.floats(-1, 1)))
+    rho = m @ m.conj().T + np.eye(n)  # positive definite
+    if kind == "parity" or kind == "complex" and draw(st.booleans()):
+        rho[::2, 1::2] = rho[1::2, ::2] = 0.0
+    assume(kind != "complex" or rho.imag.any())
+    assume(kind != "mixed" or rho[::2, 1::2].any())
+    return kind, DensityMatrix(rho / np.trace(rho).real, (n,))
+
+
+@st.composite
+def quadrature_grids(draw):
+    """A grid of 2-12 points a side within [-6, 6]; each axis is symmetric
+    about 0 or not, as drawn."""
+    bounds = []
+    for _ in "qp":
+        hi = draw(st.floats(0.5, 6))
+        bounds += [-hi if draw(st.booleans()) else draw(st.floats(-6, hi - 0.25)), hi]
+    return QuadratureGrid(*bounds, draw(st.integers(2, 12)), draw(st.integers(2, 12)))
+
+
+@PROPERTY
+@given(cavity_states(), quadrature_grids())
+def test_wigner_mirrors_exactly_the_real_parity_states_on_symmetric_grids(state, grid):
+    kind, rho = state
+    w, q, p = wigner(rho, grid), grid.q_axis(), grid.p_axis()
+    if kind == "parity" and grid.q_min == -grid.q_max and grid.p_min == -grid.p_max:
+        v, n_p, n_q = w.values, grid.n_p, grid.n_q
+        assert np.array_equal(v, v[::-1]) and np.array_equal(v, v[:, ::-1])
+        quadrant = _clenshaw(rho.data.real, q[n_q // 2:], p[n_p // 2:])
+        assert np.array_equal(w.fold[0], quadrant)
+        assert np.array_equal(v[n_p // 2:, n_q // 2:], quadrant)
+    else:
+        assert np.array_equal(w.values, _clenshaw(rho.data, q, p))
 
 
 @PROPERTY

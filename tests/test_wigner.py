@@ -414,37 +414,52 @@ def reduced_ground_state(cfg):
 @pytest.mark.parametrize("n_max", [2, 15, 30])
 def test_mirrored_ground_state_wigner_matches_full_grid(grid, dia, n_max):
     # W(q, p) = W(q, -p) = W(-q, p) exactly, so one quadrant and its
-    # mirror images give the full-grid values, exactly symmetric
-    for g in (0.5, 3.0):
+    # mirror images give the full-grid values, exactly symmetric; the
+    # public route from the composite ground state gives the same bits
+    for g in (0.0, 0.5, 3.0):
         cfg = ModelConfig(g=g, include_diamagnetic=dia, trunc=FockTruncation(n_max))
         w = ground_state_wigner(cfg, grid).values
-        full = wigner(reduced_ground_state(cfg)[1], grid).values
+        full = wigner_module._clenshaw(reduced_ground_state(cfg)[1].data,
+                                       grid.q_axis(), grid.p_axis())
         assert np.max(np.abs(w - full)) <= 2e-15
         assert np.array_equal(w, w[::-1, :]) and np.array_equal(w, w[:, ::-1])
+        rho_c = partial_trace(ground_state(cfg).to_density(), "cavity")
+        assert np.array_equal(wigner(rho_c, grid).values, w)
 
 
 def test_ground_state_wigner_mirrors_only_symmetric_grids(monkeypatch):
+    # wigner evaluates one quadrant only for a real, parity-commuting state
+    # on a grid symmetric about both axes; ground_state_wigner is wigner
     calls = []
     clenshaw = wigner_module._clenshaw
     monkeypatch.setattr(
         wigner_module, "_clenshaw",
-        lambda data, q, p: calls.append((q, p, clenshaw(data, q, p))) or calls[-1][2])
+        lambda data, q, p: calls.append((data, q, p, clenshaw(data, q, p))) or calls[-1][3])
     cfg = ModelConfig(g=1.0, trunc=FockTruncation(15))
-    rho = reduced_ground_state(cfg)[1]
+    psi, rho = reduced_ground_state(cfg)
 
     # a symmetric panel folds back to the quadrant it was mirrored from
     symmetric = QuadratureGrid(-3.0, 3.0, -2.5, 2.5, 8, 7)
-    w = ground_state_wigner(cfg, symmetric)
-    q, p, quadrant = calls.pop()
-    assert np.array_equal(q, symmetric.q_axis()[4:]) and np.array_equal(p, symmetric.p_axis()[3:])
-    assert np.array_equal(w.fold[0], quadrant)
+    for w in (wigner(rho, symmetric), ground_state_wigner(cfg, symmetric)):
+        data, q, p, quadrant = calls.pop()
+        assert np.array_equal(data, rho.data.real) and data.dtype == float
+        assert np.array_equal(q, symmetric.q_axis()[4:]) and np.array_equal(p, symmetric.p_axis()[3:])
+        assert np.array_equal(w.fold[0], quadrant)
 
-    for grid in (QuadratureGrid(-4.5, 2.0, -3.0, 3.0, 37, 31),
-                 QuadratureGrid(-3.0, 3.0, -1.0, 6.0, 31, 37)):
-        w = ground_state_wigner(cfg, grid)
-        q, p, _ = calls.pop()
+    # a phase rotation keeps parity but makes the state complex; the
+    # unmasked outer product of the ground state is real but mixes parities
+    phases = np.exp(0.3j * np.arange(15))
+    complex_rho = DensityMatrix(phases[:, None] * rho.data * phases.conj(), (15,))
+    mixed_rho = DensityMatrix(np.outer(psi, psi), (15,))
+    assert complex_rho.data.imag.any() and mixed_rho.data[::2, 1::2].any()
+    for state, grid in [(rho, QuadratureGrid(-4.5, 2.0, -3.0, 3.0, 37, 31)),
+                        (rho, QuadratureGrid(-3.0, 3.0, -1.0, 6.0, 31, 37)),
+                        (complex_rho, symmetric), (mixed_rho, symmetric)]:
+        w = wigner(state, grid)
+        data, q, p, values = calls.pop()
+        assert data is state.data
         assert np.array_equal(q, grid.q_axis()) and np.array_equal(p, grid.p_axis())
-        assert np.max(np.abs(w.values - wigner(rho, grid).values)) <= 2e-15
+        assert np.array_equal(w.values, values)
         assert w.fold[0] is w.values
 
 
