@@ -53,9 +53,7 @@ from .spectra import (
     CrossingReport,
     SpectrumSweep,
     SweepError,
-    TruncationCheck,
     TruncationReport,
-    check_truncation,
     find_avoided_crossings,
     sweep_spectrum,
     truncation_report,

@@ -60,6 +60,8 @@ class PureState:
         dims = tuple(int(d) for d in self.dims)
         if amp.shape != (math.prod(dims),):
             raise ValueError(f"{amp.shape} amplitudes do not match dims {dims}")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("state vector contains non-finite amplitudes")
         if abs(np.linalg.norm(amp) - 1.0) > 1e-10:
             raise ValueError("state vector is not normalized within 1e-10")
         amp.setflags(write=False)
@@ -74,10 +76,10 @@ class PureState:
 class DensityMatrix:
     """Hermitian, unit-trace complex matrix over one or more subsystems.
 
-    Its side must be the product of ``dims``.  Shape, Hermiticity and
-    trace are validated on construction; positivity is enforced where
-    eigenvalues are actually consumed (entropy).  Matrices compare and
-    hash by identity.
+    Its side must be the product of ``dims``.  Shape, finiteness,
+    Hermiticity and trace are validated on construction; positivity is
+    enforced where eigenvalues are actually consumed (entropy).  Matrices
+    compare and hash by identity.
     """
 
     data: np.ndarray
@@ -89,6 +91,8 @@ class DensityMatrix:
         side = math.prod(dims)
         if data.shape != (side, side):
             raise ValueError(f"matrix shape {data.shape} does not match dims {dims}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("density matrix contains non-finite entries")
         if np.max(np.abs(data - data.conj().T)) > 1e-10:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(data).real - 1.0) > 1e-10:

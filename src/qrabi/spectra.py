@@ -1,5 +1,5 @@
 """Coupling sweeps, parity-block eigensolves, ground states, truncation
-checks, and avoided-crossing detection.
+reports, and avoided-crossing detection.
 
 Sweeps solve the real parity blocks of the model (``model.parity_blocks``)
 over the whole grid in one batched call; each matrix is solved on its own,
@@ -9,8 +9,8 @@ its ``GroundStates`` record is what ``entanglement.ground_state``,
 ``entanglement.entropy_sweep``, ``wigner.ground_state_wigner`` and
 ``truncation_report`` read.  ``truncation_report`` gives, per point of a
 grid, the level shift under doubling of n_max, the top-Fock population,
-the ground parity, the quasi-degeneracy flag and the doublet gap;
-``check_truncation`` is its one-point view.
+the ground parity, the quasi-degeneracy flag and the doublet gap; a
+one-point grid gives the figures of one configuration.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .model import FockTruncation, ModelConfig, model_tag, parity_blocks
 __all__ = [
     "SpectrumSweep",
     "CrossingReport",
-    "TruncationCheck",
     "TruncationReport",
     "SweepError",
     "GroundStates",
@@ -35,7 +34,6 @@ __all__ = [
     "sweep_spectrum",
     "find_avoided_crossings",
     "truncation_report",
-    "check_truncation",
 ]
 
 DEGENERACY_RTOL = 1e-10
@@ -80,22 +78,6 @@ class CrossingReport:
     g_at_min: float
     min_gap: float
     at_boundary: bool
-
-
-@dataclass(frozen=True)
-class TruncationCheck:
-    """Change in the lowest eigenvalues when the Fock cutoff is doubled.
-
-    ``top_fock_population`` is the weight of Fock state n_max - 1 in the
-    n_max ground state.  It is reported only: ``converged`` looks at the
-    eigenvalues, which can settle while the state is still cut off.
-    """
-
-    n_max: int
-    n_max_doubled: int
-    max_shift: float
-    converged: bool
-    top_fock_population: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,6 +173,19 @@ def parity_ground_states(base: ModelConfig, grid: np.ndarray) -> GroundStates:
     return GroundStates(psi, 2 * sector - 1, levels, flagged)
 
 
+def _sorted_levels(base: ModelConfig, grid: np.ndarray) -> np.ndarray:
+    """Every level of ``base`` at each coupling of ``grid``, ascending per
+    point, from one stacked ``eigvalsh`` of the parity blocks."""
+    return np.sort(np.hstack(solve_parity_blocks(base, grid, np.linalg.eigvalsh)), axis=1)
+
+
+def _check_k_levels(k_levels, n_max: int) -> None:
+    """``k_levels`` must be an integer in [1, 2 n_max]."""
+    dim = 2 * n_max
+    if not (isinstance(k_levels, (int, np.integer)) and 1 <= k_levels <= dim):
+        raise ValueError(f"k_levels must be in [1, {dim}], got {k_levels}")
+
+
 def _coupling_grid(g_grid) -> np.ndarray:
     """``g_grid`` as a float array, which must be non-empty and 1-D."""
     grid = np.asarray(g_grid, dtype=float)
@@ -215,12 +210,9 @@ def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
     grid = _coupling_grid(g_grid)
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("g_grid must be strictly ascending")
-    dim = 2 * base.trunc.n_max
-    if not 1 <= k_levels <= dim:
-        raise ValueError(f"k_levels must be in [1, {dim}], got {k_levels}")
-
-    levels = np.sort(np.hstack(solve_parity_blocks(base, grid, np.linalg.eigvalsh)), axis=1)
-    return SpectrumSweep(grid / base.omega_c, levels[:, :k_levels], model_tag(base))
+    _check_k_levels(k_levels, base.trunc.n_max)
+    levels = _sorted_levels(base, grid)[:, :k_levels]
+    return SpectrumSweep(grid / base.omega_c, levels, model_tag(base))
 
 
 def _parabola_min(xs: np.ndarray, ys: np.ndarray, i: int) -> tuple[float, float]:
@@ -271,28 +263,13 @@ def truncation_report(base: ModelConfig, g_grid, k_levels: int) -> TruncationRep
     1-D ``g_grid``, from one ``parity_ground_states`` at n_max and one
     stacked ``eigvalsh`` of the parity blocks at 2 n_max.  ``k_levels`` is
     at most 2 n_max."""
-    n = base.trunc.n_max
-    if not 1 <= k_levels <= 2 * n:
-        raise ValueError(f"k_levels must be in [1, {2 * n}], got {k_levels}")
+    _check_k_levels(k_levels, base.trunc.n_max)
     grid = _coupling_grid(g_grid)
-    doubled = dataclasses.replace(base, trunc=FockTruncation(2 * n))
+    doubled = dataclasses.replace(base, trunc=FockTruncation(2 * base.trunc.n_max))
     ground = parity_ground_states(base, grid)
-    hi = np.sort(np.hstack(solve_parity_blocks(doubled, grid, np.linalg.eigvalsh)), axis=1)
+    hi = _sorted_levels(doubled, grid)
     shift = np.max(np.abs(ground.levels[:, :k_levels] - hi[:, :k_levels]), axis=1)
     gap = ground.levels[:, 1] - ground.levels[:, 0]
     return TruncationReport(shift, ground.psi[:, -1] ** 2, ground.parity,
                             ground.quasi_degenerate, gap)
 
-
-def check_truncation(cfg: ModelConfig, k_levels: int, tol: float) -> TruncationCheck:
-    """Compare the lowest ``k_levels`` eigenvalues at n_max and 2 n_max.
-
-    The basis is considered converged when no level moves by more than
-    ``tol`` under doubling.  The top-Fock population of the n_max ground
-    state (``parity_ground_states``) comes with the check.  This is the
-    one-point view of ``truncation_report``.
-    """
-    n = cfg.trunc.n_max
-    report = truncation_report(cfg, np.array([cfg.g]), k_levels)
-    shift = float(report.max_shift[0])
-    return TruncationCheck(n, 2 * n, shift, shift < tol, float(report.top_fock_population[0]))

@@ -21,7 +21,6 @@ from qrabi import (
     PureState,
     QuadratureGrid,
     build_full,
-    check_truncation,
     entropy_sweep,
     expectation,
     find_avoided_crossings,
@@ -31,6 +30,7 @@ from qrabi import (
     parity_operator,
     partial_trace,
     sweep_spectrum,
+    truncation_report,
     von_neumann_entropy,
     wigner,
     wigner_characteristic,
@@ -336,23 +336,23 @@ def test_criterion_11_squeezed_state():
     squeezed = {nmax: v[0] < 0.5 < v[1] for nmax, v in variances.items()}
     fringes_at_15 = min_w[15] < -1e-4
     fringes_shrink = bool(np.all(np.diff([-min_w[nmax] for nmax in n_maxes]) < 0.0))
-    check_40 = check_truncation(point(40), 1, 1e-4)
+    shift_40 = float(truncation_report(point(40), [3.0], 1).max_shift[0])
     nonnegative = min_w[40] > -1e-4
     depth_text = ", ".join(f"{nmax}: {min_w[nmax]:.1e}" for nmax in n_maxes)
     report(11, "squeezed state: Var(q) < 1/2 < Var(p), no negativity once converged",
            squeezed[15] and squeezed[40] and fringes_at_15 and fringes_shrink
-           and check_40.converged and top_fock[40] < TOP_FOCK_MAX and nonnegative,
+           and shift_40 < 1e-4 and top_fock[40] < TOP_FOCK_MAX and nonnegative,
            f"n_max=15 Var(q) {variances[15][0]:.4f}, Var(p) {variances[15][1]:.4f}, "
            f"parity {parity[15]:+.10f}, top-Fock {top_fock[15]:.1e}; "
            f"n_max=40 parity {parity[40]:+.10f}, top-Fock {top_fock[40]:.1e}, "
-           f"shift {check_40.max_shift:.1e}; "
+           f"shift {shift_40:.1e}; "
            f"min W by n_max {{{depth_text}}}")
     assert squeezed[15]
     # the n_max = 15 cut is visible as negativity, and it recedes with n_max
     assert fringes_at_15, f"min W = {min_w[15]:.2e} at n_max=15"
     assert fringes_shrink, f"min W by n_max: {depth_text}"
-    assert check_40.converged, (
-        f"ground energy moves by {check_40.max_shift:.2e} from n_max=40 to 80"
+    assert shift_40 < 1e-4, (
+        f"ground energy moves by {shift_40:.2e} from n_max=40 to 80"
     )
     assert top_fock[40] < TOP_FOCK_MAX, (
         f"top-Fock population {top_fock[40]:.2e} at n_max=40"
@@ -423,10 +423,11 @@ def test_criterion_13_schmidt_duality():
 
 
 def test_criterion_14_truncation_convergence():
-    rep = check_truncation(ModelConfig(g=1.0, trunc=FockTruncation(40)), 4, 1e-8)
-    ok = rep.converged
+    cfg = ModelConfig(g=1.0, trunc=FockTruncation(40))
+    shift = float(truncation_report(cfg, [cfg.g], 4).max_shift[0])
+    ok = shift < 1e-8
     report(14, "lowest levels stable under basis doubling 40 -> 80", ok,
-           f"max shift {rep.max_shift:.2e}")
+           f"max shift {shift:.2e}")
     assert ok
 
 

@@ -162,6 +162,12 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]]), (2,))  # not Hermitian
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(2), (2,))  # trace 2
+    # a NaN compares false with every tolerance, so only a finiteness check stops it
+    nan_inf = [np.full((2, 2), np.nan), [[np.nan, 0.0], [0.0, 1.0]],
+               [[np.inf, 0.0], [0.0, 1.0]], [[0.5, -np.inf], [-np.inf, 0.5]]]
+    for data in nan_inf:
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(data, (2,))
 
 
 def test_schmidt_duality_entropy():
@@ -289,6 +295,13 @@ def test_expectation_dims_check():
 def test_pure_state_requires_normalization():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0], dtype=complex), (2,))
+
+
+def test_pure_state_rejects_non_finite_amplitudes():
+    # a NaN norm compares false with every tolerance
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState([bad, 1.0], (2,))
 
 
 def test_pure_state_rejects_amplitudes_not_matching_dims():

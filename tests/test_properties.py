@@ -2,8 +2,9 @@
 against the per-cell reference writers of ``test_output``), checked on
 grids that hypothesis draws and shrinks (down to 2 x 2), of ``wigner``'s
 choice between a mirrored quadrant and the full axes, checked on drawn
-states and grids, and of the Hamiltonian and its ground state (affinity,
-Schmidt rank, definite parity), checked on drawn model parameters."""
+states and grids, of the Hamiltonian and its ground state (affinity,
+Schmidt rank, definite parity), checked on drawn model parameters, and of
+the state records, which reject drawn NaN and infinite entries."""
 
 import json
 import tempfile
@@ -30,6 +31,7 @@ with warnings.catch_warnings():
 
 from qrabi.entanglement import (  # noqa: E402
     DensityMatrix,
+    PureState,
     entropy_sweep,
     expectation,
     ground_state,
@@ -226,3 +228,22 @@ def test_ground_state_has_definite_parity(omega_0, g, n_max, dia):
     assert abs(psi @ h @ psi - lowest[(parity + 1) // 2]) <= 1e-12 * np.abs(h).max()
     if omega_0 == 0.0 or state.quasi_degenerate:
         assert parity == -1
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.data())
+def test_state_records_reject_non_finite_entries(n, data):
+    # uniform states of n levels with 1-3 drawn entries set to NaN or an
+    # infinity; a NaN compares false with every tolerance, so only the
+    # finiteness check stops it
+    bad = st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    index = st.integers(0, n - 1)
+    amp = np.full(n, n**-0.5, dtype=complex)
+    rho = np.diag(np.full(n, 1.0 / n)).astype(complex)
+    for _ in range(data.draw(st.integers(1, 3))):
+        amp[data.draw(index)] = data.draw(bad)
+        rho[data.draw(index), data.draw(index)] = data.draw(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        PureState(amp, (n,))
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(rho, (n,))

@@ -1,20 +1,38 @@
-"""Every ```python block of README.md runs as written, so a public name the
+"""Every ```python block of README.md runs as written, and so does every
+``qrabi`` command of its ```sh blocks, so a public name or a CLI flag the
 README uses cannot be renamed or deleted without this test failing."""
 
 import pathlib
 import re
+import shlex
 
 import pytest
 
+from qrabi.cli import EXIT_OK, main
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
-                    re.MULTILINE | re.DOTALL)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, re.MULTILINE | re.DOTALL)
+# each line of an sh block that runs qrabi, with its backslash continuations joined
+COMMANDS = [line for block in re.findall(r"^```sh\n(.*?)^```$", TEXT, re.MULTILINE | re.DOTALL)
+            for line in block.replace("\\\n", " ").splitlines() if line.startswith("qrabi ")]
 
 
 def test_readme_has_python_blocks():
     assert BLOCKS
 
 
+def test_readme_has_cli_commands():
+    assert COMMANDS
+
+
 @pytest.mark.parametrize("source", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_python_block_runs(source):
     exec(compile(source, str(README), "exec"), {"__name__": "readme"})
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[f"command{i}" for i in range(len(COMMANDS))])
+def test_readme_cli_command_runs(command, tmp_path, monkeypatch):
+    # the commands write to relative --out directories
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command)[1:]) == EXIT_OK

@@ -8,7 +8,6 @@ from qrabi import (
     ModelConfig,
     SpectrumSweep,
     build_full,
-    check_truncation,
     find_avoided_crossings,
     sweep_spectrum,
     truncation_report,
@@ -129,8 +128,9 @@ def test_sweep_validation():
         sweep_spectrum(cfg, [], 2)
     with pytest.raises(ValueError):
         sweep_spectrum(cfg, [1.0, 0.5], 2)
-    with pytest.raises(ValueError):
-        sweep_spectrum(cfg, [0.0, 1.0], 9)
+    for k_levels in (0, 9, 2.5):
+        with pytest.raises(ValueError, match=r"k_levels must be in \[1, 8\]"):
+            sweep_spectrum(cfg, [0.0, 1.0], k_levels)
     for grid in ([], [[0.5, 1.0]], 0.5):
         with pytest.raises(ValueError, match="non-empty 1-D"):
             truncation_report(cfg, grid, 2)
@@ -238,51 +238,51 @@ def test_crossing_validation():
 
 
 def test_truncation_convergence_report():
-    report = check_truncation(ModelConfig(g=1.0, trunc=FockTruncation(40)), 4, 1e-8)
-    assert report.n_max == 40 and report.n_max_doubled == 80
-    assert report.converged and report.max_shift < 1e-8
-    shallow = check_truncation(ModelConfig(g=2.0, trunc=FockTruncation(2)), 4, 1e-8)
-    assert not shallow.converged
-    # like sweep_spectrum, at most 2 * n_max = 6 levels at n_max = 3
-    for k_levels in (0, -1, 7):
+    cfg = ModelConfig(g=1.0, trunc=FockTruncation(40))
+    assert truncation_report(cfg, [cfg.g], 4).max_shift[0] < 1e-8
+    shallow = ModelConfig(g=2.0, trunc=FockTruncation(2))
+    assert not truncation_report(shallow, [shallow.g], 4).max_shift[0] < 1e-8
+    # like sweep_spectrum, a whole number of at most 2 * n_max = 6 levels at n_max = 3
+    for k_levels in (0, -1, 7, 2.5):
         with pytest.raises(ValueError, match=r"k_levels must be in \[1, 6\]"):
-            check_truncation(ModelConfig(g=1.0, trunc=FockTruncation(3)), k_levels, 1e-8)
+            truncation_report(ModelConfig(g=1.0, trunc=FockTruncation(3)), [1.0], k_levels)
 
 
 def test_truncation_check_reports_top_fock_population():
     # g = 3, D = 9: the lowest level settles under doubling at n_max = 30
     # while the top Fock state still holds 1e-5 of the ground state
     cfg = ModelConfig(g=3.0, include_diamagnetic=True, trunc=FockTruncation(30))
-    report = check_truncation(cfg, 1, 1e-4)
-    assert report.converged and report.max_shift == pytest.approx(7.75e-5, rel=1e-3)
-    assert report.top_fock_population == pytest.approx(1.06e-5, rel=1e-2)
-    deeper = check_truncation(dataclasses.replace(cfg, trunc=FockTruncation(40)), 1, 1e-4)
-    assert deeper.top_fock_population == pytest.approx(3.9e-7, rel=1e-2)
+    report = truncation_report(cfg, [cfg.g], 1)
+    assert report.max_shift[0] < 1e-4
+    assert report.max_shift[0] == pytest.approx(7.75e-5, rel=1e-3)
+    assert report.top_fock_population[0] == pytest.approx(1.06e-5, rel=1e-2)
+    deeper = truncation_report(dataclasses.replace(cfg, trunc=FockTruncation(40)), [cfg.g], 1)
+    assert deeper.top_fock_population[0] == pytest.approx(3.9e-7, rel=1e-2)
 
 
 def test_truncation_check_top_fock_of_definite_parity_ground_state():
     # at g = 6 the doublet is degenerate to machine precision, so a dense
-    # solve returns a parity-mixed vector; the check reads the top Fock
+    # solve returns a parity-mixed vector; the report reads the top Fock
     # weight of the definite-parity ground state instead
     cfg = ModelConfig(g=6.0, trunc=FockTruncation(200))
     psi = parity_ground_states(cfg, np.array([cfg.g])).psi[0]
-    assert check_truncation(cfg, 1, 1e-4).top_fock_population == psi[-1] ** 2
+    assert truncation_report(cfg, [cfg.g], 1).top_fock_population[0] == psi[-1] ** 2
 
 
 PRESET_GRID = np.linspace(0.0, 3.0, 201)
 
 
 @pytest.mark.parametrize("dia", [False, True], ids=["QRM", "QRMA"])
-def test_truncation_report_points_are_check_truncation(dia):
+def test_truncation_report_points_are_one_point_reports(dia):
     # each matrix of the stacked solves is solved on its own, so every
-    # point of the report is the one-point check, bit for bit
+    # point of the report is the one-point report, bit for bit
     cfg = ModelConfig(include_diamagnetic=dia, trunc=FockTruncation(15))
     report = truncation_report(cfg, PRESET_GRID, 8)
     for i in range(0, PRESET_GRID.size, 10):
-        check = check_truncation(dataclasses.replace(cfg, g=PRESET_GRID[i]), 8, 1e-4)
-        assert check.max_shift == report.max_shift[i]
-        assert check.top_fock_population == report.top_fock_population[i]
-        assert check.converged == (report.max_shift[i] < 1e-4)
+        point = dataclasses.replace(cfg, g=PRESET_GRID[i])
+        one = truncation_report(point, [point.g], 8)
+        for field in dataclasses.fields(report):
+            assert getattr(one, field.name)[0] == getattr(report, field.name)[i], field.name
 
 
 @pytest.mark.parametrize("dia, top_fock_from, top_fock, shift_from, parity_plus", [
