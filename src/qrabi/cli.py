@@ -18,12 +18,13 @@ only the flags it uses.  A config file may set any key, since one file may
 serve several commands; a key the command does not use is echoed in the
 manifest and otherwise ignored, beyond the checks every command makes.  A
 parameter rule lives in the library type that owns it: the CLI checks only
-what no type owns (finite floats, ``g_min``, the sweep grid, ``levels``,
-formats), builds the run's ``ModelConfig`` and, for wigner, its
-``QuadratureGrid``, and reports their ``ValueError`` as a configuration
-error.  Every result is written by one emitter, ``_emit``, in the formats
-its caller passes: tables and gnuplot surfaces through the ``output``
-writers, and SVG as the text of the ``plotting`` renderer the caller names.
+what no type owns (finite floats, ``g_min``, the sweep grid, formats),
+builds the run's ``ModelConfig`` and, for wigner, its ``QuadratureGrid``,
+checks ``levels`` with the sweep's own ``k_levels`` rule, and reports their
+``ValueError`` as a configuration error.  Every result is written by one
+emitter, ``_emit``, in the formats its caller passes: tables and gnuplot
+surfaces through the ``output`` writers, and SVG as the text of the
+``plotting`` renderer the caller names.
 reproduce-paper computes nothing itself: each figure is a fresh spec of
 its command (``_figure``), run by that command's code, so its files equal
 the command's; ``_run_wigner`` writes a panel whose fold is bit-equal to
@@ -60,7 +61,7 @@ from .output import (
     write_manifest,
 )
 from .plotting import entropy_svg, spectrum_svg, wigner_svg
-from .spectra import SweepError, find_avoided_crossings, sweep_spectrum
+from .spectra import SweepError, _check_k_levels, find_avoided_crossings, sweep_spectrum
 from .wigner import QuadratureGrid, ground_state_wigner
 
 __all__ = ["ExperimentSpec", "ConfigError", "run", "main"]
@@ -168,6 +169,8 @@ def _validate_spec(spec: ExperimentSpec) -> None:
             raise ConfigError(f"{name} must be finite, got {value}")
     try:
         _model_config(spec)
+        if spec.command in ("spectrum", "crossings"):
+            _check_k_levels(spec.levels, spec.nmax)
         if spec.command == "wigner":
             _quadrature_grid(spec)
     except ValueError as exc:
@@ -181,10 +184,6 @@ def _validate_spec(spec: ExperimentSpec) -> None:
             raise ConfigError("g_min = g_max repeats one coupling; need g_steps = 1")
         if spec.command == "crossings" and spec.g_steps < 3:
             raise ConfigError("crossings needs at least 3 grid points")
-    if spec.command in ("spectrum", "crossings") and not (
-        1 <= spec.levels <= 2 * spec.nmax
-    ):
-        raise ConfigError(f"levels must be in [1, {2 * spec.nmax}]")
 
 
 def _model_config(spec: ExperimentSpec) -> ModelConfig:

@@ -39,21 +39,12 @@ REJECT_NEGATIVE = 1e-8
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector over the composite qubit (x) cavity basis,
-    one amplitude per basis state (the product of ``dims``).
-
-    ``quasi_degenerate`` is set when the state was extracted from a
-    nearly degenerate ground doublet, in which case observables derived
-    from it are sensitive to tiny perturbations.  ``energy``, when given by
-    ``ground_state``, is the lowest level of the spectrum; in such a
-    doublet the state's own <H> can exceed it by up to
-    ``spectra.DEGENERACY_RTOL * (1 + |energy|)``.  States compare and hash
-    by identity.
+    one amplitude per basis state (the product of ``dims``).  States
+    compare and hash by identity.
     """
 
     amplitudes: np.ndarray
     dims: tuple[int, ...]
-    energy: float | None = None
-    quasi_degenerate: bool = False
 
     def __post_init__(self) -> None:
         amp = np.array(self.amplitudes, dtype=complex)
@@ -106,10 +97,8 @@ def ground_state(cfg: ModelConfig) -> PureState:
     """Ground state of ``cfg`` over the qubit (x) cavity basis: the vector of
     ``spectra.parity_ground_states``, so its parity is definite even in a
     degenerate doublet, with the global phase fixed by making the
-    largest-magnitude amplitude positive.  Energy and flag come from the
-    same record: the energy is the lowest level of either parity block, so
-    where ``quasi_degenerate`` is set and the state is parity -1's, its
-    <H> can be higher by up to ``DEGENERACY_RTOL * (1 + |energy|)``.
+    largest-magnitude amplitude positive.  Its energy and quasi-degeneracy
+    flag are ``levels[0, 0]`` and ``quasi_degenerate[0]`` of that record.
     """
     ground = parity_ground_states(cfg, np.array([cfg.g]))
     n = np.arange(cfg.trunc.n_max)
@@ -117,8 +106,7 @@ def ground_state(cfg: ModelConfig) -> PureState:
     amp = np.zeros(2 * n.size)
     amp[(ground.parity[0] * (-1) ** n < 0) * n.size + n] = ground.psi[0]
     amp *= np.sign(amp[np.argmax(np.abs(amp))])
-    energy, flagged = float(ground.levels[0, 0]), bool(ground.quasi_degenerate[0])
-    return PureState(amp, (2, n.size), energy=energy, quasi_degenerate=flagged)
+    return PureState(amp, (2, n.size))
 
 
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:

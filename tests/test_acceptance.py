@@ -37,6 +37,7 @@ from qrabi import (
     wigner_normalization,
 )
 from qrabi.cli import EXIT_OK, main as cli_main
+from qrabi.spectra import parity_ground_states
 
 GRID_201 = np.linspace(0.0, 3.0, 201)
 WIGNER_GRID = QuadratureGrid(-6, 6, -6, 6, 201, 201)  # row/column 100 is p/q = 0
@@ -170,7 +171,8 @@ def test_criterion_05_displaced_oscillator():
     for g in (0.5, 1.0, 2.0):
         cfg = ModelConfig(omega_0=0.0, g=g, trunc=FockTruncation(80))
         state = ground_state(cfg)
-        worst_e = max(worst_e, abs(state.energy + g * g))
+        e0 = parity_ground_states(cfg, np.array([g])).levels[0, 0]
+        worst_e = max(worst_e, abs(e0 + g * g))
         n_op = np.kron(np.eye(2), np.diag(np.arange(cfg.trunc.n_max, dtype=float)))
         n_exp = expectation(n_op, state).real
         worst_n = max(worst_n, abs(n_exp - g * g) / (g * g))

@@ -552,6 +552,17 @@ def test_default_levels_fit_a_small_basis(tmp_path, command, nmax, columns):
     assert json.loads((out / "manifest.json").read_text())["levels"] == 8
 
 
+def test_levels_rule_is_the_sweeps(tmp_path, capsys):
+    # --levels is checked by the rule that sweep_spectrum applies to
+    # k_levels, before any directory is made
+    for command, levels in (("spectrum", "5"), ("crossings", "0")):
+        out = tmp_path / command
+        assert run_cli(command, "--nmax", "2", "--levels", levels, "--out", str(out)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "qrabi: configuration error: k_levels must be in [1, 4]")
+        assert not out.exists()
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # grid extent far beyond the Laguerre overflow guard
     code = run_cli(

@@ -32,8 +32,9 @@ def test_ground_state_decoupled():
     expected = np.zeros(8)
     expected[4] = 1.0
     assert np.allclose(state.amplitudes, expected, atol=1e-12)
-    assert state.energy == pytest.approx(-0.5)
-    assert not state.quasi_degenerate
+    ground = parity_ground_states(cfg, np.array([cfg.g]))
+    assert ground.levels[0, 0] == pytest.approx(-0.5)
+    assert not ground.quasi_degenerate[0]
 
 
 def test_ground_state_phase_fix():
@@ -46,8 +47,7 @@ def test_ground_state_phase_fix():
 
 def test_ground_state_energy_is_the_parity_block_level():
     cfg = ModelConfig(g=1.4, trunc=FockTruncation(10))
-    energy = ground_state(cfg).energy
-    assert energy == parity_ground_states(cfg, np.array([cfg.g])).levels[0, 0]
+    energy = parity_ground_states(cfg, np.array([cfg.g])).levels[0, 0]
     dense = np.linalg.eigvalsh(build_full(cfg))[0]
     assert abs(energy - dense) <= 1e-12 * max(1.0, abs(dense))
 
@@ -62,9 +62,9 @@ def test_ground_state_entropy_zero_at_zero_coupling():
 def test_quasi_degeneracy_flag():
     # omega_0 = 0 leaves every level exactly doubly degenerate
     cfg = ModelConfig(omega_0=0.0, g=0.3, trunc=FockTruncation(8))
-    assert ground_state(cfg).quasi_degenerate
+    assert parity_ground_states(cfg, np.array([cfg.g])).quasi_degenerate[0]
     cfg2 = ModelConfig(g=0.3, trunc=FockTruncation(8))
-    assert not ground_state(cfg2).quasi_degenerate
+    assert not parity_ground_states(cfg2, np.array([cfg2.g])).quasi_degenerate[0]
 
 
 def test_deep_strong_photon_number():
@@ -74,7 +74,7 @@ def test_deep_strong_photon_number():
     n_op = np.kron(np.eye(2), np.diag(np.arange(cfg.trunc.n_max, dtype=float)))
     n_exp = expectation(n_op, state).real
     assert abs(n_exp - 4.0) / 4.0 <= 0.01
-    assert abs(state.energy + 4.0) <= 1e-6
+    assert abs(parity_ground_states(cfg, np.array([cfg.g])).levels[0, 0] + 4.0) <= 1e-6
 
 
 def test_partial_trace_product_state():
@@ -265,7 +265,7 @@ def test_deep_strong_ground_state_has_definite_parity():
     state = ground_state(cfg)
     assert abs(abs(expectation(parity_operator(cfg.trunc), state).real) - 1.0) <= 1e-12
     assert abs(von_neumann_entropy(partial_trace(state.to_density(), "qubit")) - 1.0) < 1e-3
-    assert state.quasi_degenerate
+    assert parity_ground_states(cfg, np.array([cfg.g])).quasi_degenerate[0]
 
 
 def test_parity_sector_tie_rule():

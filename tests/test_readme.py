@@ -1,13 +1,16 @@
 """Every ```python block of README.md runs as written, and so does every
 ``qrabi`` command of its ```sh blocks, so a public name or a CLI flag the
-README uses cannot be renamed or deleted without this test failing."""
+README uses cannot be renamed or deleted without this test failing.  Every
+public name of ``import qrabi`` appears in README."""
 
 import pathlib
 import re
 import shlex
+import types
 
 import pytest
 
+import qrabi
 from qrabi.cli import EXIT_OK, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -36,3 +39,10 @@ def test_readme_cli_command_runs(command, tmp_path, monkeypatch):
     # the commands write to relative --out directories
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(command)[1:]) == EXIT_OK
+
+
+def test_readme_names_every_exported_name():
+    # the package's submodules are attributes of it too, but not exports
+    exported = [name for name in dir(qrabi) if not name.startswith("_")
+                and not isinstance(getattr(qrabi, name), types.ModuleType)]
+    assert [name for name in exported if not re.search(rf"\b{name}\b", TEXT)] == []
