@@ -53,7 +53,6 @@ from .spectra import (
     CrossingReport,
     SpectrumSweep,
     SweepError,
-    TruncationReport,
     find_avoided_crossings,
     sweep_spectrum,
     truncation_report,

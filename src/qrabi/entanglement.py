@@ -6,7 +6,9 @@ States are plain numpy arrays over the qubit (x) cavity basis of
 square arrays over the same basis.  Entropy is measured in bits (log base
 2), so a maximally entangled qubit-cavity state has S = 1 exactly.
 ``ground_state`` and ``entropy_sweep`` read the ``GroundStates`` record of
-``spectra.parity_ground_states``, which picks the ground state.
+``spectra.parity_ground_states``, which picks the ground state, and an
+``EntropySweep`` keeps each variant's record, so the parity, doublet gap,
+top-Fock population and truncation report of its points need no new solve.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelConfig
-from .spectra import _coupling_grid, parity_ground_states
+from .spectra import GroundStates, parity_ground_states
 
 __all__ = [
     "PureState",
@@ -100,7 +102,7 @@ def ground_state(cfg: ModelConfig) -> PureState:
     largest-magnitude amplitude positive.  Its energy and quasi-degeneracy
     flag are ``levels[0, 0]`` and ``quasi_degenerate[0]`` of that record.
     """
-    ground = parity_ground_states(cfg, np.array([cfg.g]))
+    ground = parity_ground_states(cfg, [cfg.g])
     n = np.arange(cfg.trunc.n_max)
     # chain state n holds the qubit with sigma_z = P (-1)^n: index 0 for +1
     amp = np.zeros(2 * n.size)
@@ -155,15 +157,15 @@ def _entropy_bits(lam: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class EntropySweep:
     """Ground-state qubit entropy (bits) of both model variants per
-    coupling grid point, with per-point quasi-degeneracy flags.
-    ``g_grid`` holds each coupling divided by omega_c.  Sweeps compare and
-    hash by identity."""
+    coupling grid point, with the ``GroundStates`` record of each variant's
+    solve.  ``g_grid`` holds each coupling divided by omega_c.  Sweeps
+    compare and hash by identity."""
 
     g_grid: np.ndarray
     s_qrm: np.ndarray
     s_qrma: np.ndarray
-    degenerate_qrm: np.ndarray
-    degenerate_qrma: np.ndarray
+    ground_qrm: GroundStates
+    ground_qrma: GroundStates
 
 
 def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
@@ -173,18 +175,15 @@ def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
     column per variant, computed from the same remaining parameters.
     ``g_grid`` holds couplings g in the same unit as ``base.omega_c``.
     """
-    grid = _coupling_grid(g_grid)
-
     columns = []
     for dia in (False, True):
-        cfg = dataclasses.replace(base, include_diamagnetic=dia)
-        ground = parity_ground_states(cfg, grid)
+        ground = parity_ground_states(dataclasses.replace(base, include_diamagnetic=dia), g_grid)
         psi = ground.psi
         # the qubit state is diagonal: weights of the even and odd chain states
         lam = np.stack([(psi[:, 0::2] ** 2).sum(axis=1), (psi[:, 1::2] ** 2).sum(axis=1)], 1)
-        columns += [_entropy_bits(lam), ground.quasi_degenerate]
-    s_qrm, flag_qrm, s_qrma, flag_qrma = columns
-    return EntropySweep(grid / base.omega_c, s_qrm, s_qrma, flag_qrm, flag_qrma)
+        columns += [_entropy_bits(lam), ground]
+    s_qrm, ground_qrm, s_qrma, ground_qrma = columns
+    return EntropySweep(ground_qrm.couplings / base.omega_c, s_qrm, s_qrma, ground_qrm, ground_qrma)
 
 
 def expectation(op: np.ndarray, state: PureState) -> complex:

@@ -4,13 +4,13 @@ reports, and avoided-crossing detection.
 Sweeps solve the real parity blocks of the model (``model.parity_blocks``)
 over the whole grid in one batched call; each matrix is solved on its own,
 so a grid point's result does not depend on the rest of the grid.
-``parity_ground_states`` is the one place that picks the ground state:
-its ``GroundStates`` record is what ``entanglement.ground_state``,
-``entanglement.entropy_sweep``, ``wigner.ground_state_wigner`` and
-``truncation_report`` read.  ``truncation_report`` gives, per point of a
-grid, the level shift under doubling of n_max, the top-Fock population,
-the ground parity, the quasi-degeneracy flag and the doublet gap; a
-one-point grid gives the figures of one configuration.
+``parity_ground_states`` is the one place that picks the ground state, and
+its ``GroundStates`` record holds every figure of that solve: the config
+and couplings solved, the state, parity, levels, quasi-degeneracy flag,
+doublet gap and top-Fock population.  ``entanglement.ground_state``,
+``entanglement.entropy_sweep`` and ``wigner.ground_state_wigner`` read it,
+and ``truncation_report`` adds to it only the per-point level shift under
+doubling of n_max.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .model import FockTruncation, ModelConfig, model_tag, parity_blocks
 __all__ = [
     "SpectrumSweep",
     "CrossingReport",
-    "TruncationReport",
     "SweepError",
     "GroundStates",
     "solve_parity_blocks",
@@ -81,48 +80,50 @@ class CrossingReport:
 
 
 @dataclass(frozen=True, eq=False)
-class TruncationReport:
-    """Truncation figures per coupling of a grid (``truncation_report``).
-
-    ``max_shift[i]`` is the largest move of the lowest ``k_levels`` levels
-    at point i when n_max is doubled, ``top_fock_population[i]`` the weight
-    of Fock state n_max - 1 in the n_max ground state, and ``parity``,
-    ``quasi_degenerate`` and ``doublet_gap`` (the two lowest levels' gap)
-    come from that ground state's ``GroundStates`` record.  For omega_0 > 0
-    a parity of +1 where ``quasi_degenerate`` is not set is a truncation
-    artifact (``ground_sector``).  Reports compare and hash by identity.
-    """
-
-    max_shift: np.ndarray
-    top_fock_population: np.ndarray
-    parity: np.ndarray
-    quasi_degenerate: np.ndarray
-    doublet_gap: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class GroundStates:
-    """Ground state per coupling of a grid, from one solve of the parity blocks.
+    """Every figure of one solve of the parity blocks of ``base`` over the
+    raw couplings g of ``couplings`` (not divided by omega_c).
 
-    ``psi[i]`` holds the n_max amplitudes of the ground state at point i in
-    the chain basis of ``model.parity_blocks``: the lowest vector of the
-    sector whose lowest level is lower, with a quasi-degenerate doublet
-    going to parity -1 (``ground_sector``).  So ``parity[i]`` (+1 or -1) is
-    definite even in a degenerate doublet.  ``levels[i]`` holds every level
-    of both blocks in ascending order, the ground energy first.
-    ``quasi_degenerate[i]`` is set when the two lowest levels agree to
-    within ``DEGENERACY_RTOL`` relative (the large-g parity doublet).
-    ``levels[i, 0]`` is the lowest level of either block: inside the
-    quasi-degeneracy band ``psi[i]`` is parity -1's vector, whose energy,
-    its own block's lowest level, can be higher by up to
-    ``DEGENERACY_RTOL * (1 + |levels[i, 0]|)``.  Records compare and hash
-    by identity.
+    ``psi[i]`` holds the n_max amplitudes of the ground state at
+    ``couplings[i]`` in the chain basis of ``model.parity_blocks``: the
+    lowest vector of the sector whose lowest level is lower, with a
+    quasi-degenerate doublet going to parity -1 (``ground_sector``).  So
+    ``parity[i]`` (+1 or -1) is definite even in a degenerate doublet; for
+    omega_0 > 0 a parity of +1 where ``quasi_degenerate[i]`` is not set is
+    a truncation artifact.  ``levels[i]`` holds every level of both blocks
+    in ascending order, the ground energy first.  ``quasi_degenerate[i]``
+    is set when the two lowest levels agree to within ``DEGENERACY_RTOL``
+    relative (the large-g parity doublet).  ``levels[i, 0]`` is the lowest
+    level of either block: inside the quasi-degeneracy band ``psi[i]`` is
+    parity -1's vector, whose energy, its own block's lowest level, can be
+    higher by up to ``DEGENERACY_RTOL * (1 + |levels[i, 0]|)``.  Records
+    compare and hash by identity.
     """
 
+    base: ModelConfig
+    couplings: np.ndarray
     psi: np.ndarray
     parity: np.ndarray
     levels: np.ndarray
     quasi_degenerate: np.ndarray
+
+    @property
+    def top_fock_population(self) -> np.ndarray:
+        """Weight of Fock state n_max - 1 in each ground state."""
+        return self.psi[:, -1] ** 2
+
+    @property
+    def doublet_gap(self) -> np.ndarray:
+        """Gap between the two lowest levels at each coupling."""
+        return self.levels[:, 1] - self.levels[:, 0]
+
+
+def _coupling_grid(g_grid) -> np.ndarray:
+    """``g_grid`` as a float array, which must be non-empty and 1-D."""
+    grid = np.array(g_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("g_grid must be a non-empty 1-D sequence")
+    return grid
 
 
 def solve_parity_blocks(base: ModelConfig, grid: np.ndarray, solver):
@@ -162,15 +163,17 @@ def ground_sector(values: np.ndarray) -> np.ndarray:
     return (minus - plus > _degeneracy_band(np.minimum(minus, plus))).astype(np.intp)
 
 
-def parity_ground_states(base: ModelConfig, grid: np.ndarray) -> GroundStates:
-    """``GroundStates`` of ``base`` at each coupling of ``grid``."""
+def parity_ground_states(base: ModelConfig, g_grid) -> GroundStates:
+    """``GroundStates`` of ``base`` at each coupling of the non-empty 1-D
+    ``g_grid``."""
+    grid = _coupling_grid(g_grid)
     values, vectors = solve_parity_blocks(base, grid, np.linalg.eigh)
     sector = ground_sector(values)
     levels = np.sort(np.hstack(values), axis=1)
     e0, e1 = levels[:, :2].T
     flagged = (e1 - e0) < _degeneracy_band(e0)
     psi = vectors[sector, np.arange(grid.size), :, 0]
-    return GroundStates(psi, 2 * sector - 1, levels, flagged)
+    return GroundStates(base, grid, psi, 2 * sector - 1, levels, flagged)
 
 
 def _sorted_levels(base: ModelConfig, grid: np.ndarray) -> np.ndarray:
@@ -184,14 +187,6 @@ def _check_k_levels(k_levels, n_max: int) -> None:
     dim = 2 * n_max
     if not (isinstance(k_levels, (int, np.integer)) and 1 <= k_levels <= dim):
         raise ValueError(f"k_levels must be in [1, {dim}], got {k_levels}")
-
-
-def _coupling_grid(g_grid) -> np.ndarray:
-    """``g_grid`` as a float array, which must be non-empty and 1-D."""
-    grid = np.asarray(g_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("g_grid must be a non-empty 1-D sequence")
-    return grid
 
 
 def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
@@ -258,18 +253,13 @@ def find_avoided_crossings(sweep: SpectrumSweep, pair: tuple[int, int]) -> Cross
     return CrossingReport((k, k1), g_min, gap_min, False)
 
 
-def truncation_report(base: ModelConfig, g_grid, k_levels: int) -> TruncationReport:
-    """``TruncationReport`` of ``base`` at each coupling of the non-empty
-    1-D ``g_grid``, from one ``parity_ground_states`` at n_max and one
-    stacked ``eigvalsh`` of the parity blocks at 2 n_max.  ``k_levels`` is
-    at most 2 n_max."""
+def truncation_report(ground: GroundStates, k_levels: int) -> np.ndarray:
+    """Largest move of the lowest ``k_levels`` levels of ``ground`` at each
+    of its couplings when n_max is doubled, from one stacked ``eigvalsh``
+    of the parity blocks of ``ground.base`` at 2 n_max.  ``k_levels`` is at
+    most 2 n_max."""
+    base = ground.base
     _check_k_levels(k_levels, base.trunc.n_max)
-    grid = _coupling_grid(g_grid)
     doubled = dataclasses.replace(base, trunc=FockTruncation(2 * base.trunc.n_max))
-    ground = parity_ground_states(base, grid)
-    hi = _sorted_levels(doubled, grid)
-    shift = np.max(np.abs(ground.levels[:, :k_levels] - hi[:, :k_levels]), axis=1)
-    gap = ground.levels[:, 1] - ground.levels[:, 0]
-    return TruncationReport(shift, ground.psi[:, -1] ** 2, ground.parity,
-                            ground.quasi_degenerate, gap)
-
+    hi = _sorted_levels(doubled, ground.couplings)
+    return np.max(np.abs(ground.levels[:, :k_levels] - hi[:, :k_levels]), axis=1)

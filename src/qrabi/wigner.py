@@ -242,7 +242,7 @@ def marginal_variance(w: WignerGrid, axis: str) -> float:
 def ground_state_wigner(cfg: ModelConfig, grid: QuadratureGrid) -> WignerGrid:
     """``wigner`` of the model's reduced cavity ground state, real and of
     definite parity: rho_c[n, n'] = psi_n psi_n' for n = n' (mod 2), else 0."""
-    psi = parity_ground_states(cfg, np.array([cfg.g])).psi[0]
+    psi = parity_ground_states(cfg, [cfg.g]).psi[0]
     n = np.arange(psi.size)
     rho = np.outer(psi, psi) * ((n[:, None] - n) % 2 == 0)
     return wigner(DensityMatrix(rho, (psi.size,)), grid)

@@ -338,7 +338,7 @@ def test_criterion_11_squeezed_state():
     squeezed = {nmax: v[0] < 0.5 < v[1] for nmax, v in variances.items()}
     fringes_at_15 = min_w[15] < -1e-4
     fringes_shrink = bool(np.all(np.diff([-min_w[nmax] for nmax in n_maxes]) < 0.0))
-    shift_40 = float(truncation_report(point(40), [3.0], 1).max_shift[0])
+    shift_40 = float(truncation_report(parity_ground_states(point(40), [3.0]), 1)[0])
     nonnegative = min_w[40] > -1e-4
     depth_text = ", ".join(f"{nmax}: {min_w[nmax]:.1e}" for nmax in n_maxes)
     report(11, "squeezed state: Var(q) < 1/2 < Var(p), no negativity once converged",
@@ -426,7 +426,7 @@ def test_criterion_13_schmidt_duality():
 
 def test_criterion_14_truncation_convergence():
     cfg = ModelConfig(g=1.0, trunc=FockTruncation(40))
-    shift = float(truncation_report(cfg, [cfg.g], 4).max_shift[0])
+    shift = float(truncation_report(parity_ground_states(cfg, [cfg.g]), 4)[0])
     ok = shift < 1e-8
     report(14, "lowest levels stable under basis doubling 40 -> 80", ok,
            f"max shift {shift:.2e}")

@@ -28,9 +28,9 @@ E[1/N] = (1 + 1/b + O(b^-2))/b, 1 - S tends to (w0/4g^2)^2/(2 ln 2) with a
 relative correction 1/(2 g^2), and S -> 1 (J. Casanova et al., PRL 105,
 263603 (2010)).
 
-Each check runs where ``truncation_report`` finds the basis converged: the
-two lowest levels move by at most SHIFT_MAX when n_max is doubled, and Fock
-state n_max - 1 holds at most TOP_FOCK_MAX of the ground state."""
+Each check runs where the basis is converged: ``truncation_report`` finds
+that the two lowest levels move by at most SHIFT_MAX when n_max is doubled,
+and Fock state n_max - 1 holds at most TOP_FOCK_MAX of the ground state."""
 
 import math
 
@@ -44,9 +44,9 @@ TOP_FOCK_MAX = 1e-15
 
 
 def assert_converged(cfg, grid):
-    report = truncation_report(cfg, grid, k_levels=2)
-    assert report.max_shift.max() <= SHIFT_MAX
-    assert report.top_fock_population.max() <= TOP_FOCK_MAX
+    ground = parity_ground_states(cfg, grid)
+    assert truncation_report(ground, k_levels=2).max() <= SHIFT_MAX
+    assert ground.top_fock_population.max() <= TOP_FOCK_MAX
 
 
 def gap_next_order(g):

@@ -188,7 +188,8 @@ def test_entropy_sweep_endpoints_and_flags():
     assert sweep.g_grid.tolist() == [0.0, 1.0]
     # omega_0 = 0 flags every point as quasi-degenerate
     degenerate = entropy_sweep(ModelConfig(omega_0=0.0, trunc=FockTruncation(6)), [0.5])
-    assert degenerate.degenerate_qrm[0] and degenerate.degenerate_qrma[0]
+    assert degenerate.ground_qrm.quasi_degenerate[0]
+    assert degenerate.ground_qrma.quasi_degenerate[0]
 
 
 @pytest.mark.parametrize("d_override", [None, 0.37])
@@ -199,9 +200,9 @@ def test_entropy_sweep_matches_pointwise_dense_solve(nmax, omega_0, d_override):
     grid = np.linspace(0.0, 3.0, 13)
     sweep = entropy_sweep(base, grid)
     compared = 0
-    for dia, entropies, flags in ((False, sweep.s_qrm, sweep.degenerate_qrm),
-                                  (True, sweep.s_qrma, sweep.degenerate_qrma)):
-        for g, s, flagged in zip(grid, entropies, flags):
+    for dia, entropies, ground in ((False, sweep.s_qrm, sweep.ground_qrm),
+                                   (True, sweep.s_qrma, sweep.ground_qrma)):
+        for g, s, flagged in zip(grid, entropies, ground.quasi_degenerate):
             h = build_full(dataclasses.replace(base, g=g, include_diamagnetic=dia))
             values, vectors = np.linalg.eigh(h)
             if np.diff(values[:2])[0] <= 1e-8:
@@ -260,7 +261,7 @@ def test_deep_strong_ground_state_has_definite_parity():
     cfg = ModelConfig(omega_0=1.0, g=6.0, trunc=FockTruncation(200))
     sweep = entropy_sweep(cfg, [6.0])
     assert abs(sweep.s_qrm[0] - 1.0) < 1e-3
-    assert sweep.degenerate_qrm[0]
+    assert sweep.ground_qrm.quasi_degenerate[0]
     # ground_state embeds the same parity-sector vector in the full basis
     state = ground_state(cfg)
     assert abs(abs(expectation(parity_operator(cfg.trunc), state).real) - 1.0) <= 1e-12

@@ -8,7 +8,10 @@ from qrabi import (
     ModelConfig,
     SpectrumSweep,
     build_full,
+    entropy_sweep,
     find_avoided_crossings,
+    ground_state,
+    partial_trace,
     sweep_spectrum,
     truncation_report,
 )
@@ -131,9 +134,25 @@ def test_sweep_validation():
     for k_levels in (0, 9, 2.5):
         with pytest.raises(ValueError, match=r"k_levels must be in \[1, 8\]"):
             sweep_spectrum(cfg, [0.0, 1.0], k_levels)
-    for grid in ([], [[0.5, 1.0]], 0.5):
+
+
+def test_parity_ground_states_takes_any_1d_sequence():
+    # the grid goes through the sweeps' check: a list is the same grid as
+    # its array, and an empty, 2-D or scalar grid is refused alike; the
+    # record owns a copy of the couplings
+    cfg = ModelConfig(trunc=FockTruncation(6))
+    grid = [0.0, 0.5, 1.0, 2.5]
+    listed = parity_ground_states(cfg, grid)
+    array = np.array(grid)
+    arrayed = parity_ground_states(cfg, array)
+    array[0] = 9.0
+    for name in ("couplings", "psi", "parity", "levels", "quasi_degenerate"):
+        a, b = getattr(listed, name), getattr(arrayed, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert listed.base is cfg and listed.couplings.tolist() == grid
+    for bad in ([], [[1.0]], [[0.5, 1.0]], 0.5):
         with pytest.raises(ValueError, match="non-empty 1-D"):
-            truncation_report(cfg, grid, 2)
+            parity_ground_states(cfg, bad)
 
 
 def test_sweep_error_carries_grid_point():
@@ -239,34 +258,38 @@ def test_crossing_validation():
 
 def test_truncation_convergence_report():
     cfg = ModelConfig(g=1.0, trunc=FockTruncation(40))
-    assert truncation_report(cfg, [cfg.g], 4).max_shift[0] < 1e-8
+    assert truncation_report(parity_ground_states(cfg, [cfg.g]), 4)[0] < 1e-8
     shallow = ModelConfig(g=2.0, trunc=FockTruncation(2))
-    assert not truncation_report(shallow, [shallow.g], 4).max_shift[0] < 1e-8
+    assert not truncation_report(parity_ground_states(shallow, [shallow.g]), 4)[0] < 1e-8
     # like sweep_spectrum, a whole number of at most 2 * n_max = 6 levels at n_max = 3
+    ground = parity_ground_states(ModelConfig(g=1.0, trunc=FockTruncation(3)), [1.0])
     for k_levels in (0, -1, 7, 2.5):
         with pytest.raises(ValueError, match=r"k_levels must be in \[1, 6\]"):
-            truncation_report(ModelConfig(g=1.0, trunc=FockTruncation(3)), [1.0], k_levels)
+            truncation_report(ground, k_levels)
 
 
 def test_truncation_check_reports_top_fock_population():
     # g = 3, D = 9: the lowest level settles under doubling at n_max = 30
     # while the top Fock state still holds 1e-5 of the ground state
     cfg = ModelConfig(g=3.0, include_diamagnetic=True, trunc=FockTruncation(30))
-    report = truncation_report(cfg, [cfg.g], 1)
-    assert report.max_shift[0] < 1e-4
-    assert report.max_shift[0] == pytest.approx(7.75e-5, rel=1e-3)
-    assert report.top_fock_population[0] == pytest.approx(1.06e-5, rel=1e-2)
-    deeper = truncation_report(dataclasses.replace(cfg, trunc=FockTruncation(40)), [cfg.g], 1)
+    ground = parity_ground_states(cfg, [cfg.g])
+    shift = truncation_report(ground, 1)[0]
+    assert shift < 1e-4
+    assert shift == pytest.approx(7.75e-5, rel=1e-3)
+    assert ground.top_fock_population[0] == pytest.approx(1.06e-5, rel=1e-2)
+    deeper = parity_ground_states(dataclasses.replace(cfg, trunc=FockTruncation(40)), [cfg.g])
     assert deeper.top_fock_population[0] == pytest.approx(3.9e-7, rel=1e-2)
 
 
 def test_truncation_check_top_fock_of_definite_parity_ground_state():
     # at g = 6 the doublet is degenerate to machine precision, so a dense
-    # solve returns a parity-mixed vector; the report reads the top Fock
-    # weight of the definite-parity ground state instead
+    # solve returns a parity-mixed vector; the record reads the top Fock
+    # weight of the definite-parity ground state that ground_state embeds
     cfg = ModelConfig(g=6.0, trunc=FockTruncation(200))
-    psi = parity_ground_states(cfg, np.array([cfg.g])).psi[0]
-    assert truncation_report(cfg, [cfg.g], 1).top_fock_population[0] == psi[-1] ** 2
+    ground = parity_ground_states(cfg, [cfg.g])
+    rho_c = partial_trace(ground_state(cfg).to_density(), "cavity")
+    assert ground.parity[0] == -1 and ground.quasi_degenerate[0]
+    assert ground.top_fock_population[0] == rho_c.data[-1, -1].real
 
 
 PRESET_GRID = np.linspace(0.0, 3.0, 201)
@@ -275,14 +298,16 @@ PRESET_GRID = np.linspace(0.0, 3.0, 201)
 @pytest.mark.parametrize("dia", [False, True], ids=["QRM", "QRMA"])
 def test_truncation_report_points_are_one_point_reports(dia):
     # each matrix of the stacked solves is solved on its own, so every
-    # point of the report is the one-point report, bit for bit
+    # point of the record and its report is the one-point one, bit for bit
     cfg = ModelConfig(include_diamagnetic=dia, trunc=FockTruncation(15))
-    report = truncation_report(cfg, PRESET_GRID, 8)
+    ground = parity_ground_states(cfg, PRESET_GRID)
+    shift = truncation_report(ground, 8)
     for i in range(0, PRESET_GRID.size, 10):
         point = dataclasses.replace(cfg, g=PRESET_GRID[i])
-        one = truncation_report(point, [point.g], 8)
-        for field in dataclasses.fields(report):
-            assert getattr(one, field.name)[0] == getattr(report, field.name)[i], field.name
+        one = parity_ground_states(point, [point.g])
+        assert truncation_report(one, 8)[0] == shift[i]
+        for name in ("parity", "quasi_degenerate", "top_fock_population", "doublet_gap"):
+            assert getattr(one, name)[0] == getattr(ground, name)[i], name
 
 
 @pytest.mark.parametrize("dia, top_fock_from, top_fock, shift_from, parity_plus", [
@@ -297,20 +322,41 @@ def test_truncation_report_of_the_preset_grid(dia, top_fock_from, top_fock, shif
         return (float(PRESET_GRID[flags][0]), int(flags.sum())) if flags.any() else None
 
     cfg = ModelConfig(include_diamagnetic=dia, trunc=FockTruncation(15))
-    report = truncation_report(cfg, PRESET_GRID, 8)
-    assert first(report.top_fock_population > 1e-4)[0] == top_fock_from
-    assert report.top_fock_population[report.top_fock_population > 1e-4][0] == pytest.approx(
-        top_fock, rel=1e-2)
-    assert first(report.max_shift > 1e-4)[0] == shift_from
-    assert first(report.parity == 1) == parity_plus
-    assert not report.quasi_degenerate.any()
-    levels = parity_ground_states(cfg, PRESET_GRID).levels
-    assert np.array_equal(report.doublet_gap, levels[:, 1] - levels[:, 0])
+    ground = parity_ground_states(cfg, PRESET_GRID)
+    top = ground.top_fock_population
+    assert first(top > 1e-4)[0] == top_fock_from
+    assert top[top > 1e-4][0] == pytest.approx(top_fock, rel=1e-2)
+    assert first(truncation_report(ground, 8) > 1e-4)[0] == shift_from
+    assert first(ground.parity == 1) == parity_plus
+    assert not ground.quasi_degenerate.any()
     # by the theorem a parity of +1 outside the quasi-degeneracy band is
     # truncation; at n_max = 40 that exact flag shows nothing
-    deep = truncation_report(dataclasses.replace(cfg, trunc=FockTruncation(40)), PRESET_GRID, 8)
+    deep = parity_ground_states(dataclasses.replace(cfg, trunc=FockTruncation(40)), PRESET_GRID)
     assert np.all(deep.parity == -1) and np.all(deep.top_fock_population < 1e-4)
     assert not np.any((deep.parity == 1) & ~deep.quasi_degenerate)
+
+
+def test_truncation_report_of_a_record_makes_no_eigh_call(monkeypatch):
+    # the report adds only the 2 n_max eigvalsh to the record's solve
+    cfg = ModelConfig(include_diamagnetic=True, trunc=FockTruncation(8))
+    ground = parity_ground_states(cfg, PRESET_GRID[::20])
+    expected = truncation_report(ground, 8)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(AssertionError, match="eigh called"):
+        parity_ground_states(cfg, PRESET_GRID[::20])
+    assert truncation_report(ground, 8).tobytes() == expected.tobytes()
+
+
+def test_truncation_report_of_an_entropy_sweep_record():
+    # fig8's sweep record feeds the report as a fresh solve of its variant does
+    cfg = ModelConfig(trunc=FockTruncation(15))
+    sweep = entropy_sweep(cfg, PRESET_GRID)
+    fresh = parity_ground_states(dataclasses.replace(cfg, include_diamagnetic=True), PRESET_GRID)
+    assert truncation_report(sweep.ground_qrma, 8).tobytes() == truncation_report(fresh, 8).tobytes()
 
 
 def test_ground_sector_picks_lower_block_and_breaks_ties_to_parity_minus_one():

@@ -20,7 +20,6 @@ from qrabi import (
     negativity_volume,
     partial_trace,
     sweep_spectrum,
-    truncation_report,
     wigner,
     wigner_characteristic,
     wigner_marginal,
@@ -371,7 +370,6 @@ def test_wigner_grid_compares_and_hashes_by_identity():
         lambda: ground_state(cfg),
         lambda: ground_state(cfg).to_density(),
         lambda: entropy_sweep(cfg, g_grid),
-        lambda: truncation_report(cfg, g_grid, 4),
     ]
     for build in builds:
         a, b = build(), build()
