@@ -42,7 +42,6 @@ from .entanglement import (
     von_neumann_entropy,
 )
 from .model import (
-    FockTruncation,
     ModelConfig,
     build_full,
     diamagnetic_constant,

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .entanglement import entropy_sweep
-from .model import FockTruncation, ModelConfig
+from .model import ModelConfig
 from .output import (
     crossings_table,
     entropy_table,
@@ -194,7 +194,7 @@ def _model_config(spec: ExperimentSpec) -> ModelConfig:
         g=spec.g,
         include_diamagnetic=spec.diamagnetic,
         d_override=spec.d_override,
-        trunc=FockTruncation(spec.nmax),
+        n_max=spec.nmax,
     )
 
 

@@ -103,7 +103,7 @@ def ground_state(cfg: ModelConfig) -> PureState:
     flag are ``levels[0, 0]`` and ``quasi_degenerate[0]`` of that record.
     """
     ground = parity_ground_states(cfg, [cfg.g])
-    n = np.arange(cfg.trunc.n_max)
+    n = np.arange(cfg.n_max)
     # chain state n holds the qubit with sigma_z = P (-1)^n: index 0 for +1
     amp = np.zeros(2 * n.size)
     amp[(ground.parity[0] * (-1) ** n < 0) * n.size + n] = ground.psi[0]

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FockTruncation",
     "ModelConfig",
     "diamagnetic_constant",
     "bogoliubov_map",
@@ -43,22 +42,13 @@ def _count(name: str, value) -> int:
 
 
 @dataclass(frozen=True)
-class FockTruncation:
-    """Number of Fock states retained in the simulation basis |0> .. |n_max-1>."""
-
-    n_max: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_max", _count("n_max", self.n_max))
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     """Physical parameters of a qubit-cavity model instance.
 
     All frequencies are in units of the cavity frequency, so ``omega_c``
     is normally 1.0.  ``d_override`` fixes the diamagnetic constant
-    explicitly; when absent D = g^2 / omega_c.
+    explicitly; when absent D = g^2 / omega_c.  ``n_max`` is the number of
+    Fock states kept, the basis |0> .. |n_max-1>.
     """
 
     omega_c: float = 1.0
@@ -66,9 +56,10 @@ class ModelConfig:
     g: float = 0.0
     include_diamagnetic: bool = False
     d_override: float | None = None
-    trunc: FockTruncation = FockTruncation(15)
+    n_max: int = 15
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_max", _count("n_max", self.n_max))
         if not 0 < self.omega_c < np.inf:
             raise ValueError(f"omega_c must be finite and > 0, got {self.omega_c}")
         if not 0 <= self.omega_0 < np.inf:
@@ -109,7 +100,7 @@ def bogoliubov_map(cfg: ModelConfig) -> tuple[ModelConfig, float, float]:
         return cfg, 0.0, 1.0
     omega = math.sqrt(cfg.omega_c**2 + 4.0 * diamagnetic_constant(cfg) * cfg.omega_c)
     qrm = ModelConfig(omega_c=omega, omega_0=cfg.omega_0, g=cfg.g * math.sqrt(cfg.omega_c / omega),
-                      trunc=cfg.trunc)
+                      n_max=cfg.n_max)
     return qrm, (omega - cfg.omega_c) / 2.0, math.sqrt(omega / cfg.omega_c)
 
 
@@ -123,7 +114,7 @@ def build_full(cfg: ModelConfig) -> np.ndarray:
     """Dense real symmetric Hamiltonian of ``cfg``, shape (2 n_max, 2 n_max),
     as Kronecker products in the qubit-first basis.  It is not assembled
     from ``parity_blocks``, so it serves as their reference."""
-    n = cfg.trunc.n_max
+    n = cfg.n_max
     field = _field(n)
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
     sigma_z = np.diag([1.0, -1.0])
@@ -141,7 +132,7 @@ def parity_blocks(base: ModelConfig, g_grid) -> np.ndarray:
     index n holds the qubit state with sigma_z = P (-1)^n, so block P is
     diag(omega_c n + P (omega_0/2) (-1)^n) + g X + D(g) X @ X, X = a + a†."""
     grid = np.asarray(g_grid, dtype=float)
-    n = np.arange(base.trunc.n_max)
+    n = np.arange(base.n_max)
     field = _field(n.size)
     d = _diamagnetic(base, grid) if base.include_diamagnetic else np.zeros_like(grid)
     signs = np.array([[-1.0], [1.0]]) * (base.omega_0 / 2.0) * (-1.0) ** n
@@ -149,10 +140,11 @@ def parity_blocks(base: ModelConfig, g_grid) -> np.ndarray:
     return diagonal + grid[:, None, None] * field + d[:, None, None] * (field @ field)
 
 
-def parity_operator(trunc: FockTruncation) -> np.ndarray:
-    """Excitation parity Pi = sigma_z (x) diag((-1)^n) as a real diagonal
-    matrix; Pi^2 = I, and Pi is an exact symmetry of both models."""
-    return np.diag(np.kron([1.0, -1.0], (-1.0) ** np.arange(trunc.n_max)))
+def parity_operator(n_max: int) -> np.ndarray:
+    """Excitation parity Pi = sigma_z (x) diag((-1)^n) on n_max Fock states as
+    a real diagonal matrix; Pi^2 = I, and Pi is an exact symmetry of both
+    models."""
+    return np.diag(np.kron([1.0, -1.0], (-1.0) ** np.arange(_count("n_max", n_max))))
 
 
 def model_tag(cfg: ModelConfig) -> str:

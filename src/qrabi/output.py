@@ -16,10 +16,11 @@ columns are ``1``/``0`` in CSV and ``true``/``false`` in JSON.
 Tables are held column-wise (:class:`Column`, :class:`Rows`).  A column's
 cells are an object array in its values' shape, formatted once and shared
 by the CSV writer and the gnuplot data file.  Its JSON cells are the CSV
-cells except for the few that :func:`_json_number` rewrites
-(integer-valued, ``e+``, ``e-3xx`` and non-finite cells), so a column
-where none is rewritten reuses the CSV cells.  A Wigner table's w column
-is its grid's folded quadrant (``WignerGrid.fold``): on a
+cells except for the few that may differ (integer-valued, ``e+``,
+``e-3xx`` and non-finite cells): a vectorised filter flags a superset of
+them, and each flagged cell becomes ``json.dumps(float(cell))``, so a
+column where none is flagged reuses the CSV cells.  A Wigner table's w
+column is its grid's folded quadrant (``WignerGrid.fold``): on a
 mirror-symmetric grid the formatting sees a quarter of the points.
 
 A table body is an iterator of strings.  A Wigner table yields one string
@@ -63,16 +64,6 @@ __all__ = [
 ]
 
 
-def _json_number(cell: str) -> str:
-    # a %.12g cell with a '.' or a negative exponent already is the shortest
-    # repr of the float it parses to, except below 1e-299, where subnormal
-    # floats carry fewer digits; integer-valued cells, positive exponents
-    # and nan/inf are not
-    if ("." in cell or "e-" in cell) and "e+" not in cell and cell[-5:-2] != "e-3":
-        return cell
-    return json.dumps(float(cell))
-
-
 class Column:
     """One typed table column: float64, integer or bool values, in any shape."""
 
@@ -96,19 +87,20 @@ class Column:
             return np.where(self.values, "true", "false").astype(object)
         if kind in "iu":
             return self._csv_cells
-        # _json_number rewrites only integer-valued, "e+", "e-3xx" and
-        # nan/inf cells, so it runs on a superset of them: values within
-        # 1e-10 of their size of an integer (the 12-digit rounding moves a
-        # value by under 5e-12 of its size, and every value from 5e9 up
-        # passes, which covers all "e+" cells), values below 1e-298, and
-        # nan and infinities, set to 0 here
+        # a %.12g cell is already the shortest repr of its float unless it
+        # is integer-valued, has "e+" or "e-3xx" (subnormals carry fewer
+        # digits), or is nan/inf; json.dumps rewrites a superset of those:
+        # values within 1e-10 of their size of an integer (the 12-digit
+        # rounding moves a value by under 5e-12 of its size, and every value
+        # from 5e9 up passes, which covers all "e+" cells), values below
+        # 1e-298, and nan and infinities, set to 0 here
         x = np.where(np.isfinite(self.values), self.values, 0.0)
         size = np.abs(x)
         rewrite = (size < 1e-298) | (np.abs(x - np.rint(x)) <= 1e-10 * size)
         if not rewrite.any():
             return self._csv_cells
         cells = self._csv_cells.copy()
-        cells[rewrite] = [_json_number(c) for c in cells[rewrite]]
+        cells[rewrite] = [json.dumps(float(c)) for c in cells[rewrite]]
         return cells
 
     def cells(self, json_numbers: bool = False) -> np.ndarray:

@@ -184,7 +184,7 @@ def wigner_svg(w: WignerGrid) -> str:
     # coloured: its vmax is the grid's, and -0.0 is coloured as 0.0.
     dx, dy = (_W - _ML - _MR) / (grid.n_q - 1), (_H - _MT - _MB) / (grid.n_p - 1)
     quadrant, ip, iq = w.fold
-    rgb = _diverging_rgb(quadrant)[np.ix_(ip[::-1], iq)]
+    rgb = np.take(np.take(_diverging_rgb(quadrant), ip[::-1], axis=0), iq, axis=1)
     png = binascii.b2a_base64(_png(rgb), newline=False)
     image = (
         f'<image x="{_fmt(_ML - dx / 2)}" y="{_fmt(_MT - dy / 2)}" width="{_fmt(grid.n_q * dx)}" '

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FockTruncation, ModelConfig, model_tag, parity_blocks
+from .model import ModelConfig, model_tag, parity_blocks
 
 __all__ = [
     "SpectrumSweep",
@@ -205,7 +205,7 @@ def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
     grid = _coupling_grid(g_grid)
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("g_grid must be strictly ascending")
-    _check_k_levels(k_levels, base.trunc.n_max)
+    _check_k_levels(k_levels, base.n_max)
     levels = _sorted_levels(base, grid)[:, :k_levels]
     return SpectrumSweep(grid / base.omega_c, levels, model_tag(base))
 
@@ -259,7 +259,7 @@ def truncation_report(ground: GroundStates, k_levels: int) -> np.ndarray:
     of the parity blocks of ``ground.base`` at 2 n_max.  ``k_levels`` is at
     most 2 n_max."""
     base = ground.base
-    _check_k_levels(k_levels, base.trunc.n_max)
-    doubled = dataclasses.replace(base, trunc=FockTruncation(2 * base.trunc.n_max))
+    _check_k_levels(k_levels, base.n_max)
+    doubled = dataclasses.replace(base, n_max=2 * base.n_max)
     hi = _sorted_levels(doubled, ground.couplings)
     return np.max(np.abs(ground.levels[:, :k_levels] - hi[:, :k_levels]), axis=1)

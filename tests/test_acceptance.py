@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from qrabi import (
-    FockTruncation,
     ModelConfig,
     PureState,
     QuadratureGrid,
@@ -67,8 +66,8 @@ ENTROPY_SNAPSHOT = {
 def _cavity_ground_state(cfg):
     """Ground-state parity <Pi>, qubit <sigma_z> and reduced cavity state."""
     state = ground_state(cfg)
-    n = cfg.trunc.n_max
-    parity = expectation(parity_operator(cfg.trunc), state).real
+    n = cfg.n_max
+    parity = expectation(parity_operator(cfg.n_max), state).real
     sigma_z = expectation(np.kron(np.diag([1.0, -1.0]), np.eye(n)), state).real
     return parity, sigma_z, partial_trace(state.to_density(), keep="cavity")
 
@@ -83,7 +82,7 @@ def test_criterion_01_decoupled_spectrum():
     start = time.perf_counter()
     worst = 0.0
     for n in (2, 15, 40):
-        cfg = ModelConfig(g=0.0, trunc=FockTruncation(n))
+        cfg = ModelConfig(g=0.0, n_max=n)
         vals = np.linalg.eigvalsh(build_full(cfg))
         expected = np.sort(np.concatenate([np.arange(n) - 0.5, np.arange(n) + 0.5]))
         worst = max(worst, float(np.max(np.abs(vals - expected))))
@@ -117,7 +116,7 @@ def _char_poly_roots_4x4(omega_c, omega_0, g):
 def test_criterion_02_4x4_characteristic_polynomial_oracle():
     worst = 0.0
     for g in (0.25, 0.5, 1.0):
-        cfg = ModelConfig(g=g, trunc=FockTruncation(2))
+        cfg = ModelConfig(g=g, n_max=2)
         vals = np.linalg.eigvalsh(build_full(cfg))
         oracle = _char_poly_roots_4x4(1.0, 1.0, g)
         closed = np.sort(
@@ -139,10 +138,10 @@ def test_criterion_03_parity_symmetry():
             omega_0=float(rng.uniform(0.0, 2.0)),
             g=float(rng.uniform(0.0, 3.0)),
             include_diamagnetic=bool(rng.integers(2)),
-            trunc=FockTruncation(int(rng.integers(2, 21))),
+            n_max=int(rng.integers(2, 21)),
         )
         h = build_full(cfg)
-        pi = parity_operator(cfg.trunc)
+        pi = parity_operator(cfg.n_max)
         worst = max(worst, float(np.max(np.abs(h @ pi - pi @ h))))
     ok = worst <= 1e-10
     report(3, "parity commutes with both models over 50 random draws", ok,
@@ -155,7 +154,7 @@ def test_criterion_04_bogoliubov_ladder():
     for d in (0.1, 0.25, 1.0):
         cfg = ModelConfig(
             omega_0=0.0, g=0.0, include_diamagnetic=True, d_override=d,
-            trunc=FockTruncation(120),
+            n_max=120,
         )
         vals = np.linalg.eigvalsh(build_full(cfg))
         spacings = np.diff(vals[::2][:11])  # qubit doubling: distinct levels
@@ -169,11 +168,11 @@ def test_criterion_04_bogoliubov_ladder():
 def test_criterion_05_displaced_oscillator():
     worst_e, worst_n = 0.0, 0.0
     for g in (0.5, 1.0, 2.0):
-        cfg = ModelConfig(omega_0=0.0, g=g, trunc=FockTruncation(80))
+        cfg = ModelConfig(omega_0=0.0, g=g, n_max=80)
         state = ground_state(cfg)
         e0 = parity_ground_states(cfg, np.array([g])).levels[0, 0]
         worst_e = max(worst_e, abs(e0 + g * g))
-        n_op = np.kron(np.eye(2), np.diag(np.arange(cfg.trunc.n_max, dtype=float)))
+        n_op = np.kron(np.eye(2), np.diag(np.arange(cfg.n_max, dtype=float)))
         n_exp = expectation(n_op, state).real
         worst_n = max(worst_n, abs(n_exp - g * g) / (g * g))
     ok = worst_e <= 1e-6 and worst_n <= 0.01
@@ -187,7 +186,7 @@ def test_criterion_06_doublet_formation_small_basis():
     # GRID_201 up to g = 3, then steps of 0.05 up to g = 10; 9.975 is not
     # a grid point, so g = 10 is the only point past G_DOUBLET_BELOW
     g_grid = np.concatenate([GRID_201, np.linspace(3.0, 10.0, 141)[1:]])
-    sweep = sweep_spectrum(ModelConfig(trunc=FockTruncation(2)), g_grid, 2)
+    sweep = sweep_spectrum(ModelConfig(n_max=2), g_grid, 2)
     gap = sweep.levels[:, 1] - sweep.levels[:, 0]
     # the exact 4x4 levels are 1/2 -+ g and 1/2 -+ sqrt(1+g^2) (criterion 2),
     # so the lowest pair is split by sqrt(1+g^2) - g
@@ -218,7 +217,7 @@ def test_criterion_06_doublet_formation_small_basis():
 
 def test_criterion_07_avoided_crossings_positive_gaps():
     sweep = sweep_spectrum(
-        ModelConfig(trunc=FockTruncation(15)), np.linspace(0.0, 2.0, 201), 8
+        ModelConfig(n_max=15), np.linspace(0.0, 2.0, 201), 8
     )
     refined, boundary = [], []
     for k in range(7):
@@ -241,9 +240,9 @@ def test_criterion_07_avoided_crossings_positive_gaps():
 
 
 def test_criterion_08_diamagnetic_shift():
-    qrm = sweep_spectrum(ModelConfig(trunc=FockTruncation(15)), GRID_201, 8)
+    qrm = sweep_spectrum(ModelConfig(n_max=15), GRID_201, 8)
     qrma = sweep_spectrum(
-        ModelConfig(include_diamagnetic=True, trunc=FockTruncation(15)), GRID_201, 8
+        ModelConfig(include_diamagnetic=True, n_max=15), GRID_201, 8
     )
     positive_g = GRID_201 > 0.0
     shift = qrma.levels[positive_g] - qrm.levels[positive_g]
@@ -256,7 +255,7 @@ def test_criterion_08_diamagnetic_shift():
 
 def test_criterion_09_vacuum_wigner():
     start = time.perf_counter()
-    cfg = ModelConfig(g=0.0, trunc=FockTruncation(15))
+    cfg = ModelConfig(g=0.0, n_max=15)
     w = ground_state_wigner(cfg, QuadratureGrid(-5, 5, -5, 5, 201, 201))
     center_dev = abs(w.values[100, 100] - 1.0 / np.pi)
     norm_dev = abs(wigner_normalization(w) - 1.0)
@@ -274,7 +273,7 @@ def test_criterion_10_cat_state_negativity():
     # parity +1 (the converged ground state has -1) and 4.5e-3 in the top
     # Fock state.  g = 2 is converged at n_max = 15 (min W -0.014818
     # against -0.014812 at n_max = 30).
-    cfg = ModelConfig(g=2.0, trunc=FockTruncation(15))
+    cfg = ModelConfig(g=2.0, n_max=15)
     parity, sigma_z, rho_c = _cavity_ground_state(cfg)
     top_fock = float(rho_c.data[-1, -1].real)
     w = wigner(rho_c, WIGNER_GRID)
@@ -325,7 +324,7 @@ def test_criterion_11_squeezed_state():
     # the basis grows.  The squeeze is visible at n_max = 15; W >= 0 is
     # checked at n_max = 40, where the basis is converged.
     def point(nmax):
-        return ModelConfig(g=3.0, include_diamagnetic=True, trunc=FockTruncation(nmax))
+        return ModelConfig(g=3.0, include_diamagnetic=True, n_max=nmax)
 
     n_maxes = (15, 20, 30, 40)
     parity, top_fock, min_w, variances = {}, {}, {}, {}
@@ -367,7 +366,7 @@ def test_criterion_12_entropy_endpoints_and_snapshots():
     results = {}
     for nmax in (2, 15):
         results[nmax] = entropy_sweep(
-            ModelConfig(trunc=FockTruncation(nmax)), GRID_201
+            ModelConfig(n_max=nmax), GRID_201
         )
     es15, es2 = results[15], results[2]
     zero_start = (
@@ -425,7 +424,7 @@ def test_criterion_13_schmidt_duality():
 
 
 def test_criterion_14_truncation_convergence():
-    cfg = ModelConfig(g=1.0, trunc=FockTruncation(40))
+    cfg = ModelConfig(g=1.0, n_max=40)
     shift = float(truncation_report(parity_ground_states(cfg, [cfg.g]), 4)[0])
     ok = shift < 1e-8
     report(14, "lowest levels stable under basis doubling 40 -> 80", ok,

@@ -8,7 +8,7 @@ so levels, entropy and Wigner function agree to rounding."""
 import numpy as np
 import pytest
 
-from qrabi import (FockTruncation, ModelConfig, QuadratureGrid, entropy_sweep, ground_state_wigner,
+from qrabi import (ModelConfig, QuadratureGrid, entropy_sweep, ground_state_wigner,
                    negativity_volume)
 from qrabi.model import bogoliubov_map, parity_blocks
 
@@ -24,7 +24,7 @@ POINTS = [
 
 def qrma(g, d_override, n_max=160):
     return ModelConfig(g=g, include_diamagnetic=True, d_override=d_override,
-                       trunc=FockTruncation(n_max))
+                       n_max=n_max)
 
 
 def test_map_of_the_model_without_a2_is_the_identity():

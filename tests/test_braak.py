@@ -9,7 +9,7 @@ import functools
 import numpy as np
 import pytest
 
-from qrabi import FockTruncation, ModelConfig
+from qrabi import ModelConfig
 from qrabi.model import bogoliubov_map, parity_blocks
 
 N_MAX = 120
@@ -83,7 +83,7 @@ QRM_POINTS = tuple((g, omega_0) for g in (0.5, 1.0, 2.0) for omega_0 in (1.0, 0.
 @pytest.mark.parametrize("sector", SECTORS)
 @pytest.mark.parametrize("g, omega_0", QRM_POINTS)
 def test_qrm_parity_levels_match_braak(g, omega_0, sector):
-    cfg = ModelConfig(omega_0=omega_0, trunc=FockTruncation(N_MAX))
+    cfg = ModelConfig(omega_0=omega_0, n_max=N_MAX)
     levels = block_levels(cfg, g)[sector]
     braak = oracle(tuple((g, w / 2.0) for g, w in QRM_POINTS))
     expected = braak[g, omega_0 / 2.0][sector]
@@ -94,7 +94,7 @@ def test_qrm_parity_levels_match_braak(g, omega_0, sector):
 def test_qrma_parity_levels_match_braak_through_the_map(sector):
     # the QRMA has the levels of the mapped QRM plus the shift, parity by
     # parity; in units of its frequency omega' that QRM is Braak's
-    cfg = ModelConfig(g=1.0, include_diamagnetic=True, trunc=FockTruncation(N_MAX))
+    cfg = ModelConfig(g=1.0, include_diamagnetic=True, n_max=N_MAX)
     qrm, shift, _ = bogoliubov_map(cfg)
     omega = qrm.omega_c
     point = (qrm.g / omega, qrm.omega_0 / (2.0 * omega))

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from qrabi import FockTruncation, ModelConfig, entropy_sweep, truncation_report
+from qrabi import ModelConfig, entropy_sweep, truncation_report
 from qrabi.spectra import DEGENERACY_RTOL, parity_ground_states
 
 SHIFT_MAX = 1e-12
@@ -71,7 +71,7 @@ def test_doublet_gap_to_third_order_in_omega_0():
     # fourth; at these points it is at most 0.1 lambda^4
     grid = np.array([1.0, 1.5, 2.0, 2.5])
     for omega_0 in (0.1, 0.3, 1.0):
-        cfg = ModelConfig(omega_0=omega_0, trunc=FockTruncation(120))
+        cfg = ModelConfig(omega_0=omega_0, n_max=120)
         assert_converged(cfg, grid)
         levels = parity_ground_states(cfg, grid).levels
         gap = levels[:, 1] - levels[:, 0]
@@ -97,7 +97,7 @@ def test_quasi_degeneracy_band_onset():
                 hi = mid
             else:
                 lo = mid
-        cfg = ModelConfig(omega_0=omega_0, trunc=FockTruncation(200))
+        cfg = ModelConfig(omega_0=omega_0, n_max=200)
         assert_converged(cfg, grid[-1:])  # the widest state of the grid
         flagged = parity_ground_states(cfg, grid).quasi_degenerate
         assert not flagged[0] and flagged[-1]
@@ -120,7 +120,7 @@ def test_entropy_deficit_in_the_deep_strong_limit():
     # 0.04 (w0 / 4g^2)^2 of the closed form
     grid = np.array([3.0, 5.0, 7.0, 10.0])
     for omega_0 in (0.5, 1.0):
-        cfg = ModelConfig(omega_0=omega_0, trunc=FockTruncation(200))
+        cfg = ModelConfig(omega_0=omega_0, n_max=200)
         assert_converged(cfg, grid)
         deficit = 1 - entropy_sweep(cfg, grid).s_qrm
         x = np.array([math.exp(-2 * g * g) + omega_0 * inverse_photon_mean(4 * g * g)

@@ -5,7 +5,6 @@ import pytest
 
 from qrabi import (
     DensityMatrix,
-    FockTruncation,
     ModelConfig,
     PureState,
     build_full,
@@ -26,7 +25,7 @@ def random_pure_state(rng, n):
 
 
 def test_ground_state_decoupled():
-    cfg = ModelConfig(g=0.0, trunc=FockTruncation(4))
+    cfg = ModelConfig(g=0.0, n_max=4)
     state = ground_state(cfg)
     # |g, 0> sits at flat index 1 * n_max + 0 = 4
     expected = np.zeros(8)
@@ -39,21 +38,21 @@ def test_ground_state_decoupled():
 
 def test_ground_state_phase_fix():
     for g in (0.7, 2.0, 3.0):
-        state = ground_state(ModelConfig(g=g, trunc=FockTruncation(6)))
+        state = ground_state(ModelConfig(g=g, n_max=6))
         k = np.argmax(np.abs(state.amplitudes))
         assert state.amplitudes[k].imag == pytest.approx(0.0, abs=1e-14)
         assert state.amplitudes[k].real > 0
 
 
 def test_ground_state_energy_is_the_parity_block_level():
-    cfg = ModelConfig(g=1.4, trunc=FockTruncation(10))
+    cfg = ModelConfig(g=1.4, n_max=10)
     energy = parity_ground_states(cfg, np.array([cfg.g])).levels[0, 0]
     dense = np.linalg.eigvalsh(build_full(cfg))[0]
     assert abs(energy - dense) <= 1e-12 * max(1.0, abs(dense))
 
 
 def test_ground_state_entropy_zero_at_zero_coupling():
-    cfg = ModelConfig(g=0.0, trunc=FockTruncation(5))
+    cfg = ModelConfig(g=0.0, n_max=5)
     state = ground_state(cfg)
     s = von_neumann_entropy(partial_trace(state.to_density(), "qubit"))
     assert s == 0.0
@@ -61,17 +60,17 @@ def test_ground_state_entropy_zero_at_zero_coupling():
 
 def test_quasi_degeneracy_flag():
     # omega_0 = 0 leaves every level exactly doubly degenerate
-    cfg = ModelConfig(omega_0=0.0, g=0.3, trunc=FockTruncation(8))
+    cfg = ModelConfig(omega_0=0.0, g=0.3, n_max=8)
     assert parity_ground_states(cfg, np.array([cfg.g])).quasi_degenerate[0]
-    cfg2 = ModelConfig(g=0.3, trunc=FockTruncation(8))
+    cfg2 = ModelConfig(g=0.3, n_max=8)
     assert not parity_ground_states(cfg2, np.array([cfg2.g])).quasi_degenerate[0]
 
 
 def test_deep_strong_photon_number():
     # displaced-vacuum oracle: <a†a> = (g/omega_c)^2
-    cfg = ModelConfig(omega_0=0.0, g=2.0, trunc=FockTruncation(60))
+    cfg = ModelConfig(omega_0=0.0, g=2.0, n_max=60)
     state = ground_state(cfg)
-    n_op = np.kron(np.eye(2), np.diag(np.arange(cfg.trunc.n_max, dtype=float)))
+    n_op = np.kron(np.eye(2), np.diag(np.arange(cfg.n_max, dtype=float)))
     n_exp = expectation(n_op, state).real
     assert abs(n_exp - 4.0) / 4.0 <= 0.01
     assert abs(parity_ground_states(cfg, np.array([cfg.g])).levels[0, 0] + 4.0) <= 1e-6
@@ -181,13 +180,13 @@ def test_schmidt_duality_entropy():
 
 
 def test_entropy_sweep_endpoints_and_flags():
-    cfg = ModelConfig(trunc=FockTruncation(8))
+    cfg = ModelConfig(n_max=8)
     sweep = entropy_sweep(cfg, [0.0, 1.0])
     assert sweep.s_qrm[0] == 0.0 and sweep.s_qrma[0] == 0.0
     assert sweep.s_qrm[1] > 0.0
     assert sweep.g_grid.tolist() == [0.0, 1.0]
     # omega_0 = 0 flags every point as quasi-degenerate
-    degenerate = entropy_sweep(ModelConfig(omega_0=0.0, trunc=FockTruncation(6)), [0.5])
+    degenerate = entropy_sweep(ModelConfig(omega_0=0.0, n_max=6), [0.5])
     assert degenerate.ground_qrm.quasi_degenerate[0]
     assert degenerate.ground_qrma.quasi_degenerate[0]
 
@@ -196,7 +195,7 @@ def test_entropy_sweep_endpoints_and_flags():
 @pytest.mark.parametrize("omega_0", [1.0, 0.83])
 @pytest.mark.parametrize("nmax", [2, 15, 30])
 def test_entropy_sweep_matches_pointwise_dense_solve(nmax, omega_0, d_override):
-    base = ModelConfig(omega_0=omega_0, d_override=d_override, trunc=FockTruncation(nmax))
+    base = ModelConfig(omega_0=omega_0, d_override=d_override, n_max=nmax)
     grid = np.linspace(0.0, 3.0, 13)
     sweep = entropy_sweep(base, grid)
     compared = 0
@@ -217,7 +216,7 @@ def test_entropy_sweep_matches_pointwise_dense_solve(nmax, omega_0, d_override):
 
 
 def test_entropy_sweep_validation():
-    cfg = ModelConfig(trunc=FockTruncation(4))
+    cfg = ModelConfig(n_max=4)
     for grid in ([], [[0.5, 1.0]]):
         with pytest.raises(ValueError, match="non-empty 1-D"):
             entropy_sweep(cfg, grid)
@@ -227,11 +226,11 @@ def test_entropy_sweep_error_carries_grid_point():
     from qrabi import SweepError
 
     with pytest.raises(SweepError) as err:
-        entropy_sweep(ModelConfig(trunc=FockTruncation(4)), [float("nan")])
+        entropy_sweep(ModelConfig(n_max=4), [float("nan")])
     assert np.isnan(err.value.g)
     for grid, bad in (([0.5, -0.5], -0.5), ([0.0, float("inf"), 1.0], float("inf"))):
         with pytest.raises(SweepError) as err:
-            entropy_sweep(ModelConfig(trunc=FockTruncation(4)), grid)
+            entropy_sweep(ModelConfig(n_max=4), grid)
         assert err.value.g == bad
         assert repr(bad) in str(err.value)
 
@@ -249,7 +248,7 @@ def test_entropy_sweep_batched_failure_names_the_grid_point(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(SweepError) as err:
-        entropy_sweep(ModelConfig(trunc=FockTruncation(4)), [0.5, 0.75, 1.0])
+        entropy_sweep(ModelConfig(n_max=4), [0.5, 0.75, 1.0])
     assert err.value.g == 0.75
 
 
@@ -258,13 +257,13 @@ def test_deep_strong_ground_state_has_definite_parity():
     # the parity of a dense solve of the full matrix is not guaranteed (any
     # mixture of the doublet is an eigenvector), while either parity state
     # has S = 1 bit up to the overlap of the two displaced vacua
-    cfg = ModelConfig(omega_0=1.0, g=6.0, trunc=FockTruncation(200))
+    cfg = ModelConfig(omega_0=1.0, g=6.0, n_max=200)
     sweep = entropy_sweep(cfg, [6.0])
     assert abs(sweep.s_qrm[0] - 1.0) < 1e-3
     assert sweep.ground_qrm.quasi_degenerate[0]
     # ground_state embeds the same parity-sector vector in the full basis
     state = ground_state(cfg)
-    assert abs(abs(expectation(parity_operator(cfg.trunc), state).real) - 1.0) <= 1e-12
+    assert abs(abs(expectation(parity_operator(cfg.n_max), state).real) - 1.0) <= 1e-12
     assert abs(von_neumann_entropy(partial_trace(state.to_density(), "qubit")) - 1.0) < 1e-3
     assert parity_ground_states(cfg, np.array([cfg.g])).quasi_degenerate[0]
 
@@ -273,15 +272,15 @@ def test_parity_sector_tie_rule():
     # omega_0 = 0 makes both blocks identical: the tie goes to parity -1,
     # the sector of the g = 0 ground state |g, 0>
     grid = np.linspace(0.0, 3.0, 7)
-    tied = parity_ground_states(ModelConfig(omega_0=0.0, trunc=FockTruncation(8)), grid)
+    tied = parity_ground_states(ModelConfig(omega_0=0.0, n_max=8), grid)
     assert np.all(tied.parity == -1) and np.all(tied.quasi_degenerate)
-    vacuum = parity_ground_states(ModelConfig(trunc=FockTruncation(8)), grid[:1])
+    vacuum = parity_ground_states(ModelConfig(n_max=8), grid[:1])
     assert vacuum.parity[0] == -1 and abs(vacuum.psi[0, 0]) == 1.0
     # ground_state embeds the parity -1 vector: chain state n holds
     # sigma_z = -(-1)^n, so even n sit on the ground qubit (flat index 8 + n)
-    cfg = ModelConfig(omega_0=0.0, g=0.8, trunc=FockTruncation(8))
+    cfg = ModelConfig(omega_0=0.0, g=0.8, n_max=8)
     state = ground_state(cfg)
-    assert expectation(parity_operator(cfg.trunc), state).real == pytest.approx(-1.0, abs=1e-12)
+    assert expectation(parity_operator(cfg.n_max), state).real == pytest.approx(-1.0, abs=1e-12)
     n = np.arange(8)
     assert not state.amplitudes[n[n % 2 == 0]].any()
     assert not state.amplitudes[8 + n[n % 2 == 1]].any()

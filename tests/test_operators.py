@@ -5,14 +5,14 @@ number diagonal, and the Fock truncation itself."""
 import numpy as np
 import pytest
 
-from qrabi import FockTruncation, ModelConfig, build_full
+from qrabi import ModelConfig, build_full
 
 
 def field(n):
     """X = a + a† as built into ``build_full``: with g = 1 the qubit
     off-diagonal block holds exactly g X, since every other term is
     block-diagonal in the qubit."""
-    h = build_full(ModelConfig(g=1.0, trunc=FockTruncation(n)))
+    h = build_full(ModelConfig(g=1.0, n_max=n))
     return h[:n, n:]
 
 
@@ -40,7 +40,7 @@ def test_annihilation_3x3_superdiagonal():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_number_operator_diagonal(n):
     # omega_c = 1, omega_0 = 0, g = 0 leaves only I (x) N
-    h = build_full(ModelConfig(omega_0=0.0, g=0.0, trunc=FockTruncation(n)))
+    h = build_full(ModelConfig(omega_0=0.0, g=0.0, n_max=n))
     nop = np.diag(np.arange(n, dtype=float))
     assert np.array_equal(h, np.kron(np.eye(2), nop))
 
@@ -67,6 +67,6 @@ def test_truncated_commutator(n):
 
 def test_rejects_degenerate_truncation():
     with pytest.raises(ValueError):
-        FockTruncation(1)
+        ModelConfig(n_max=1)
     with pytest.raises(ValueError):
-        FockTruncation(0)
+        ModelConfig(n_max=0)

@@ -16,7 +16,6 @@ from qrabi import plotting
 from qrabi.cli import EXIT_OK, _copy_wigner, _emit, main
 from qrabi.entanglement import entropy_sweep
 from qrabi.model import ModelConfig
-from qrabi.model import FockTruncation
 from qrabi.output import (
     Column,
     Rows,
@@ -324,7 +323,7 @@ def heatmap_grids():
     rng = np.random.default_rng(11)
     # both signs reach vmax, so t is clamped at 1 on either branch
     clamp = np.array([[0.3, -0.3, 0.15], [-0.15, 0.0, -0.0]])
-    qrma = ModelConfig(g=3.0, include_diamagnetic=True, trunc=FockTruncation(15))
+    qrma = ModelConfig(g=3.0, include_diamagnetic=True, n_max=15)
     return [
         pytest.param(small_wigner(), id="small"),
         pytest.param(WignerGrid(QuadratureGrid(-1.0, 1.0, -2.0, 2.0, 5, 4), np.zeros((4, 5))),
@@ -364,7 +363,7 @@ def ref_polyline(frame, xs, ys, color, dashed=False):
 
 def polyline_sweeps():
     grid = np.linspace(0.0, 3.0, 201)
-    qrm = ModelConfig(trunc=FockTruncation(15))
+    qrm = ModelConfig(n_max=15)
     flat = SpectrumSweep(np.linspace(0.5, 1.5, 7), np.full((7, 2), -0.25), "QRM")
     return [
         # 8 levels, down to E0 = -8.89 at g = 3
@@ -399,7 +398,7 @@ def assert_wigner_files_match_reference(tmp_path, w, spec=SPEC):
 
 def streamed_grids():
     rng = np.random.default_rng(5)
-    qrm = ModelConfig(g=1.0, trunc=FockTruncation(15))
+    qrm = ModelConfig(g=1.0, n_max=15)
     return [
         pytest.param(ground_state_wigner(qrm, QuadratureGrid()), id="preset_g1_nmax15"),
         pytest.param(small_wigner(), id="small"),
@@ -456,7 +455,7 @@ def test_mirror_symmetric_heatmap_colours_one_quadrant():
     # a panel equal to its mirror images is coloured on its 101 x 101
     # quadrant and gathered to the full image; colouring all 40 401 points
     # peaked at 3.5 times the values' size
-    w = ground_state_wigner(ModelConfig(g=1.0, trunc=FockTruncation(15)), QuadratureGrid())
+    w = ground_state_wigner(ModelConfig(g=1.0, n_max=15), QuadratureGrid())
     tracemalloc.start()
     try:
         wigner_svg(w)  # the fold is found in this call too
@@ -481,7 +480,7 @@ def test_percent_signs_are_written_verbatim(tmp_path, monkeypatch):
     assert spec["out"] == "w%s%d%"
     direct = tmp_path / "direct"
     direct.mkdir()
-    w = ground_state_wigner(ModelConfig(g=1.0, trunc=FockTruncation(3)),
+    w = ground_state_wigner(ModelConfig(g=1.0, n_max=3),
                             QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 6, 5))
     _emit(direct, "wigner", w, wigner_table, wigner_svg, spec, formats.split(","))
     for suffix in (".csv", ".json", ".svg", ".dat", ".gp"):
@@ -489,7 +488,7 @@ def test_percent_signs_are_written_verbatim(tmp_path, monkeypatch):
 
 
 def test_copied_wigner_panel_equals_emitted_panel(tmp_path):
-    cfg = ModelConfig(omega_c=1.0, omega_0=1.0, g=1.0, trunc=FockTruncation(3))
+    cfg = ModelConfig(omega_c=1.0, omega_0=1.0, g=1.0, n_max=3)
     w = ground_state_wigner(cfg, QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 9, 7))
     formats = ("csv", "json", "svg", "gnuplot")
     _emit(tmp_path, "panel", w, wigner_table, wigner_svg, SPEC, formats)

@@ -39,7 +39,6 @@ from qrabi.entanglement import (  # noqa: E402
     von_neumann_entropy,
 )
 from qrabi.model import (  # noqa: E402
-    FockTruncation,
     build_full,
     ModelConfig,
     parity_blocks,
@@ -178,7 +177,7 @@ def test_wigner_mirrors_exactly_the_real_parity_states_on_symmetric_grids(state,
 def test_parity_blocks_are_affine_in_g_and_d(omega_c, omega_0, n_max, g, d):
     def blocks(g, d):
         cfg = ModelConfig(omega_c, omega_0, include_diamagnetic=True, d_override=d,
-                          trunc=FockTruncation(n_max))
+                          n_max=n_max)
         return parity_blocks(cfg, [g])
 
     h0 = blocks(0.0, 0.0)
@@ -192,7 +191,7 @@ def test_parity_blocks_are_affine_in_g_and_d(omega_c, omega_0, n_max, g, d):
        st.booleans())
 def test_ground_state_has_schmidt_rank_at_most_two(omega_0, g, n_max, dia):
     cfg = ModelConfig(omega_0=omega_0, g=g, include_diamagnetic=dia,
-                      trunc=FockTruncation(n_max))
+                      n_max=n_max)
     rho = ground_state(cfg).to_density()
     cavity = partial_trace(rho, "cavity")
     assert np.count_nonzero(np.linalg.eigvalsh(cavity.data) > 1e-12) <= 2
@@ -207,12 +206,12 @@ def test_ground_state_has_schmidt_rank_at_most_two(omega_0, g, n_max, dia):
        st.booleans())
 def test_ground_state_has_definite_parity(omega_0, g, n_max, dia):
     cfg = ModelConfig(omega_0=omega_0, g=g, include_diamagnetic=dia,
-                      trunc=FockTruncation(n_max))
+                      n_max=n_max)
     state = ground_state(cfg)
     ground = parity_ground_states(cfg, np.array([g]))
     energy, parity = ground.levels[0, 0], ground.parity[0]
     assert parity in (-1, 1)
-    assert abs(expectation(parity_operator(cfg.trunc), state) - parity) <= 1e-12
+    assert abs(expectation(parity_operator(cfg.n_max), state) - parity) <= 1e-12
     # the lowest level of each parity block, -1 then +1; the ground state
     # lies in parity +1's only where that block is lower by more than the
     # quasi-degeneracy band, so a quasi-degenerate doublet, and at

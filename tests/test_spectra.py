@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qrabi import (
-    FockTruncation,
     ModelConfig,
     SpectrumSweep,
     build_full,
@@ -20,12 +19,12 @@ from qrabi.spectra import ground_sector, parity_ground_states, solve_parity_bloc
 
 
 def test_eigensystem_qrm_decoupled():
-    values = np.linalg.eigvalsh(build_full(ModelConfig(g=0.0, trunc=FockTruncation(2))))
+    values = np.linalg.eigvalsh(build_full(ModelConfig(g=0.0, n_max=2)))
     assert np.allclose(values, [-0.5, 0.5, 0.5, 1.5], atol=1e-12)
 
 
 def test_eigensystem_residuals_and_orthonormality():
-    h = build_full(ModelConfig(g=1.2, include_diamagnetic=True, trunc=FockTruncation(12)))
+    h = build_full(ModelConfig(g=1.2, include_diamagnetic=True, n_max=12))
     values, vectors = np.linalg.eigh(h)
     assert np.all(np.diff(values) >= 0)
     for k in range(values.size):
@@ -38,13 +37,13 @@ def test_eigensystem_residuals_and_orthonormality():
 def test_displaced_oscillator_ground_energy():
     # omega_0 = 0 makes sigma_x a good quantum number; each branch is a
     # displaced oscillator with ground energy -g^2/omega_c
-    cfg = ModelConfig(omega_0=0.0, g=1.0, trunc=FockTruncation(40))
+    cfg = ModelConfig(omega_0=0.0, g=1.0, n_max=40)
     values = np.linalg.eigvalsh(build_full(cfg))
     assert abs(values[0] - (-1.0)) <= 1e-6
 
 
 def test_sweep_single_point():
-    sweep = sweep_spectrum(ModelConfig(trunc=FockTruncation(2)), [0.0], 4)
+    sweep = sweep_spectrum(ModelConfig(n_max=2), [0.0], 4)
     assert sweep.model_tag == "QRM"
     assert sweep.levels.shape == (1, 4)
     assert np.allclose(sweep.levels[0], [-0.5, 0.5, 0.5, 1.5], atol=1e-12)
@@ -52,13 +51,13 @@ def test_sweep_single_point():
 
 def test_sweep_grid_is_divided_by_omega_c():
     # the input is g in the same unit as omega_c; the record holds g / omega_c
-    sweep = sweep_spectrum(ModelConfig(omega_c=2.0, trunc=FockTruncation(2)), [0.0, 1.0], 2)
+    sweep = sweep_spectrum(ModelConfig(omega_c=2.0, n_max=2), [0.0, 1.0], 2)
     assert sweep.g_grid.tolist() == [0.0, 0.5]
 
 
 def test_sweep_rows_sorted_and_finite():
     sweep = sweep_spectrum(
-        ModelConfig(include_diamagnetic=True, trunc=FockTruncation(8)),
+        ModelConfig(include_diamagnetic=True, n_max=8),
         np.linspace(0, 3, 41), 10,
     )
     assert np.all(np.isfinite(sweep.levels))
@@ -77,7 +76,7 @@ MODEL_CASES = [
 @pytest.mark.parametrize("dia,d_override,nmax,omega_0", MODEL_CASES)
 def test_sweep_matches_pointwise_dense_solve(dia, d_override, nmax, omega_0):
     cfg = ModelConfig(omega_0=omega_0, include_diamagnetic=dia, d_override=d_override,
-                      trunc=FockTruncation(nmax))
+                      n_max=nmax)
     grid = np.linspace(0, 3, 13)
     sweep = sweep_spectrum(cfg, grid, 2 * nmax)
     # the ground-state record carries every level of both blocks as well
@@ -92,14 +91,14 @@ def test_sweep_matches_pointwise_dense_solve(dia, d_override, nmax, omega_0):
 @pytest.mark.parametrize("dia,d_override,nmax,omega_0", MODEL_CASES)
 def test_parity_blocks_are_exactly_symmetric(dia, d_override, nmax, omega_0):
     cfg = ModelConfig(omega_0=omega_0, include_diamagnetic=dia, d_override=d_override,
-                      trunc=FockTruncation(nmax))
+                      n_max=nmax)
     blocks = parity_blocks(cfg, np.linspace(0, 10, 41))
     assert blocks.shape == (2, 41, nmax, nmax) and blocks.dtype == np.float64
     assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
 
 
 def test_sweep_gap_decreases_for_small_truncation():
-    sweep = sweep_spectrum(ModelConfig(trunc=FockTruncation(2)), np.linspace(0, 3, 61), 2)
+    sweep = sweep_spectrum(ModelConfig(n_max=2), np.linspace(0, 3, 61), 2)
     gap = sweep.levels[:, 1] - sweep.levels[:, 0]
     past_one = gap[sweep.g_grid > 1.0]
     assert np.all(np.diff(past_one) < 0)
@@ -107,9 +106,9 @@ def test_sweep_gap_decreases_for_small_truncation():
 
 def test_diamagnetic_shift_raises_every_level():
     grid = np.linspace(0, 3, 31)
-    qrm = sweep_spectrum(ModelConfig(trunc=FockTruncation(12)), grid, 8)
+    qrm = sweep_spectrum(ModelConfig(n_max=12), grid, 8)
     qrma = sweep_spectrum(
-        ModelConfig(include_diamagnetic=True, trunc=FockTruncation(12)), grid, 8
+        ModelConfig(include_diamagnetic=True, n_max=12), grid, 8
     )
     assert qrma.model_tag == "QRMA"
     assert np.all(qrma.levels >= qrm.levels - 1e-10)
@@ -118,7 +117,7 @@ def test_diamagnetic_shift_raises_every_level():
 
 
 def test_trace_preservation():
-    cfg = ModelConfig(g=0.9, include_diamagnetic=True, trunc=FockTruncation(15))
+    cfg = ModelConfig(g=0.9, include_diamagnetic=True, n_max=15)
     h = build_full(cfg)
     values = np.linalg.eigvalsh(h)
     trace = np.trace(h)
@@ -126,7 +125,7 @@ def test_trace_preservation():
 
 
 def test_sweep_validation():
-    cfg = ModelConfig(trunc=FockTruncation(4))
+    cfg = ModelConfig(n_max=4)
     with pytest.raises(ValueError):
         sweep_spectrum(cfg, [], 2)
     with pytest.raises(ValueError):
@@ -140,7 +139,7 @@ def test_parity_ground_states_takes_any_1d_sequence():
     # the grid goes through the sweeps' check: a list is the same grid as
     # its array, and an empty, 2-D or scalar grid is refused alike; the
     # record owns a copy of the couplings
-    cfg = ModelConfig(trunc=FockTruncation(6))
+    cfg = ModelConfig(n_max=6)
     grid = [0.0, 0.5, 1.0, 2.5]
     listed = parity_ground_states(cfg, grid)
     array = np.array(grid)
@@ -158,7 +157,7 @@ def test_parity_ground_states_takes_any_1d_sequence():
 def test_sweep_error_carries_grid_point():
     from qrabi import SweepError
 
-    cfg = ModelConfig(trunc=FockTruncation(4))
+    cfg = ModelConfig(n_max=4)
     with pytest.raises(SweepError) as err:
         sweep_spectrum(cfg, [float("nan")], 2)
     assert np.isnan(err.value.g)
@@ -186,7 +185,7 @@ def test_batched_solve_failure_names_the_grid_point():
             raise np.linalg.LinAlgError("no convergence")
         return np.linalg.eigvalsh(blocks)
 
-    cfg = ModelConfig(trunc=FockTruncation(4))
+    cfg = ModelConfig(n_max=4)
     assert solve_parity_blocks(cfg, np.array([0.5, 1.0]), solver).shape == (2, 2, 4)
     with pytest.raises(SweepError) as err:
         solve_parity_blocks(cfg, np.array([0.5, 0.75, 1.0]), solver)
@@ -257,12 +256,12 @@ def test_crossing_validation():
 
 
 def test_truncation_convergence_report():
-    cfg = ModelConfig(g=1.0, trunc=FockTruncation(40))
+    cfg = ModelConfig(g=1.0, n_max=40)
     assert truncation_report(parity_ground_states(cfg, [cfg.g]), 4)[0] < 1e-8
-    shallow = ModelConfig(g=2.0, trunc=FockTruncation(2))
+    shallow = ModelConfig(g=2.0, n_max=2)
     assert not truncation_report(parity_ground_states(shallow, [shallow.g]), 4)[0] < 1e-8
     # like sweep_spectrum, a whole number of at most 2 * n_max = 6 levels at n_max = 3
-    ground = parity_ground_states(ModelConfig(g=1.0, trunc=FockTruncation(3)), [1.0])
+    ground = parity_ground_states(ModelConfig(g=1.0, n_max=3), [1.0])
     for k_levels in (0, -1, 7, 2.5):
         with pytest.raises(ValueError, match=r"k_levels must be in \[1, 6\]"):
             truncation_report(ground, k_levels)
@@ -271,13 +270,13 @@ def test_truncation_convergence_report():
 def test_truncation_check_reports_top_fock_population():
     # g = 3, D = 9: the lowest level settles under doubling at n_max = 30
     # while the top Fock state still holds 1e-5 of the ground state
-    cfg = ModelConfig(g=3.0, include_diamagnetic=True, trunc=FockTruncation(30))
+    cfg = ModelConfig(g=3.0, include_diamagnetic=True, n_max=30)
     ground = parity_ground_states(cfg, [cfg.g])
     shift = truncation_report(ground, 1)[0]
     assert shift < 1e-4
     assert shift == pytest.approx(7.75e-5, rel=1e-3)
     assert ground.top_fock_population[0] == pytest.approx(1.06e-5, rel=1e-2)
-    deeper = parity_ground_states(dataclasses.replace(cfg, trunc=FockTruncation(40)), [cfg.g])
+    deeper = parity_ground_states(dataclasses.replace(cfg, n_max=40), [cfg.g])
     assert deeper.top_fock_population[0] == pytest.approx(3.9e-7, rel=1e-2)
 
 
@@ -285,7 +284,7 @@ def test_truncation_check_top_fock_of_definite_parity_ground_state():
     # at g = 6 the doublet is degenerate to machine precision, so a dense
     # solve returns a parity-mixed vector; the record reads the top Fock
     # weight of the definite-parity ground state that ground_state embeds
-    cfg = ModelConfig(g=6.0, trunc=FockTruncation(200))
+    cfg = ModelConfig(g=6.0, n_max=200)
     ground = parity_ground_states(cfg, [cfg.g])
     rho_c = partial_trace(ground_state(cfg).to_density(), "cavity")
     assert ground.parity[0] == -1 and ground.quasi_degenerate[0]
@@ -299,7 +298,7 @@ PRESET_GRID = np.linspace(0.0, 3.0, 201)
 def test_truncation_report_points_are_one_point_reports(dia):
     # each matrix of the stacked solves is solved on its own, so every
     # point of the record and its report is the one-point one, bit for bit
-    cfg = ModelConfig(include_diamagnetic=dia, trunc=FockTruncation(15))
+    cfg = ModelConfig(include_diamagnetic=dia, n_max=15)
     ground = parity_ground_states(cfg, PRESET_GRID)
     shift = truncation_report(ground, 8)
     for i in range(0, PRESET_GRID.size, 10):
@@ -321,7 +320,7 @@ def test_truncation_report_of_the_preset_grid(dia, top_fock_from, top_fock, shif
     def first(flags):
         return (float(PRESET_GRID[flags][0]), int(flags.sum())) if flags.any() else None
 
-    cfg = ModelConfig(include_diamagnetic=dia, trunc=FockTruncation(15))
+    cfg = ModelConfig(include_diamagnetic=dia, n_max=15)
     ground = parity_ground_states(cfg, PRESET_GRID)
     top = ground.top_fock_population
     assert first(top > 1e-4)[0] == top_fock_from
@@ -331,14 +330,14 @@ def test_truncation_report_of_the_preset_grid(dia, top_fock_from, top_fock, shif
     assert not ground.quasi_degenerate.any()
     # by the theorem a parity of +1 outside the quasi-degeneracy band is
     # truncation; at n_max = 40 that exact flag shows nothing
-    deep = parity_ground_states(dataclasses.replace(cfg, trunc=FockTruncation(40)), PRESET_GRID)
+    deep = parity_ground_states(dataclasses.replace(cfg, n_max=40), PRESET_GRID)
     assert np.all(deep.parity == -1) and np.all(deep.top_fock_population < 1e-4)
     assert not np.any((deep.parity == 1) & ~deep.quasi_degenerate)
 
 
 def test_truncation_report_of_a_record_makes_no_eigh_call(monkeypatch):
     # the report adds only the 2 n_max eigvalsh to the record's solve
-    cfg = ModelConfig(include_diamagnetic=True, trunc=FockTruncation(8))
+    cfg = ModelConfig(include_diamagnetic=True, n_max=8)
     ground = parity_ground_states(cfg, PRESET_GRID[::20])
     expected = truncation_report(ground, 8)
 
@@ -353,7 +352,7 @@ def test_truncation_report_of_a_record_makes_no_eigh_call(monkeypatch):
 
 def test_truncation_report_of_an_entropy_sweep_record():
     # fig8's sweep record feeds the report as a fresh solve of its variant does
-    cfg = ModelConfig(trunc=FockTruncation(15))
+    cfg = ModelConfig(n_max=15)
     sweep = entropy_sweep(cfg, PRESET_GRID)
     fresh = parity_ground_states(dataclasses.replace(cfg, include_diamagnetic=True), PRESET_GRID)
     assert truncation_report(sweep.ground_qrma, 8).tobytes() == truncation_report(fresh, 8).tobytes()
@@ -388,7 +387,7 @@ def test_every_quasi_degenerate_point_has_parity_minus_one(n_max, omega_0, dia, 
     # for omega_0 > 0 the ground state never crosses another level, so its
     # parity is that of g = 0 (Hirokawa & Hiroshima 2014); within a doublet
     # too narrow to order, that theorem and not rounding picks the sector
-    cfg = ModelConfig(omega_0=omega_0, include_diamagnetic=dia, trunc=FockTruncation(n_max))
+    cfg = ModelConfig(omega_0=omega_0, include_diamagnetic=dia, n_max=n_max)
     ground = parity_ground_states(cfg, np.asarray(grid))
     assert ground.quasi_degenerate[:n_flagged].all()
     assert np.all(ground.parity[ground.quasi_degenerate] == -1)

@@ -7,7 +7,6 @@ from scipy.special import erf, eval_hermite, factorial, genlaguerre
 
 from qrabi import (
     DensityMatrix,
-    FockTruncation,
     ModelConfig,
     PureState,
     QuadratureGrid,
@@ -272,7 +271,7 @@ def test_characteristic_cross_check_superposition():
 
 
 def test_ground_state_wigner_vacuum():
-    cfg = ModelConfig(g=0.0, trunc=FockTruncation(8))
+    cfg = ModelConfig(g=0.0, n_max=8)
     grid = QuadratureGrid(-5, 5, -5, 5, 101, 101)
     w = ground_state_wigner(cfg, grid)
     qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis())
@@ -282,7 +281,7 @@ def test_ground_state_wigner_vacuum():
 def test_deep_strong_ground_state_wigner_is_inversion_symmetric():
     # a ground state of definite parity gives W(q, p) = W(-q, -p); at g = 6
     # a dense solve mixes the degenerate doublet and breaks the symmetry
-    cfg = ModelConfig(omega_0=1.0, g=6.0, trunc=FockTruncation(200))
+    cfg = ModelConfig(omega_0=1.0, g=6.0, n_max=200)
     w = ground_state_wigner(cfg, QuadratureGrid(-10, 10, -10, 10, 21, 21))
     assert np.max(np.abs(w.values)) > 0.1
     assert np.max(np.abs(w.values - w.values[::-1, ::-1])) <= 1e-12
@@ -290,18 +289,18 @@ def test_deep_strong_ground_state_wigner_is_inversion_symmetric():
 
 def test_ground_state_wigner_matches_dense_reduced_state():
     # away from a degenerate doublet the per-sector state is the dense one
-    for cfg in (ModelConfig(g=1.3, trunc=FockTruncation(12)),
+    for cfg in (ModelConfig(g=1.3, n_max=12),
                 ModelConfig(omega_0=0.83, g=2.0, include_diamagnetic=True,
-                            trunc=FockTruncation(15))):
+                            n_max=15)):
         grid = QuadratureGrid(-5, 5, -4, 4, 41, 33)
-        dense_state = PureState(np.linalg.eigh(build_full(cfg))[1][:, 0], (2, cfg.trunc.n_max))
+        dense_state = PureState(np.linalg.eigh(build_full(cfg))[1][:, 0], (2, cfg.n_max))
         reduced = partial_trace(dense_state.to_density(), "cavity")
         dense = wigner(reduced, grid).values
         assert np.max(np.abs(ground_state_wigner(cfg, grid).values - dense)) <= 1e-12
 
 
 def test_squeezed_ground_state_variances():
-    cfg = ModelConfig(g=3.0, include_diamagnetic=True, trunc=FockTruncation(15))
+    cfg = ModelConfig(g=3.0, include_diamagnetic=True, n_max=15)
     w = ground_state_wigner(cfg, QuadratureGrid(-6, 6, -6, 6, 121, 121))
     assert marginal_variance(w, "q") < 0.5 < marginal_variance(w, "p")
 
@@ -361,7 +360,7 @@ def test_wigner_grid_invariants():
 
 def test_wigner_grid_compares_and_hashes_by_identity():
     # every record that holds arrays: two built from equal arrays differ
-    cfg = ModelConfig(g=1.0, trunc=FockTruncation(3))
+    cfg = ModelConfig(g=1.0, n_max=3)
     g_grid = np.linspace(0.0, 1.0, 3)
     builds = [
         lambda: ground_state_wigner(cfg, QuadratureGrid(-3, 3, -3, 3, 9, 7)),
@@ -415,7 +414,7 @@ def test_mirrored_ground_state_wigner_matches_full_grid(grid, dia, n_max):
     # mirror images give the full-grid values, exactly symmetric; the
     # public route from the composite ground state gives the same bits
     for g in (0.0, 0.5, 3.0):
-        cfg = ModelConfig(g=g, include_diamagnetic=dia, trunc=FockTruncation(n_max))
+        cfg = ModelConfig(g=g, include_diamagnetic=dia, n_max=n_max)
         w = ground_state_wigner(cfg, grid).values
         full = wigner_module._clenshaw(reduced_ground_state(cfg)[1].data,
                                        grid.q_axis(), grid.p_axis())
@@ -433,7 +432,7 @@ def test_ground_state_wigner_mirrors_only_symmetric_grids(monkeypatch):
     monkeypatch.setattr(
         wigner_module, "_clenshaw",
         lambda data, q, p: calls.append((data, q, p, clenshaw(data, q, p))) or calls[-1][3])
-    cfg = ModelConfig(g=1.0, trunc=FockTruncation(15))
+    cfg = ModelConfig(g=1.0, n_max=15)
     psi, rho = reduced_ground_state(cfg)
 
     # a symmetric panel folds back to the quadrant it was mirrored from
@@ -495,7 +494,7 @@ def test_fold_of_grid_symmetric_in_one_axis_is_identity(flip):
 
 
 def test_ground_state_wigner_rejects_overflowing_grid():
-    cfg = ModelConfig(g=1.0, trunc=FockTruncation(40))
+    cfg = ModelConfig(g=1.0, n_max=40)
     for grid in (QuadratureGrid(-1e9, 1e9, -1e9, 1e9, 11, 11),
                  QuadratureGrid(-1e9, 1e8, -1e9, 1e9, 11, 11)):
         with pytest.raises(ValueError, match="overflow"):
@@ -535,7 +534,7 @@ def test_ground_state_wigner_matches_mpmath_quadrature():
     # same truncated state; rho = sum of |phi><phi| over the even and odd
     # parts phi of psi is real, so only the cosine part remains
     mp = pytest.importorskip("mpmath")
-    cfg = ModelConfig(g=1.0, trunc=FockTruncation(15))
+    cfg = ModelConfig(g=1.0, n_max=15)
     grid = QuadratureGrid()
     w = ground_state_wigner(cfg, grid).values
     psi = reduced_ground_state(cfg)[0]
