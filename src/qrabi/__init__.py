@@ -2,6 +2,10 @@
 diamagnetic A^2 term: energy spectra, ground-state Wigner distributions,
 and entanglement-entropy sweeps in a truncated qubit (x) Fock basis.
 
+The public names are the ``__all__`` lists of the four library modules,
+``entanglement``, ``model``, ``spectra`` and ``wigner``; the writers in
+``output``, ``plotting`` and ``cli`` are not imported with the package.
+
 Importing qrabi loads numpy's OpenBLAS with one thread, because every
 matrix it solves is a parity block of only n_max rows.  This holds only
 when numpy is not yet imported and none of ``OPENBLAS_NUM_THREADS``,
@@ -31,41 +35,9 @@ def _load_numpy_single_threaded() -> None:
 _load_numpy_single_threaded()
 del _load_numpy_single_threaded
 
-from .entanglement import (
-    DensityMatrix,
-    EntropySweep,
-    PureState,
-    entropy_sweep,
-    expectation,
-    ground_state,
-    partial_trace,
-    von_neumann_entropy,
-)
-from .model import (
-    ModelConfig,
-    build_full,
-    diamagnetic_constant,
-    model_tag,
-    parity_operator,
-)
-from .spectra import (
-    CrossingReport,
-    SpectrumSweep,
-    SweepError,
-    find_avoided_crossings,
-    sweep_spectrum,
-    truncation_report,
-)
-from .wigner import (
-    QuadratureGrid,
-    WignerGrid,
-    ground_state_wigner,
-    marginal_variance,
-    negativity_volume,
-    wigner,
-    wigner_characteristic,
-    wigner_marginal,
-    wigner_normalization,
-)
+from .entanglement import *
+from .model import *
+from .spectra import *
+from .wigner import *
 
 __version__ = "0.1.0"

@@ -27,8 +27,6 @@ __all__ = [
     "CrossingReport",
     "SweepError",
     "GroundStates",
-    "solve_parity_blocks",
-    "ground_sector",
     "parity_ground_states",
     "sweep_spectrum",
     "find_avoided_crossings",

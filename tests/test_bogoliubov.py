@@ -3,14 +3,18 @@ Nat. Commun. 1, 72 (2010)): ``model.bogoliubov_map`` gives the QRM of
 frequency omega' = sqrt(omega_c^2 + 4 D omega_c) and coupling
 g' = g sqrt(omega_c / omega'), the energy shift (omega' - omega_c) / 2 and the
 squeeze s = sqrt(omega' / omega_c).  At n_max = 160 both sides are converged,
-so levels, entropy and Wigner function agree to rounding."""
+so levels, entropy and Wigner function agree to rounding.  The direct QRMA
+needs far more Fock states than its map, whose QRM' is converged at n_max = 12;
+README's table of these cutoffs is pinned here."""
+
+import functools
 
 import numpy as np
 import pytest
 
-from qrabi import (ModelConfig, QuadratureGrid, entropy_sweep, ground_state_wigner,
-                   negativity_volume)
-from qrabi.model import bogoliubov_map, parity_blocks
+from qrabi import (ModelConfig, QuadratureGrid, bogoliubov_map, entropy_sweep,
+                   ground_state_wigner, negativity_volume, parity_blocks,
+                   parity_ground_states, truncation_report)
 
 TOL = 1e-12
 
@@ -88,3 +92,47 @@ def test_qrma_entropy_falls_at_large_coupling():
     assert np.max(np.abs(np.subtract(entropies[80], entropies[160]))) <= TOL
     assert np.all(np.diff(entropies[80]) < 0)
     assert entropies[80] == pytest.approx([0.1889, 0.0885, 0.0377, 0.0137], abs=5e-5)
+
+
+# N* is the smallest n_max from which every n_max up to SCAN_MAX stays within
+# CUTOFF_TOL of the n_max = REFERENCE_N_MAX value, at omega_0 = omega_c = 1
+CUTOFF_TOL = 1e-4
+REFERENCE_N_MAX = 240
+SCAN_MAX = 60
+# g: (QRM S, QRM E0, QRMA S, QRMA E0)
+N_STAR = {1.0: (8, 8, 13, 11), 2.0: (12, 16, 25, 21), 3.0: (15, 25, 37, 28)}
+MAPPED_N_MAX = 12
+
+
+@functools.cache
+def figures(g, n_max):
+    # (S, E0) of the QRM, then of the direct QRMA, from one entropy sweep
+    sweep = entropy_sweep(ModelConfig(g=g, n_max=n_max), [g])
+    return (sweep.s_qrm[0], sweep.ground_qrm.levels[0, 0],
+            sweep.s_qrma[0], sweep.ground_qrma.levels[0, 0])
+
+
+def n_star(values, reference):
+    far = [n for n, value in values.items() if abs(value - reference) >= CUTOFF_TOL]
+    return max(far) + 1 if far else min(values)
+
+
+@pytest.mark.parametrize("g", sorted(N_STAR))
+def test_fock_states_each_number_needs(g):
+    reference = figures(g, REFERENCE_N_MAX)
+    scan = {n: figures(g, n) for n in range(2, SCAN_MAX + 1)}
+    found = tuple(n_star({n: values[k] for n, values in scan.items()}, reference[k])
+                  for k in range(4))
+    assert found == N_STAR[g]
+
+
+@pytest.mark.parametrize("g", [1.0, 2.0, 3.0, 5.0])
+def test_mapped_qrm_at_a_small_cutoff_is_the_converged_qrma(g):
+    # the direct QRMA needs n_max ~ 12 g; its map's QRM' is converged at 12
+    _, _, s_qrma, e0_qrma = figures(g, REFERENCE_N_MAX)
+    qrm, shift, _ = bogoliubov_map(ModelConfig(g=g, include_diamagnetic=True,
+                                               n_max=MAPPED_N_MAX))
+    ground = parity_ground_states(qrm, [qrm.g])
+    assert truncation_report(ground, k_levels=1)[0] < TOL
+    assert abs(entropy_sweep(qrm, [qrm.g]).s_qrm[0] - s_qrma) <= TOL
+    assert abs(ground.levels[0, 0] + shift - e0_qrma) <= TOL

@@ -1,8 +1,10 @@
 """Every ```python block of README.md runs as written, and so does every
 ``qrabi`` command of its ```sh blocks, so a public name or a CLI flag the
 README uses cannot be renamed or deleted without this test failing.  Every
-public name of ``import qrabi`` appears in README."""
+public name of ``import qrabi`` appears in README, and those names are the
+``__all__`` lists of the four library modules."""
 
+import importlib
 import pathlib
 import re
 import shlex
@@ -41,8 +43,21 @@ def test_readme_cli_command_runs(command, tmp_path, monkeypatch):
     assert main(shlex.split(command)[1:]) == EXIT_OK
 
 
-def test_readme_names_every_exported_name():
+def exported_names():
     # the package's submodules are attributes of it too, but not exports
-    exported = [name for name in dir(qrabi) if not name.startswith("_")
-                and not isinstance(getattr(qrabi, name), types.ModuleType)]
-    assert [name for name in exported if not re.search(rf"\b{name}\b", TEXT)] == []
+    return [name for name in dir(qrabi) if not name.startswith("_")
+            and not isinstance(getattr(qrabi, name), types.ModuleType)]
+
+
+def test_readme_names_every_exported_name():
+    assert [name for name in exported_names() if not re.search(rf"\b{name}\b", TEXT)] == []
+
+
+def test_exported_names_are_the_library_modules_all():
+    # the function qrabi.wigner shadows its module, so the modules are imported
+    # by name; a name in two lists would be shadowed by the later star import
+    lists = [importlib.import_module(f"qrabi.{module}").__all__
+             for module in ("entanglement", "model", "spectra", "wigner")]
+    names = [name for names in lists for name in names]
+    assert len(names) == len(set(names))
+    assert sorted(exported_names()) == sorted(names)
