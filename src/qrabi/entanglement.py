@@ -1,10 +1,9 @@
-"""Ground-state extraction, partial trace, von Neumann entropy, and
-expectation values.
+"""Ground-state extraction, partial trace and von Neumann entropy.
 
-States are plain numpy arrays over the qubit (x) cavity basis of
-``model.build_full`` with their subsystem dims, and operators are plain
-square arrays over the same basis.  Entropy is measured in bits (log base
-2), so a maximally entangled qubit-cavity state has S = 1 exactly.
+States are plain numpy arrays over the qubit (x) cavity basis of ``model``,
+where |s, n> has flat index ``s * n_max + n``, with their subsystem dims.
+Entropy is measured in bits (log base 2), so a maximally entangled
+qubit-cavity state has S = 1 exactly.
 ``ground_state`` and ``entropy_sweep`` read the ``GroundStates`` record of
 ``spectra.parity_ground_states``, which picks the ground state, and an
 ``EntropySweep`` keeps each variant's record, so the parity, doublet gap,
@@ -30,7 +29,6 @@ __all__ = [
     "partial_trace",
     "von_neumann_entropy",
     "entropy_sweep",
-    "expectation",
 ]
 
 # the entropy drops eigenvalues <= 0 as roundoff; one below
@@ -185,10 +183,3 @@ def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
     s_qrm, ground_qrm, s_qrma, ground_qrma = columns
     return EntropySweep(ground_qrm.couplings / base.omega_c, s_qrm, s_qrma, ground_qrm, ground_qrma)
 
-
-def expectation(op: np.ndarray, state: PureState) -> complex:
-    """<psi|O|psi> for a square matrix ``op`` over the same space as ``state``."""
-    side = state.amplitudes.size
-    if np.shape(op) != (side, side):
-        raise ValueError(f"operator shape {np.shape(op)} does not match state dims {state.dims}")
-    return complex(np.vdot(state.amplitudes, op @ state.amplitudes))

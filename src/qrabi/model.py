@@ -1,5 +1,5 @@
 """Hamiltonians of the quantum Rabi model (QRM) and its extension with the
-diamagnetic A^2 term (QRMA), plus the parity symmetry operator.
+diamagnetic A^2 term (QRMA), as their two parity blocks.
 
 The Hamiltonian is real symmetric on the truncated qubit (x) Fock space,
 
@@ -12,8 +12,9 @@ between the coupling and diamagnetic terms.  The qubit factor comes first,
 so the flat index of |s, n> is ``s * n_max + n`` with s = 0 for the excited
 qubit state.  hbar = 1; frequencies are in units of the cavity frequency.
 
-The solvers use the two real parity blocks of H (``parity_blocks``);
-``build_full`` is the dense matrix, kept as an independent reference.
+Excitation parity Pi = sigma_z (x) (-1)^(a†a) is an exact symmetry of both
+models, so H is the direct sum of two real blocks, ``parity_blocks``, which
+every solver uses.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ __all__ = [
     "ModelConfig",
     "diamagnetic_constant",
     "bogoliubov_map",
-    "build_full",
     "parity_blocks",
-    "parity_operator",
     "model_tag",
 ]
 
@@ -60,6 +59,9 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_max", _count("n_max", self.n_max))
+        if not isinstance(self.include_diamagnetic, (bool, np.bool_)):
+            raise ValueError(
+                f"include_diamagnetic must be a bool, got {self.include_diamagnetic!r}")
         if not 0 < self.omega_c < np.inf:
             raise ValueError(f"omega_c must be finite and > 0, got {self.omega_c}")
         if not 0 <= self.omega_0 < np.inf:
@@ -104,47 +106,19 @@ def bogoliubov_map(cfg: ModelConfig) -> tuple[ModelConfig, float, float]:
     return qrm, (omega - cfg.omega_c) / 2.0, math.sqrt(omega / cfg.omega_c)
 
 
-def _field(n_max: int) -> np.ndarray:
-    """Truncated X = a + a†: sqrt(n) on both off-diagonals."""
-    field = np.diag(np.sqrt(np.arange(1, n_max)), k=1)
-    return field + field.T
-
-
-def build_full(cfg: ModelConfig) -> np.ndarray:
-    """Dense real symmetric Hamiltonian of ``cfg``, shape (2 n_max, 2 n_max),
-    as Kronecker products in the qubit-first basis.  It is not assembled
-    from ``parity_blocks``, so it serves as their reference."""
-    n = cfg.n_max
-    field = _field(n)
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sigma_z = np.diag([1.0, -1.0])
-    h = (cfg.omega_c * np.kron(np.eye(2), np.diag(np.arange(n, dtype=float)))
-         + (cfg.omega_0 / 2.0) * np.kron(sigma_z, np.eye(n))
-         + cfg.g * np.kron(sigma_x, field))
-    if cfg.include_diamagnetic:
-        h += diamagnetic_constant(cfg) * np.kron(np.eye(2), field @ field)
-    return h
-
-
 def parity_blocks(base: ModelConfig, g_grid) -> np.ndarray:
-    """Real parity blocks of ``build_full`` over ``g_grid`` (``base.g`` is
-    ignored), shape (2, len(g_grid), n_max, n_max): parity -1, then +1.  Chain
-    index n holds the qubit state with sigma_z = P (-1)^n, so block P is
+    """Real parity blocks of H over ``g_grid`` (``base.g`` is ignored),
+    shape (2, len(g_grid), n_max, n_max): parity -1, then +1.  Chain index n
+    holds the qubit state with sigma_z = P (-1)^n, so block P is
     diag(omega_c n + P (omega_0/2) (-1)^n) + g X + D(g) X @ X, X = a + a†."""
     grid = np.asarray(g_grid, dtype=float)
     n = np.arange(base.n_max)
-    field = _field(n.size)
+    field = np.diag(np.sqrt(n[1:]), k=1)  # X: sqrt(n) on both off-diagonals
+    field = field + field.T
     d = _diamagnetic(base, grid) if base.include_diamagnetic else np.zeros_like(grid)
     signs = np.array([[-1.0], [1.0]]) * (base.omega_0 / 2.0) * (-1.0) ** n
     diagonal = np.eye(n.size) * (base.omega_c * n + signs)[:, None, None, :]
     return diagonal + grid[:, None, None] * field + d[:, None, None] * (field @ field)
-
-
-def parity_operator(n_max: int) -> np.ndarray:
-    """Excitation parity Pi = sigma_z (x) diag((-1)^n) on n_max Fock states as
-    a real diagonal matrix; Pi^2 = I, and Pi is an exact symmetry of both
-    models."""
-    return np.diag(np.kron([1.0, -1.0], (-1.0) ** np.arange(_count("n_max", n_max))))
 
 
 def model_tag(cfg: ModelConfig) -> str:

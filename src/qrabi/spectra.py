@@ -181,9 +181,10 @@ def _sorted_levels(base: ModelConfig, grid: np.ndarray) -> np.ndarray:
 
 
 def _check_k_levels(k_levels, n_max: int) -> None:
-    """``k_levels`` must be an integer in [1, 2 n_max]."""
+    """``k_levels`` must be an integer in [1, 2 n_max], and not a bool."""
     dim = 2 * n_max
-    if not (isinstance(k_levels, (int, np.integer)) and 1 <= k_levels <= dim):
+    if not (isinstance(k_levels, (int, np.integer)) and not isinstance(k_levels, bool)
+            and 1 <= k_levels <= dim):
         raise ValueError(f"k_levels must be in [1, {dim}], got {k_levels}")
 
 

@@ -8,8 +8,7 @@ normalization integral over dq dp is 1, and |W| <= 1/pi everywhere.
 
 The Fock-basis series over displaced-parity matrix elements is summed with
 a Clenshaw recurrence over associated Laguerre polynomials, which stays
-stable for any practical cutoff (no factorials are formed).  A direct
-characteristic-function quadrature is provided as a slow cross-check.
+stable for any practical cutoff (no factorials are formed).
 A real state that commutes with photon parity has W(q, p) = W(q, -p) =
 W(-q, p) exactly, so on a grid symmetric about both axes ``wigner``
 evaluates one quadrant and mirrors it; ``ground_state_wigner`` is ``wigner``
@@ -41,7 +40,6 @@ __all__ = [
     "wigner_marginal",
     "marginal_variance",
     "ground_state_wigner",
-    "wigner_characteristic",
 ]
 
 WIGNER_BOUND = 1.0 / np.pi
@@ -247,61 +245,3 @@ def ground_state_wigner(cfg: ModelConfig, grid: QuadratureGrid) -> WignerGrid:
     rho = np.outer(psi, psi) * ((n[:, None] - n) % 2 == 0)
     return wigner(DensityMatrix(rho, (psi.size,)), grid)
 
-
-# quadrature of wigner_characteristic: the radius of the lam disk and the
-# number of radial and angular nodes
-_CHAR_LAM_MAX = 6.0
-_CHAR_N_RADIAL = 64
-_CHAR_N_ANGULAR = 128
-
-
-def wigner_characteristic(rho: DensityMatrix, points) -> np.ndarray:
-    """W at a handful of (q, p) points via the characteristic function
-    chi(lam) = Tr(rho D(lam)).
-
-    Evaluates (1/(2 pi^2)) * integral of chi(lam) exp(lam* gamma - lam gamma*)
-    d^2 lam with gamma = (q + i p)/sqrt(2), over a disk |lam| <= _CHAR_LAM_MAX
-    in polar coordinates (``_CHAR_N_RADIAL`` Gauss-Legendre nodes radially,
-    ``_CHAR_N_ANGULAR`` uniform angles).  The displacement operators are
-    matrix exponentials in an enlarged Fock space so their low-index block
-    matches the untruncated operator, taken for every radius from one
-    eigendecomposition of the generator, and rotation of lam through a
-    phase is applied analytically.  Much slower per value than ``wigner``;
-    intended as an independent spot check.
-    """
-    if len(rho.dims) != 1:
-        raise ValueError("cavity-only density matrix required")
-    n = rho.dims[0]
-    # a displaced |k> with k < n needs Fock indices up to roughly
-    # _CHAR_LAM_MAX^2 + O(_CHAR_LAM_MAX) before its tail is negligible
-    embed = n + int(np.ceil(_CHAR_LAM_MAX**2 + 4.0 * _CHAR_LAM_MAX)) + 10
-    ladder = np.diag(np.sqrt(np.arange(1, embed, dtype=float)), k=1)
-    # D(r) = expm(r G) for real r, with G = a† - a real antisymmetric: iG is
-    # Hermitian, so with iG = V diag(lam) V†, expm(r G) = V diag(e^{-i r lam}) V†
-    lam, vecs = np.linalg.eigh(1j * (ladder.T - ladder))
-
-    nodes, gl_weights = np.polynomial.legendre.leggauss(_CHAR_N_RADIAL)
-    radii = 0.5 * _CHAR_LAM_MAX * (nodes + 1.0)
-    weights = 0.5 * _CHAR_LAM_MAX * gl_weights
-
-    theta = np.linspace(0.0, 2.0 * np.pi, _CHAR_N_ANGULAR, endpoint=False)
-    ks, ms = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    # chi(r e^{i th}) = sum_{m,k} rho[m,k] e^{i th (k-m)} <k|D(r)|m>
-    phase_pow = (ks - ms)[None, :, :] * theta[:, None, None]
-    phases = np.exp(1j * phase_pow)
-
-    chis = np.empty((_CHAR_N_RADIAL, _CHAR_N_ANGULAR), dtype=complex)
-    for i, r in enumerate(radii):
-        block = ((vecs[:n] * np.exp(-1j * r * lam)) @ vecs[:n].conj().T).real
-        chis[i] = np.einsum("km,tkm->t", rho.data.T * block, phases)
-
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    out = np.empty(len(points))
-    for idx, (q, p) in enumerate(points):
-        gamma = (q + 1j * p) / np.sqrt(2.0)
-        # lam* gamma - lam gamma* = 2 i r (Im(gamma) cos th - Re(gamma) sin th)
-        osc = np.exp(2j * np.outer(radii, gamma.imag * cos_t - gamma.real * sin_t))
-        angular = (chis * osc).mean(axis=1) * 2.0 * np.pi
-        val = np.sum(angular * radii * weights)
-        out[idx] = val.real / (2.0 * np.pi**2)
-    return out

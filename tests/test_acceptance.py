@@ -19,24 +19,21 @@ from qrabi import (
     ModelConfig,
     PureState,
     QuadratureGrid,
-    build_full,
     entropy_sweep,
-    expectation,
     find_avoided_crossings,
     ground_state,
     ground_state_wigner,
     marginal_variance,
-    parity_operator,
     partial_trace,
     sweep_spectrum,
     truncation_report,
     von_neumann_entropy,
     wigner,
-    wigner_characteristic,
     wigner_normalization,
 )
 from qrabi.cli import EXIT_OK, main as cli_main
 from qrabi.spectra import parity_ground_states
+from oracles import build_full, expectation, parity_operator, wigner_characteristic
 
 GRID_201 = np.linspace(0.0, 3.0, 201)
 WIGNER_GRID = QuadratureGrid(-6, 6, -6, 6, 201, 201)  # row/column 100 is p/q = 0

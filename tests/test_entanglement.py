@@ -7,15 +7,13 @@ from qrabi import (
     DensityMatrix,
     ModelConfig,
     PureState,
-    build_full,
     entropy_sweep,
-    expectation,
     ground_state,
-    parity_operator,
     partial_trace,
     von_neumann_entropy,
 )
 from qrabi.spectra import parity_ground_states
+from oracles import build_full, expectation, parity_operator
 
 
 def random_pure_state(rng, n):

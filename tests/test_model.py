@@ -5,14 +5,9 @@ import pytest
 import scipy.linalg
 
 import qrabi
-from qrabi import (
-    ModelConfig,
-    build_full,
-    diamagnetic_constant,
-    model_tag,
-    parity_operator,
-)
+from qrabi import ModelConfig, diamagnetic_constant, model_tag
 from qrabi.model import parity_blocks
+from oracles import build_full, parity_operator
 
 
 def diamagnetic_term(cfg):
@@ -198,6 +193,10 @@ def test_config_validation():
         ModelConfig(g=-1.0)
     with pytest.raises(ValueError):
         ModelConfig(d_override=-0.5)
+    # a truthy string would build the A^2 model
+    with pytest.raises(ValueError, match="include_diamagnetic"):
+        ModelConfig(include_diamagnetic="off")
+    assert model_tag(ModelConfig(include_diamagnetic=np.True_)) == "QRMA"
 
 
 @pytest.mark.parametrize("key", ["omega_c", "omega_0", "g", "d_override"])

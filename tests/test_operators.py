@@ -1,11 +1,12 @@
-"""The operator factors of the dense Hamiltonian ``build_full``: the
-truncated ladder a, a† inside its coupling block X = a + a†, the exact
-number diagonal, and the Fock truncation itself."""
+"""The operator factors of ``oracles.build_full``, the dense reference
+Hamiltonian: the truncated ladder a, a† inside its coupling block
+X = a + a†, the exact number diagonal, and the Fock truncation itself."""
 
 import numpy as np
 import pytest
 
-from qrabi import ModelConfig, build_full
+from qrabi import ModelConfig
+from oracles import build_full
 
 
 def field(n):

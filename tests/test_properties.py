@@ -33,20 +33,15 @@ from qrabi.entanglement import (  # noqa: E402
     DensityMatrix,
     PureState,
     entropy_sweep,
-    expectation,
     ground_state,
     partial_trace,
     von_neumann_entropy,
 )
-from qrabi.model import (  # noqa: E402
-    build_full,
-    ModelConfig,
-    parity_blocks,
-    parity_operator,
-)
+from qrabi.model import ModelConfig, parity_blocks  # noqa: E402
 from qrabi.spectra import DEGENERACY_RTOL, parity_ground_states  # noqa: E402
 from qrabi.output import wigner_table, write_csv, write_gnuplot, write_json  # noqa: E402
 from qrabi.wigner import QuadratureGrid, WignerGrid, _clenshaw, wigner  # noqa: E402
+from oracles import build_full, expectation, parity_operator  # noqa: E402
 from test_output import ref_csv, ref_dat, ref_json  # noqa: E402
 
 # no example database: a run leaves no files behind

@@ -2,8 +2,10 @@
 ``qrabi`` command of its ```sh blocks, so a public name or a CLI flag the
 README uses cannot be renamed or deleted without this test failing.  Every
 public name of ``import qrabi`` appears in README, and those names are the
-``__all__`` lists of the four library modules."""
+``__all__`` lists of the four library modules, which hold none of the
+tests' reference oracles."""
 
+import ast
 import importlib
 import pathlib
 import re
@@ -15,7 +17,8 @@ import pytest
 import qrabi
 from qrabi.cli import EXIT_OK, main
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, re.MULTILINE | re.DOTALL)
 # each line of an sh block that runs qrabi, with its backslash continuations joined
@@ -61,3 +64,20 @@ def test_exported_names_are_the_library_modules_all():
     names = [name for names in lists for name in names]
     assert len(names) == len(set(names))
     assert sorted(exported_names()) == sorted(names)
+
+
+def test_the_oracles_are_not_in_the_library():
+    # each moved to tests/oracles.py from its former module
+    moved = [("model", "build_full"), ("model", "parity_operator"),
+             ("entanglement", "expectation"), ("wigner", "wigner_characteristic")]
+    for module, name in moved:
+        assert not hasattr(qrabi, name)
+        assert not hasattr(importlib.import_module(f"qrabi.{module}"), name)
+    imported = set()
+    for path in (ROOT / "src" / "qrabi").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+    assert not any("oracles" in name.split(".") for name in imported)

@@ -6,7 +6,6 @@ import pytest
 from qrabi import (
     ModelConfig,
     SpectrumSweep,
-    build_full,
     entropy_sweep,
     find_avoided_crossings,
     ground_state,
@@ -16,6 +15,7 @@ from qrabi import (
 )
 from qrabi.model import parity_blocks
 from qrabi.spectra import ground_sector, parity_ground_states, solve_parity_blocks
+from oracles import build_full
 
 
 def test_eigensystem_qrm_decoupled():
@@ -130,7 +130,8 @@ def test_sweep_validation():
         sweep_spectrum(cfg, [], 2)
     with pytest.raises(ValueError):
         sweep_spectrum(cfg, [1.0, 0.5], 2)
-    for k_levels in (0, 9, 2.5):
+    # True is an int to isinstance, and would sweep one level
+    for k_levels in (0, 9, 2.5, True):
         with pytest.raises(ValueError, match=r"k_levels must be in \[1, 8\]"):
             sweep_spectrum(cfg, [0.0, 1.0], k_levels)
 

@@ -11,7 +11,6 @@ from qrabi import (
     PureState,
     QuadratureGrid,
     WignerGrid,
-    build_full,
     entropy_sweep,
     ground_state,
     ground_state_wigner,
@@ -20,11 +19,11 @@ from qrabi import (
     partial_trace,
     sweep_spectrum,
     wigner,
-    wigner_characteristic,
     wigner_marginal,
     wigner_normalization,
 )
 from qrabi.spectra import parity_ground_states
+from oracles import build_full, wigner_characteristic
 
 wigner_module = importlib.import_module("qrabi.wigner")
 
