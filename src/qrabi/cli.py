@@ -104,7 +104,7 @@ def load_config(path: str) -> dict[str, object]:
     """Typed values of a ``key = value`` config file (``#`` starts a comment)."""
     values: dict[str, object] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a BOM is not a key
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -106,12 +106,20 @@ def bogoliubov_map(cfg: ModelConfig) -> tuple[ModelConfig, float, float]:
     return qrm, (omega - cfg.omega_c) / 2.0, math.sqrt(omega / cfg.omega_c)
 
 
+def _coupling_grid(g_grid) -> np.ndarray:
+    """``g_grid`` as a float array, which must be non-empty and 1-D."""
+    grid = np.array(g_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("g_grid must be a non-empty 1-D sequence")
+    return grid
+
+
 def parity_blocks(base: ModelConfig, g_grid) -> np.ndarray:
-    """Real parity blocks of H over ``g_grid`` (``base.g`` is ignored),
-    shape (2, len(g_grid), n_max, n_max): parity -1, then +1.  Chain index n
-    holds the qubit state with sigma_z = P (-1)^n, so block P is
-    diag(omega_c n + P (omega_0/2) (-1)^n) + g X + D(g) X @ X, X = a + a†."""
-    grid = np.asarray(g_grid, dtype=float)
+    """Real parity blocks of H over the non-empty 1-D ``g_grid`` (``base.g``
+    is ignored), shape (2, len(g_grid), n_max, n_max): parity -1, then +1.
+    Chain index n holds the qubit state with sigma_z = P (-1)^n, so block P
+    is diag(omega_c n + P (omega_0/2) (-1)^n) + g X + D(g) X @ X, X = a + a†."""
+    grid = _coupling_grid(g_grid)
     n = np.arange(base.n_max)
     field = np.diag(np.sqrt(n[1:]), k=1)  # X: sqrt(n) on both off-diagonals
     field = field + field.T

@@ -26,11 +26,10 @@ mirror-symmetric grid the formatting sees a quarter of the points.
 A table body is an iterator of strings.  A Wigner table yields one string
 per p row, joined from one reusable row of q, p and w pieces: its q pieces
 are the grid's, cached per grid and format, and each row puts in its p
-piece and its w cells: the quadrant row its mirror index names, gathered
-to the q columns once for CSV and once for JSON cells.  The writers pass
-header, rows and tail to the file as they come, so no text of a whole
-Wigner table is ever held.  The CLI writes a panel equal to a written one
-as a copy.
+piece and its w cells: the quadrant row its mirror index names, with the
+quadrant gathered to the q columns once per body.  The writers pass header,
+rows and tail to the file as they come, so no text of a whole Wigner table
+is ever held.  The CLI writes a panel equal to a written one as a copy.
 
 :func:`write_gnuplot` is the one writer of a ``.gp`` script and its
 ``.dat`` grid; the grid is a Wigner table's body in the ``dat`` format.
@@ -139,7 +138,6 @@ class _GridRows:
         self.grid = w.grid
         quadrant, self.ip, self.iq = w.fold
         self.w = Column(quadrant)
-        self._w_rows: dict[bool, list[list[str]]] = {}
 
     def __len__(self) -> int:
         return self.grid.n_q * self.grid.n_p
@@ -150,18 +148,16 @@ class _GridRows:
         block_sep, json_numbers = _BODY[fmt][2:]
         q, p = _axis_pieces(self.grid, fmt)
         n_q = len(q)
-        # the w cells of each quadrant row, gathered to the n_q columns
-        # once per flavour; p row i is quadrant row ip[i]
-        w_rows = self._w_rows.get(json_numbers)
-        if w_rows is None:
-            w_rows = self._w_rows[json_numbers] = self.w.cells(json_numbers)[:, self.iq].tolist()
+        cells = self.w.cells(json_numbers)
+        if cells.shape[1] < n_q:  # a folded quadrant: gather it to the q columns
+            cells = cells[:, self.iq]
         row: list[str | None] = [None] * (3 * n_q)  # a q, a p and a w piece per point
         row[0::3] = q
         for i, (pc, k) in enumerate(zip(p, self.ip.tolist())):
             if i:
                 yield block_sep
             row[1::3] = [pc] * n_q
-            row[2::3] = w_rows[k]
+            row[2::3] = cells[k].tolist()  # p row i is quadrant row ip[i]
             yield "".join(row)
 
 

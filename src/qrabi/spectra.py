@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, model_tag, parity_blocks
+from .model import ModelConfig, _coupling_grid, model_tag, parity_blocks
 
 __all__ = [
     "SpectrumSweep",
@@ -84,18 +84,16 @@ class GroundStates:
 
     ``psi[i]`` holds the n_max amplitudes of the ground state at
     ``couplings[i]`` in the chain basis of ``model.parity_blocks``: the
-    lowest vector of the sector whose lowest level is lower, with a
-    quasi-degenerate doublet going to parity -1 (``ground_sector``).  So
-    ``parity[i]`` (+1 or -1) is definite even in a degenerate doublet; for
-    omega_0 > 0 a parity of +1 where ``quasi_degenerate[i]`` is not set is
-    a truncation artifact.  ``levels[i]`` holds every level of both blocks
-    in ascending order, the ground energy first.  ``quasi_degenerate[i]``
-    is set when the two lowest levels agree to within ``DEGENERACY_RTOL``
-    relative (the large-g parity doublet).  ``levels[i, 0]`` is the lowest
-    level of either block: inside the quasi-degeneracy band ``psi[i]`` is
-    parity -1's vector, whose energy, its own block's lowest level, can be
-    higher by up to ``DEGENERACY_RTOL * (1 + |levels[i, 0]|)``.  Records
-    compare and hash by identity.
+    lowest vector of one parity block, so ``parity[i]`` (+1 or -1) is
+    definite even in a degenerate doublet.  ``levels[i]`` holds every level
+    of both blocks in ascending order.  ``quasi_degenerate[i]`` is set when
+    the two lowest levels agree to within ``DEGENERACY_RTOL`` relative, the
+    band ``DEGENERACY_RTOL * (1 + |levels[i, 0]|)`` (the large-g parity
+    doublet).  Outside the band ``psi[i]`` is the vector of
+    ``levels[i, 0]``; inside it ``psi[i]`` is parity -1's vector, whose
+    energy, its own block's lowest level, can be higher than
+    ``levels[i, 0]`` by up to the band.  For omega_0 > 0 a parity of +1 is
+    a truncation artifact.  Records compare and hash by identity.
     """
 
     base: ModelConfig
@@ -114,14 +112,6 @@ class GroundStates:
     def doublet_gap(self) -> np.ndarray:
         """Gap between the two lowest levels at each coupling."""
         return self.levels[:, 1] - self.levels[:, 0]
-
-
-def _coupling_grid(g_grid) -> np.ndarray:
-    """``g_grid`` as a float array, which must be non-empty and 1-D."""
-    grid = np.array(g_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("g_grid must be a non-empty 1-D sequence")
-    return grid
 
 
 def solve_parity_blocks(base: ModelConfig, grid: np.ndarray, solver):
@@ -144,32 +134,20 @@ def solve_parity_blocks(base: ModelConfig, grid: np.ndarray, solver):
         raise
 
 
-def _degeneracy_band(e0: np.ndarray) -> np.ndarray:
-    """Levels closer than this to the ground energy ``e0`` are quasi-degenerate."""
-    return DEGENERACY_RTOL * (1.0 + np.abs(e0))
-
-
-def ground_sector(values: np.ndarray) -> np.ndarray:
-    """Ground sector per point of ``solve_parity_blocks`` levels: 1 (parity
-    +1) only where its lowest level is lower than parity -1's by more than
-    the quasi-degeneracy band, else 0.  Inside the band, ties included, the
-    sign of the gap is rounding, and the sector is parity -1's: that of the
-    g = 0 ground state, and for omega_0 > 0 of the ground state at every g,
-    which never crosses another level (M. Hirokawa & F. Hiroshima, Commun.
-    Stoch. Anal. 8, 551 (2014))."""
-    minus, plus = values[:, :, 0]
-    return (minus - plus > _degeneracy_band(np.minimum(minus, plus))).astype(np.intp)
-
-
 def parity_ground_states(base: ModelConfig, g_grid) -> GroundStates:
     """``GroundStates`` of ``base`` at each coupling of the non-empty 1-D
     ``g_grid``."""
     grid = _coupling_grid(g_grid)
     values, vectors = solve_parity_blocks(base, grid, np.linalg.eigh)
-    sector = ground_sector(values)
     levels = np.sort(np.hstack(values), axis=1)
     e0, e1 = levels[:, :2].T
-    flagged = (e1 - e0) < _degeneracy_band(e0)
+    flagged = (e1 - e0) < DEGENERACY_RTOL * (1.0 + np.abs(e0))
+    # parity +1 only where its block's lowest level is lower and the doublet
+    # is resolved; inside the band the sign of the gap is rounding, and the
+    # sector is parity -1's: that of the g = 0 ground state, and for
+    # omega_0 > 0 of the ground state at every g, which never crosses another
+    # level (M. Hirokawa & F. Hiroshima, Commun. Stoch. Anal. 8, 551 (2014))
+    sector = ((values[1, :, 0] < values[0, :, 0]) & ~flagged).astype(np.intp)
     psi = vectors[sector, np.arange(grid.size), :, 0]
     return GroundStates(base, grid, psi, 2 * sector - 1, levels, flagged)
 

@@ -5,7 +5,7 @@ g' = g sqrt(omega_c / omega'), the energy shift (omega' - omega_c) / 2 and the
 squeeze s = sqrt(omega' / omega_c).  At n_max = 160 both sides are converged,
 so levels, entropy and Wigner function agree to rounding.  The direct QRMA
 needs far more Fock states than its map, whose QRM' is converged at n_max = 12;
-README's table of these cutoffs is pinned here."""
+README's tables of these cutoffs are pinned here."""
 
 import functools
 
@@ -124,6 +124,36 @@ def test_fock_states_each_number_needs(g):
     found = tuple(n_star({n: values[k] for n, values in scan.items()}, reference[k])
                   for k in range(4))
     assert found == N_STAR[g]
+
+
+# the same rule for the negativity volume and for W, whose distance is the
+# largest |W - W_ref| on the grid; one panel per (g, n_max) and variant gives
+# both.  g: (QRM delta, QRM W, QRMA delta, QRMA W)
+N_STAR_WIGNER = {1.0: (9, 10, 15, 12), 2.0: (19, 19, 34, 25), 3.0: (31, 29, 52, 41)}
+WIGNER_GRID = QuadratureGrid(-6, 6, -6, 6, 101, 101)
+
+
+def wigner_references(g):
+    # the QRM at REFERENCE_N_MAX, and the QRMA as its map's QRM' at
+    # MAPPED_N_MAX on the scaled grid, since W_QRMA(q, p) = W_QRM'(s q, p / s)
+    qrm, _, s = bogoliubov_map(ModelConfig(g=g, include_diamagnetic=True,
+                                           n_max=MAPPED_N_MAX))
+    mapped = QuadratureGrid(-6 * s, 6 * s, -6 / s, 6 / s, 101, 101)
+    return (ground_state_wigner(ModelConfig(g=g, n_max=REFERENCE_N_MAX), WIGNER_GRID),
+            ground_state_wigner(qrm, mapped))
+
+
+@pytest.mark.parametrize("g", sorted(N_STAR_WIGNER))
+def test_fock_states_the_wigner_figures_need(g):
+    distances = [{}, {}, {}, {}]
+    for v, reference in enumerate(wigner_references(g)):
+        delta = negativity_volume(reference)
+        for n in range(2, SCAN_MAX + 1):
+            cfg = ModelConfig(g=g, include_diamagnetic=bool(v), n_max=n)
+            w = ground_state_wigner(cfg, WIGNER_GRID)
+            distances[2 * v][n] = negativity_volume(w) - delta
+            distances[2 * v + 1][n] = np.max(np.abs(w.values - reference.values))
+    assert tuple(n_star(d, 0.0) for d in distances) == N_STAR_WIGNER[g]
 
 
 @pytest.mark.parametrize("g", [1.0, 2.0, 3.0, 5.0])

@@ -185,6 +185,16 @@ def test_config_file_and_override(tmp_path):
     assert manifest["levels"] == 2  # flag overrides the file
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # Windows Notepad and PowerShell 5's Out-File -Encoding utf8 write one
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("\ufeffnmax = 2\nlevels = 4\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert run_cli("spectrum", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["nmax"], manifest["levels"]) == (2, 4)
+
+
 def test_config_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("not a key value line\n")

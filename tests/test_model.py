@@ -184,6 +184,16 @@ def test_build_full_sectors_equal_parity_blocks_exactly():
         assert np.count_nonzero(h) == np.count_nonzero(blocks)
 
 
+def test_parity_blocks_take_a_non_empty_1d_grid():
+    # the sweeps' grid check: a scalar, a 2-D grid and an empty one are
+    # refused, not indexed, broadcast or returned as an empty stack
+    cfg = ModelConfig(n_max=3)
+    for bad in (0.5, [[0.5, 1.0]], []):
+        with pytest.raises(ValueError, match="g_grid must be a non-empty 1-D sequence"):
+            parity_blocks(cfg, bad)
+    assert parity_blocks(cfg, (0.5,)).shape == (2, 1, 3, 3)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(omega_c=0.0)

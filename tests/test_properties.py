@@ -208,9 +208,9 @@ def test_ground_state_has_definite_parity(omega_0, g, n_max, dia):
     assert parity in (-1, 1)
     assert abs(expectation(parity_operator(cfg.n_max), state) - parity) <= 1e-12
     # the lowest level of each parity block, -1 then +1; the ground state
-    # lies in parity +1's only where that block is lower by more than the
-    # quasi-degeneracy band, so a quasi-degenerate doublet, and at
-    # omega_0 = 0, where the blocks are equal, the tie, go to parity -1
+    # lies in parity +1's only where that block is lower and the point is
+    # outside the quasi-degeneracy band, so a quasi-degenerate doublet, and
+    # at omega_0 = 0, where the blocks are equal, the tie, go to parity -1
     lowest = np.linalg.eigvalsh(parity_blocks(cfg, [g]))[:, 0, 0]
     tol = 1e-12 * (1.0 + abs(energy))
     band = DEGENERACY_RTOL * (1.0 + abs(energy))

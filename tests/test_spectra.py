@@ -14,7 +14,7 @@ from qrabi import (
     truncation_report,
 )
 from qrabi.model import parity_blocks
-from qrabi.spectra import ground_sector, parity_ground_states, solve_parity_blocks
+from qrabi.spectra import parity_ground_states, solve_parity_blocks
 from oracles import build_full
 
 
@@ -359,7 +359,18 @@ def test_truncation_report_of_an_entropy_sweep_record():
     assert truncation_report(sweep.ground_qrma, 8).tobytes() == truncation_report(fresh, 8).tobytes()
 
 
-def test_ground_sector_picks_lower_block_and_breaks_ties_to_parity_minus_one():
+def crafted_ground_states(monkeypatch, values):
+    """``parity_ground_states`` of blocks whose levels are ``values`` (2
+    sectors, points, levels) and whose vectors are the identity, reversed
+    in parity +1's block so that each block's lowest vector is its own."""
+    _, points, n = values.shape
+    vectors = np.broadcast_to(np.stack([np.eye(n), np.eye(n)[::-1]])[:, None], (2, points, n, n))
+    monkeypatch.setattr("qrabi.spectra.solve_parity_blocks",
+                        lambda base, grid, solver: (values, vectors))
+    return parity_ground_states(ModelConfig(n_max=n), np.zeros(points))
+
+
+def test_ground_sector_picks_lower_block_and_breaks_ties_to_parity_minus_one(monkeypatch):
     # (2 sectors, 6 grid points, 2 levels): lower in -1, lower in +1, exact
     # tie; then +1 lower by 0.5, -1.5 and 2.5 times the band 1e-10 (1 + |E0|)
     # at E0 = -2: a lead inside the band is rounding and goes to -1 as well
@@ -367,7 +378,22 @@ def test_ground_sector_picks_lower_block_and_breaks_ties_to_parity_minus_one():
     near = [[-2.0 + k * band, 0.0] for k in (0.5, -1.5, 2.5)]
     values = np.array([[[0.0, 5.0], [1.0, 2.0], [3.0, 4.0], *near],
                        [[1.0, 2.0], [0.5, 9.0], [3.0, 3.5], *[[-2.0, 0.0]] * 3]])
-    assert ground_sector(values).tolist() == [0, 1, 0, 0, 0, 1]
+    ground = crafted_ground_states(monkeypatch, values)
+    assert ground.parity.tolist() == [-1, 1, -1, -1, -1, 1]
+    assert ground.quasi_degenerate.tolist() == [False, False, True, True, False, False]
+    # the state is the lowest vector of the block its parity names
+    assert ground.psi[:, 1].tolist() == (ground.parity == 1).tolist()
+
+
+def test_ground_sector_at_the_band_edge_is_the_lower_block(monkeypatch):
+    # the +1 block at 0.0 and the -1 block at 1e-10, a gap of exactly the
+    # band 1e-10 (1 + |0|): the point is not quasi-degenerate, so its state
+    # is the vector of levels[0, 0], the +1 block's
+    values = np.array([[[1e-10, 1.0]], [[0.0, 1.0]]])
+    ground = crafted_ground_states(monkeypatch, values)
+    assert not ground.quasi_degenerate[0]
+    assert ground.levels[0, 0] == 0.0
+    assert ground.parity[0] == 1 and ground.psi[0].tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("n_max, omega_0, dia, grid, n_flagged", [
@@ -392,3 +418,9 @@ def test_every_quasi_degenerate_point_has_parity_minus_one(n_max, omega_0, dia, 
     ground = parity_ground_states(cfg, np.asarray(grid))
     assert ground.quasi_degenerate[:n_flagged].all()
     assert np.all(ground.parity[ground.quasi_degenerate] == -1)
+    # outside the band the state is the lower block's: the lowest level of
+    # its own block is levels[i, 0], bit for bit
+    values, _ = solve_parity_blocks(cfg, ground.couplings, np.linalg.eigh)
+    own = values[(ground.parity + 1) // 2, np.arange(ground.couplings.size), 0]
+    outside = ~ground.quasi_degenerate
+    assert np.array_equal(own[outside], ground.levels[outside, 0])
