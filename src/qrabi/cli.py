@@ -59,6 +59,7 @@ from .output import (
     write_gnuplot,
     write_json,
     write_manifest,
+    write_pieces,
 )
 from .plotting import entropy_svg, spectrum_svg, wigner_svg
 from .spectra import SweepError, _check_k_levels, find_avoided_crossings, sweep_spectrum
@@ -105,7 +106,7 @@ def load_config(path: str) -> dict[str, object]:
     values: dict[str, object] = {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # a BOM is not a key
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -225,7 +226,7 @@ def _emit(out: Path, name: str, data, table, svg, spec_doc: dict, formats) -> No
         if "gnuplot" in formats:
             write_gnuplot(out / f"{name}.gp", rows)
     if "svg" in formats:
-        (out / f"{name}.svg").write_text(svg(data), encoding="utf-8", newline="\n")
+        write_pieces(out / f"{name}.svg", [svg(data)])
 
 
 def _copy_wigner(out: Path, source: str, name: str, formats) -> None:
@@ -236,9 +237,7 @@ def _copy_wigner(out: Path, source: str, name: str, formats) -> None:
         suffix = suffixes[fmt]
         shutil.copyfile(out / f"{source}{suffix}", out / f"{name}{suffix}")
     if "gnuplot" in formats:
-        (out / f"{name}.gp").write_text(
-            gnuplot_script(f"{name}.dat"), encoding="utf-8", newline="\n"
-        )
+        write_pieces(out / f"{name}.gp", [gnuplot_script(f"{name}.dat")])
 
 
 def _run_spectrum(spec: ExperimentSpec, out: Path, spec_doc: dict, name: str = "spectrum") -> None:
@@ -378,14 +377,18 @@ _KEYS = {f.metadata["key"] or f.name: f for f in dataclasses.fields(ExperimentSp
 def run(spec: ExperimentSpec) -> int:
     """Execute a resolved experiment; returns a process exit code.
 
-    The manifest is written last.  A failed run removes the directories it
-    made for ``out`` while they are still empty; it never deletes a file,
-    so a run that fails midway leaves its partial bundle."""
+    The manifest of an earlier run in ``out`` is deleted before anything is
+    written, and this run's manifest is written last, so ``out`` holds a
+    manifest only after a run that succeeded.  A failed run removes the
+    directories it made for ``out`` while they are still empty and deletes
+    no other file, so a run that fails midway leaves its partial bundle."""
     out = Path(spec.out)
     made: list[Path] = []  # directories this run makes, deepest first
     try:
         made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
+        # a failed rerun must not leave the files under the last run's manifest
+        (out / "manifest.json").unlink(missing_ok=True)
         spec_doc = _spec_dict(spec)
         _COMMANDS[spec.command][2](spec, out, spec_doc)
         write_manifest(out / "manifest.json", spec_doc)

@@ -1,10 +1,10 @@
-"""Ground-state extraction, partial trace and von Neumann entropy.
+"""Partial trace, von Neumann entropy and entanglement-entropy sweeps.
 
-States are plain numpy arrays over the qubit (x) cavity basis of ``model``,
-where |s, n> has flat index ``s * n_max + n``, with their subsystem dims.
-Entropy is measured in bits (log base 2), so a maximally entangled
-qubit-cavity state has S = 1 exactly.
-``ground_state`` and ``entropy_sweep`` read the ``GroundStates`` record of
+Density matrices are plain numpy arrays over the qubit (x) cavity basis of
+``model``, where |s, n> has flat index ``s * n_max + n``, with their
+subsystem dims.  Entropy is measured in bits (log base 2), so a maximally
+entangled qubit-cavity state has S = 1 exactly.
+``entropy_sweep`` reads the ``GroundStates`` record of
 ``spectra.parity_ground_states``, which picks the ground state, and an
 ``EntropySweep`` keeps each variant's record, so the parity, doublet gap,
 top-Fock population and truncation report of its points need no new solve.
@@ -22,10 +22,8 @@ from .model import ModelConfig
 from .spectra import GroundStates, parity_ground_states
 
 __all__ = [
-    "PureState",
     "DensityMatrix",
     "EntropySweep",
-    "ground_state",
     "partial_trace",
     "von_neumann_entropy",
     "entropy_sweep",
@@ -34,33 +32,6 @@ __all__ = [
 # the entropy drops eigenvalues <= 0 as roundoff; one below
 # -REJECT_NEGATIVE marks a broken input
 REJECT_NEGATIVE = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Normalized state vector over the composite qubit (x) cavity basis,
-    one amplitude per basis state (the product of ``dims``).  States
-    compare and hash by identity.
-    """
-
-    amplitudes: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        amp = np.array(self.amplitudes, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
-        if amp.shape != (math.prod(dims),):
-            raise ValueError(f"{amp.shape} amplitudes do not match dims {dims}")
-        if not np.all(np.isfinite(amp)):
-            raise ValueError("state vector contains non-finite amplitudes")
-        if abs(np.linalg.norm(amp) - 1.0) > 1e-10:
-            raise ValueError("state vector is not normalized within 1e-10")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "dims", dims)
-
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,22 +62,6 @@ class DensityMatrix:
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "dims", dims)
-
-
-def ground_state(cfg: ModelConfig) -> PureState:
-    """Ground state of ``cfg`` over the qubit (x) cavity basis: the vector of
-    ``spectra.parity_ground_states``, so its parity is definite even in a
-    degenerate doublet, with the global phase fixed by making the
-    largest-magnitude amplitude positive.  Its energy and quasi-degeneracy
-    flag are ``levels[0, 0]`` and ``quasi_degenerate[0]`` of that record.
-    """
-    ground = parity_ground_states(cfg, [cfg.g])
-    n = np.arange(cfg.n_max)
-    # chain state n holds the qubit with sigma_z = P (-1)^n: index 0 for +1
-    amp = np.zeros(2 * n.size)
-    amp[(ground.parity[0] * (-1) ** n < 0) * n.size + n] = ground.psi[0]
-    amp *= np.sign(amp[np.argmax(np.abs(amp))])
-    return PureState(amp, (2, n.size))
 
 
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:

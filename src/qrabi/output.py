@@ -193,9 +193,7 @@ def write_json(path: Path, spec: dict, columns: list[str], rows: Rows) -> None:
 
 
 def write_manifest(path: Path, spec: dict) -> None:
-    path.write_text(
-        json.dumps(spec, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    write_pieces(path, [json.dumps(spec, indent=2, sort_keys=True), "\n"])
 
 
 def gnuplot_script(data_filename: str) -> str:
@@ -221,7 +219,7 @@ def write_gnuplot(path: str | Path, rows: Rows) -> None:
     are those of the CSV table, streamed one p row at a time."""
     path = Path(path)
     dat = path.with_suffix(".dat")
-    path.with_suffix(".gp").write_text(gnuplot_script(dat.name), encoding="utf-8", newline="\n")
+    write_pieces(path.with_suffix(".gp"), [gnuplot_script(dat.name)])
     write_pieces(dat, rows.body("dat"), ["\n"])
 
 

@@ -7,10 +7,9 @@ so a grid point's result does not depend on the rest of the grid.
 ``parity_ground_states`` is the one place that picks the ground state, and
 its ``GroundStates`` record holds every figure of that solve: the config
 and couplings solved, the state, parity, levels, quasi-degeneracy flag,
-doublet gap and top-Fock population.  ``entanglement.ground_state``,
-``entanglement.entropy_sweep`` and ``wigner.ground_state_wigner`` read it,
-and ``truncation_report`` adds to it only the per-point level shift under
-doubling of n_max.
+doublet gap and top-Fock population.  ``entanglement.entropy_sweep``
+and ``wigner.ground_state_wigner`` read it, and ``truncation_report`` adds
+to it only the per-point level shift under doubling of n_max.
 """
 
 from __future__ import annotations

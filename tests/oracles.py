@@ -3,17 +3,67 @@
 None of these is on a path the library runs.  ``build_full`` is the dense
 Hamiltonian as Kronecker products, with its own X = a + a†, so it shares no
 code with ``qrabi.model.parity_blocks`` beyond ``ModelConfig`` and
-``diamagnetic_constant``.  ``parity_operator`` and ``expectation`` are the
-dense parity and <psi|O|psi> over the same qubit (x) cavity basis, where the
-flat index of |s, n> is ``s * n_max + n``.  ``wigner_characteristic`` is a
-characteristic-function quadrature of the Wigner function, a slow spot check
-of the Clenshaw series of ``qrabi.wigner``.
+``diamagnetic_constant``.  ``PureState`` is a state vector over the same
+qubit (x) cavity basis, where the flat index of |s, n> is ``s * n_max + n``,
+and ``ground_state`` embeds the parity-block ground state of
+``qrabi.spectra.parity_ground_states`` in it.  ``parity_operator`` and
+``expectation`` are the dense parity and <psi|O|psi> over that basis.
+``wigner_characteristic`` is a characteristic-function quadrature of the
+Wigner function, a slow spot check of the Clenshaw series of
+``qrabi.wigner``.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from qrabi.entanglement import DensityMatrix, PureState
+from qrabi.entanglement import DensityMatrix
 from qrabi.model import ModelConfig, diamagnetic_constant
+from qrabi.spectra import parity_ground_states
+
+
+@dataclass(frozen=True, eq=False)
+class PureState:
+    """Normalized state vector over the composite qubit (x) cavity basis,
+    one amplitude per basis state (the product of ``dims``).  States
+    compare and hash by identity.
+    """
+
+    amplitudes: np.ndarray
+    dims: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        amp = np.array(self.amplitudes, dtype=complex)
+        dims = tuple(int(d) for d in self.dims)
+        if amp.shape != (math.prod(dims),):
+            raise ValueError(f"{amp.shape} amplitudes do not match dims {dims}")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("state vector contains non-finite amplitudes")
+        if abs(np.linalg.norm(amp) - 1.0) > 1e-10:
+            raise ValueError("state vector is not normalized within 1e-10")
+        amp.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "dims", dims)
+
+    def to_density(self) -> DensityMatrix:
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
+
+
+def ground_state(cfg: ModelConfig) -> PureState:
+    """Ground state of ``cfg`` over the qubit (x) cavity basis: the vector of
+    ``parity_ground_states``, so its parity is definite even in a
+    degenerate doublet, with the global phase fixed by making the
+    largest-magnitude amplitude positive.  Its energy and quasi-degeneracy
+    flag are ``levels[0, 0]`` and ``quasi_degenerate[0]`` of that record.
+    """
+    ground = parity_ground_states(cfg, [cfg.g])
+    n = np.arange(cfg.n_max)
+    # chain state n holds the qubit with sigma_z = P (-1)^n: index 0 for +1
+    amp = np.zeros(2 * n.size)
+    amp[(ground.parity[0] * (-1) ** n < 0) * n.size + n] = ground.psi[0]
+    amp *= np.sign(amp[np.argmax(np.abs(amp))])
+    return PureState(amp, (2, n.size))
 
 
 def _field(n_max: int) -> np.ndarray:

@@ -17,11 +17,9 @@ import pytest
 
 from qrabi import (
     ModelConfig,
-    PureState,
     QuadratureGrid,
     entropy_sweep,
     find_avoided_crossings,
-    ground_state,
     ground_state_wigner,
     marginal_variance,
     partial_trace,
@@ -33,7 +31,14 @@ from qrabi import (
 )
 from qrabi.cli import EXIT_OK, main as cli_main
 from qrabi.spectra import parity_ground_states
-from oracles import build_full, expectation, parity_operator, wigner_characteristic
+from oracles import (
+    PureState,
+    build_full,
+    expectation,
+    ground_state,
+    parity_operator,
+    wigner_characteristic,
+)
 
 GRID_201 = np.linspace(0.0, 3.0, 201)
 WIGNER_GRID = QuadratureGrid(-6, 6, -6, 6, 201, 201)  # row/column 100 is p/q = 0

@@ -230,6 +230,12 @@ def test_config_errors(tmp_path):
     cfg.write_text("threads = 2\n")
     assert run_cli("entropy", "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
     assert not out.exists()
+    # a file that is not UTF-8 is reported, not raised as UnicodeDecodeError
+    out = tmp_path / "latin1"
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"nmax = 4  # caf\xe9\n")
+    assert run_cli("spectrum", "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, options", [
@@ -630,6 +636,24 @@ def test_failed_run_keeps_a_directory_that_existed(tmp_path, monkeypatch):
     code = run_cli("spectrum", "--nmax", "2", "--levels", "2", "--out", str(out))
     assert code == EXIT_NUMERICAL
     assert out.is_dir() and list(out.iterdir()) == []
+
+
+def test_failed_rerun_removes_the_previous_manifest(tmp_path, monkeypatch):
+    # a manifest vouches for the files beside it; after a failed rerun they
+    # are a mix of two runs, so the last run's manifest must not stay
+    out = tmp_path / "existing"
+    assert run_cli("spectrum", "--nmax", "2", "--levels", "2", "--out", str(out)) == EXIT_OK
+    assert (out / "manifest.json").is_file()
+    (out / "notes.txt").write_text("kept\n")
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 745. TiB for an array")
+
+    monkeypatch.setattr(cli, "sweep_spectrum", no_memory)
+    code = run_cli("spectrum", "--nmax", "2", "--levels", "2", "--out", str(out))
+    assert code == EXIT_NUMERICAL
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "spectrum.csv"]
+    assert (out / "notes.txt").read_text() == "kept\n"
 
 
 def test_run_that_fails_midway_leaves_its_partial_bundle(tmp_path, monkeypatch, small_preset):

@@ -6,14 +6,12 @@ import pytest
 from qrabi import (
     DensityMatrix,
     ModelConfig,
-    PureState,
     entropy_sweep,
-    ground_state,
     partial_trace,
     von_neumann_entropy,
 )
 from qrabi.spectra import parity_ground_states
-from oracles import build_full, expectation, parity_operator
+from oracles import PureState, build_full, expectation, ground_state, parity_operator
 
 
 def random_pure_state(rng, n):

@@ -31,9 +31,7 @@ with warnings.catch_warnings():
 
 from qrabi.entanglement import (  # noqa: E402
     DensityMatrix,
-    PureState,
     entropy_sweep,
-    ground_state,
     partial_trace,
     von_neumann_entropy,
 )
@@ -41,7 +39,13 @@ from qrabi.model import ModelConfig, parity_blocks  # noqa: E402
 from qrabi.spectra import DEGENERACY_RTOL, parity_ground_states  # noqa: E402
 from qrabi.output import wigner_table, write_csv, write_gnuplot, write_json  # noqa: E402
 from qrabi.wigner import QuadratureGrid, WignerGrid, _clenshaw, wigner  # noqa: E402
-from oracles import build_full, expectation, parity_operator  # noqa: E402
+from oracles import (  # noqa: E402
+    PureState,
+    build_full,
+    expectation,
+    ground_state,
+    parity_operator,
+)
 from test_output import ref_csv, ref_dat, ref_json  # noqa: E402
 
 # no example database: a run leaves no files behind

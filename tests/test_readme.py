@@ -69,7 +69,8 @@ def test_exported_names_are_the_library_modules_all():
 def test_the_oracles_are_not_in_the_library():
     # each moved to tests/oracles.py from its former module
     moved = [("model", "build_full"), ("model", "parity_operator"),
-             ("entanglement", "expectation"), ("wigner", "wigner_characteristic")]
+             ("entanglement", "expectation"), ("entanglement", "PureState"),
+             ("entanglement", "ground_state"), ("wigner", "wigner_characteristic")]
     for module, name in moved:
         assert not hasattr(qrabi, name)
         assert not hasattr(importlib.import_module(f"qrabi.{module}"), name)

@@ -8,14 +8,13 @@ from qrabi import (
     SpectrumSweep,
     entropy_sweep,
     find_avoided_crossings,
-    ground_state,
     partial_trace,
     sweep_spectrum,
     truncation_report,
 )
 from qrabi.model import parity_blocks
 from qrabi.spectra import parity_ground_states, solve_parity_blocks
-from oracles import build_full
+from oracles import build_full, ground_state
 
 
 def test_eigensystem_qrm_decoupled():

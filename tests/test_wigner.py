@@ -8,11 +8,9 @@ from scipy.special import erf, eval_hermite, factorial, genlaguerre
 from qrabi import (
     DensityMatrix,
     ModelConfig,
-    PureState,
     QuadratureGrid,
     WignerGrid,
     entropy_sweep,
-    ground_state,
     ground_state_wigner,
     marginal_variance,
     negativity_volume,
@@ -23,7 +21,7 @@ from qrabi import (
     wigner_normalization,
 )
 from qrabi.spectra import parity_ground_states
-from oracles import build_full, wigner_characteristic
+from oracles import PureState, build_full, ground_state, wigner_characteristic
 
 wigner_module = importlib.import_module("qrabi.wigner")
 
