@@ -185,6 +185,8 @@ def _validate_spec(spec: ExperimentSpec) -> None:
             raise ConfigError("g_min = g_max repeats one coupling; need g_steps = 1")
         if spec.command == "crossings" and spec.g_steps < 3:
             raise ConfigError("crossings needs at least 3 grid points")
+        if spec.command == "crossings" and spec.levels < 2:
+            raise ConfigError("crossings needs at least 2 levels")
 
 
 def _model_config(spec: ExperimentSpec) -> ModelConfig:

@@ -212,7 +212,10 @@ def find_avoided_crossings(sweep: SpectrumSweep, pair: tuple[int, int]) -> Cross
     the gap; a minimum at a grid endpoint is reported unrefined with
     ``at_boundary`` set.
     """
-    k, k1 = pair
+    # each entry an integer and not a bool, as _check_k_levels has it
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in pair):
+        raise ValueError(f"pair must be two integer levels (k, k+1), got {pair}")
+    k, k1 = (int(i) for i in pair)
     if k1 != k + 1:
         raise ValueError(f"pair must be adjacent levels (k, k+1), got {pair}")
     n_rows, n_levels = sweep.levels.shape

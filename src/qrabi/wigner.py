@@ -1,6 +1,12 @@
 """Wigner quasi-probability distribution of a cavity density matrix on a
 quadrature grid.
 
+A ``DensityMatrix`` is a validated state with its subsystem dims; ``wigner``
+takes one over the cavity alone and names any other dims in its error.
+``ground_state_wigner`` builds the model's reduced cavity ground state
+straight from the parity-block ground state of ``spectra``, so no
+qubit (x) cavity matrix is formed.
+
 Conventions: hbar = 1 and alpha = (q + i p) / sqrt(2), i.e. the quadratures
 are q = (a + a†)/sqrt(2) and p = -i (a - a†)/sqrt(2).  With this choice the
 vacuum Wigner function is W(q, p) = (1/pi) exp(-q^2 - p^2), the
@@ -23,15 +29,16 @@ panel dedupe compares byte for byte a quarter of a mirror-symmetric grid.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import DensityMatrix
 from .model import ModelConfig, _count
 from .spectra import parity_ground_states
 
 __all__ = [
+    "DensityMatrix",
     "QuadratureGrid",
     "WignerGrid",
     "wigner",
@@ -48,6 +55,38 @@ WIGNER_BOUND_TOL = 1e-8
 # |2 alpha|^n_max must stay representable; beyond this the recurrence
 # would overflow before the Gaussian envelope is applied
 _LOG_OVERFLOW = 700.0
+
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix:
+    """Hermitian, unit-trace complex matrix over one or more subsystems.
+
+    ``dims`` holds one or more whole numbers >= 1, and the matrix side must
+    be their product.  Shape, finiteness, Hermiticity and trace are
+    validated on construction; positivity is not checked.  Matrices
+    compare and hash by identity.
+    """
+
+    data: np.ndarray
+    dims: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        data = np.array(self.data, dtype=complex)
+        if not (self.dims and all(d >= 1 and float(d).is_integer() for d in self.dims)):
+            raise ValueError(f"dims must be one or more whole numbers >= 1, got {self.dims!r}")
+        dims = tuple(int(d) for d in self.dims)
+        side = math.prod(dims)
+        if data.shape != (side, side):
+            raise ValueError(f"matrix shape {data.shape} does not match dims {dims}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("density matrix contains non-finite entries")
+        if np.max(np.abs(data - data.conj().T)) > 1e-10:
+            raise ValueError("density matrix is not Hermitian within 1e-10")
+        if abs(np.trace(data).real - 1.0) > 1e-10:
+            raise ValueError("density matrix trace differs from 1 by more than 1e-10")
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "dims", dims)
 
 
 @dataclass(frozen=True)
@@ -149,15 +188,15 @@ def wigner(rho: DensityMatrix, grid: QuadratureGrid) -> WignerGrid:
     ----------
     rho : DensityMatrix
         Any state over the cavity alone (dims of length 1), a one-state
-        cavity, the vacuum, included.  Composite states must be reduced
-        with ``partial_trace`` first.
+        cavity, the vacuum, included.  Reduce a composite state to the
+        cavity first.
     grid : QuadratureGrid
         Evaluation grid; the row index runs over p, the column over q.
     """
     if len(rho.dims) != 1:
         raise ValueError(
             f"wigner expects a cavity-only density matrix, got dims {rho.dims}; "
-            "apply partial_trace(..., keep='cavity') first"
+            "reduce it to the cavity first"
         )
     data, q, p = rho.data, grid.q_axis(), grid.p_axis()
     # an entry at an odd offset from the diagonal breaks photon parity

@@ -8,6 +8,9 @@ qubit (x) cavity basis, where the flat index of |s, n> is ``s * n_max + n``,
 and ``ground_state`` embeds the parity-block ground state of
 ``qrabi.spectra.parity_ground_states`` in it.  ``parity_operator`` and
 ``expectation`` are the dense parity and <psi|O|psi> over that basis.
+``partial_trace`` and ``von_neumann_entropy`` are the dense entropy route:
+the reduced state of a ``qrabi.DensityMatrix`` and its entropy in bits from
+``eigvalsh``, sharing no entropy code with ``qrabi.entropy_sweep``.
 ``wigner_characteristic`` is a characteristic-function quadrature of the
 Wigner function, a slow spot check of the Clenshaw series of
 ``qrabi.wigner``.
@@ -18,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qrabi.entanglement import DensityMatrix
 from qrabi.model import ModelConfig, diamagnetic_constant
 from qrabi.spectra import parity_ground_states
+from qrabi.wigner import DensityMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +105,49 @@ def expectation(op: np.ndarray, state: PureState) -> complex:
     if np.shape(op) != (side, side):
         raise ValueError(f"operator shape {np.shape(op)} does not match state dims {state.dims}")
     return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
+
+
+# the entropy drops eigenvalues <= 0 as roundoff; one below
+# -REJECT_NEGATIVE marks a broken input
+REJECT_NEGATIVE = 1e-8
+
+
+def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
+    """Reduced density matrix of one subsystem of a bipartite state.
+
+    Parameters
+    ----------
+    rho : DensityMatrix
+        State over [qubit, cavity] (dims of length 2, qubit first).
+    keep : {'qubit', 'cavity'}
+        Subsystem to keep; the other one is traced out.
+    """
+    if len(rho.dims) != 2:
+        raise ValueError(f"partial trace needs a bipartite state, got dims {rho.dims}")
+    d0, d1 = rho.dims
+    blocks = rho.data.reshape(d0, d1, d0, d1)
+    if keep == "qubit":
+        reduced = np.trace(blocks, axis1=1, axis2=3)
+        return DensityMatrix(reduced, (d0,))
+    if keep == "cavity":
+        reduced = np.trace(blocks, axis1=0, axis2=2)
+        return DensityMatrix(reduced, (d1,))
+    raise ValueError(f"keep must be 'qubit' or 'cavity', got {keep!r}")
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """S = -sum_k lambda_k log2 lambda_k, with 0 log 0 := 0, clamped at +0.0:
+    weights a rounding step above 1 would otherwise give a tiny negative
+    entropy, and a pure state -0.0."""
+    lam = np.linalg.eigvalsh(rho.data)
+    if lam[0] < -REJECT_NEGATIVE:
+        raise ValueError(
+            f"density matrix has eigenvalue {lam[0]:.3e} < -{REJECT_NEGATIVE:g}; not PSD"
+        )
+    # the zeros are dropped, not summed: they would move the sum's rounding
+    lam = lam[lam > 0.0]
+    s = -float(np.sum(lam * np.log2(lam)))
+    return s if s > 0.0 else 0.0
 
 
 # quadrature of wigner_characteristic: the radius of the lam disk and the

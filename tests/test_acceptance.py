@@ -22,10 +22,8 @@ from qrabi import (
     find_avoided_crossings,
     ground_state_wigner,
     marginal_variance,
-    partial_trace,
     sweep_spectrum,
     truncation_report,
-    von_neumann_entropy,
     wigner,
     wigner_normalization,
 )
@@ -37,6 +35,8 @@ from oracles import (
     expectation,
     ground_state,
     parity_operator,
+    partial_trace,
+    von_neumann_entropy,
     wigner_characteristic,
 )
 

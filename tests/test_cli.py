@@ -487,7 +487,9 @@ def test_repeated_format_is_rejected(tmp_path, capsys, argv):
     (("spectrum", "--config", "{tmp}/bad.cfg"), "nmax = x\n", "bad value for nmax: 'x'"),
     (("spectrum", "--format", ","), None, "at least one output format is required"),
     (("crossings", "--g-steps", "2"), None, "crossings needs at least 3 grid points"),
-], ids=["missing_config", "bad_config_value", "no_format", "crossings_two_points"])
+    (("crossings", "--levels", "1"), None, "crossings needs at least 2 levels"),
+], ids=["missing_config", "bad_config_value", "no_format", "crossings_two_points",
+        "crossings_one_level"])
 def test_configuration_error_messages(tmp_path, capsys, argv, config, message):
     # each is refused with exit 2 and its message before any output is written
     if config is not None:

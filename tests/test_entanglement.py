@@ -3,15 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qrabi import (
-    DensityMatrix,
-    ModelConfig,
-    entropy_sweep,
+from qrabi import DensityMatrix, ModelConfig, entropy_sweep
+from qrabi.spectra import parity_ground_states
+from oracles import (
+    PureState,
+    build_full,
+    expectation,
+    ground_state,
+    parity_operator,
     partial_trace,
     von_neumann_entropy,
 )
-from qrabi.spectra import parity_ground_states
-from oracles import PureState, build_full, expectation, ground_state, parity_operator
 
 
 def random_pure_state(rng, n):
@@ -163,6 +165,14 @@ def test_density_matrix_validation():
     for data in nan_inf:
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix(data, (2,))
+    # dims are one or more whole numbers >= 1, not rounded or sign-folded
+    for data, dims in ((np.eye(4) / 4.0, (2.7, 2)), (np.eye(4) / 4.0, (-2, -2)),
+                       ([[1.0]], ()), ([[1.0]], (0,)), (np.eye(2) / 2.0, (2, np.nan))):
+        with pytest.raises(ValueError, match="dims must be"):
+            DensityMatrix(data, dims)
+    # a one-state cavity stays valid
+    assert DensityMatrix([[1.0]], (1,)).dims == (1,)
+    assert DensityMatrix(np.eye(4) / 4.0, (2.0, np.int64(2))).dims == (2, 2)
 
 
 def test_schmidt_duality_entropy():

@@ -29,22 +29,19 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from qrabi.entanglement import (  # noqa: E402
-    DensityMatrix,
-    entropy_sweep,
-    partial_trace,
-    von_neumann_entropy,
-)
+from qrabi.entanglement import entropy_sweep  # noqa: E402
 from qrabi.model import ModelConfig, parity_blocks  # noqa: E402
 from qrabi.spectra import DEGENERACY_RTOL, parity_ground_states  # noqa: E402
 from qrabi.output import wigner_table, write_csv, write_gnuplot, write_json  # noqa: E402
-from qrabi.wigner import QuadratureGrid, WignerGrid, _clenshaw, wigner  # noqa: E402
+from qrabi.wigner import DensityMatrix, QuadratureGrid, WignerGrid, _clenshaw, wigner  # noqa: E402
 from oracles import (  # noqa: E402
     PureState,
     build_full,
     expectation,
     ground_state,
     parity_operator,
+    partial_trace,
+    von_neumann_entropy,
 )
 from test_output import ref_csv, ref_dat, ref_json  # noqa: E402
 

@@ -70,15 +70,20 @@ def test_the_oracles_are_not_in_the_library():
     # each moved to tests/oracles.py from its former module
     moved = [("model", "build_full"), ("model", "parity_operator"),
              ("entanglement", "expectation"), ("entanglement", "PureState"),
-             ("entanglement", "ground_state"), ("wigner", "wigner_characteristic")]
+             ("entanglement", "ground_state"), ("entanglement", "partial_trace"),
+             ("entanglement", "von_neumann_entropy"), ("wigner", "wigner_characteristic")]
     for module, name in moved:
         assert not hasattr(qrabi, name)
         assert not hasattr(importlib.import_module(f"qrabi.{module}"), name)
-    imported = set()
+    imported = {}
     for path in (ROOT / "src" / "qrabi").glob("*.py"):
+        names = imported[path.stem] = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
+                names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
-                imported.add(node.module or "")
-    assert not any("oracles" in name.split(".") for name in imported)
+                # a relative import's module is named without its package
+                names.add(("qrabi." if node.level else "") + (node.module or ""))
+    assert not any("oracles" in name.split(".") for names in imported.values() for name in names)
+    # the Wigner layer depends on model and spectra, not on the entropy layer
+    assert not any(name.startswith("qrabi.entanglement") for name in imported["wigner"])

@@ -8,13 +8,12 @@ from qrabi import (
     SpectrumSweep,
     entropy_sweep,
     find_avoided_crossings,
-    partial_trace,
     sweep_spectrum,
     truncation_report,
 )
 from qrabi.model import parity_blocks
 from qrabi.spectra import parity_ground_states, solve_parity_blocks
-from oracles import build_full, ground_state
+from oracles import build_full, ground_state, partial_trace
 
 
 def test_eigensystem_qrm_decoupled():
@@ -253,6 +252,13 @@ def test_crossing_validation():
     short = SpectrumSweep(grid[:2], np.zeros((2, 3)), "QRM")
     with pytest.raises(ValueError):
         find_avoided_crossings(short, (0, 1))
+    # like k_levels, each entry is an integer and not a bool
+    for pair in ((0.0, 1.0), (True, 2), (0, True), (0.5, 1.5)):
+        with pytest.raises(ValueError, match="two integer levels"):
+            find_avoided_crossings(sweep, pair)
+    report = find_avoided_crossings(sweep, (np.int64(0), np.int64(1)))
+    assert report.level_pair == (0, 1)
+    assert all(type(k) is int for k in report.level_pair)
 
 
 def test_truncation_convergence_report():

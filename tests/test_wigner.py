@@ -14,14 +14,13 @@ from qrabi import (
     ground_state_wigner,
     marginal_variance,
     negativity_volume,
-    partial_trace,
     sweep_spectrum,
     wigner,
     wigner_marginal,
     wigner_normalization,
 )
 from qrabi.spectra import parity_ground_states
-from oracles import PureState, build_full, ground_state, wigner_characteristic
+from oracles import PureState, build_full, ground_state, partial_trace, wigner_characteristic
 
 wigner_module = importlib.import_module("qrabi.wigner")
 
