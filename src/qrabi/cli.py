@@ -27,9 +27,9 @@ surfaces through the ``output`` writers, and SVG as the text of the
 ``plotting`` renderer the caller names.
 reproduce-paper computes nothing itself: each figure is a fresh spec of
 its command (``_figure``), run by that command's code, so its files equal
-the command's; ``_run_wigner`` writes a panel whose fold is bit-equal to
-that of a panel already written in the run as a copy of it.  A flag, like
-a config key, must be spelled in full.
+the command's; ``_run_wigner`` solves a series in one call and copies a
+panel whose state is bit-equal to one already written in the run, without
+evaluating it.  A flag, like a config key, must be spelled in full.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (including an array too large to allocate), 4 I/O failure.
@@ -62,8 +62,9 @@ from .output import (
     write_pieces,
 )
 from .plotting import entropy_svg, spectrum_svg, wigner_svg
-from .spectra import SweepError, _check_k_levels, find_avoided_crossings, sweep_spectrum
-from .wigner import QuadratureGrid, ground_state_wigner
+from .spectra import (SweepError, _check_k_levels, find_avoided_crossings,
+                      parity_ground_states, sweep_spectrum)
+from .wigner import QuadratureGrid, _chain_wigner
 
 __all__ = ["ExperimentSpec", "ConfigError", "run", "main"]
 
@@ -258,20 +259,21 @@ def _run_entropy(spec: ExperimentSpec, out: Path, spec_doc: dict, name: str = "e
     _emit(out, name, sweep, entropy_table, entropy_svg, spec_doc, spec.formats)
 
 
-def _run_wigner(spec: ExperimentSpec, out: Path, spec_doc: dict, name: str = "wigner",
-                written: dict | None = None) -> None:
-    """The panel ``name``; with ``written``, a registry of the panels written
-    so far, a panel bit-equal to one of them is written as a copy of it.  A
-    panel's key is the shape and bytes of each part of its fold, so two
-    panels share a key only when they are bit-equal (-0.0 and 0.0 differ)."""
-    w = ground_state_wigner(_model_config(spec), _quadrature_grid(spec))
-    source = name
-    if written is not None:
-        source = written.setdefault(tuple((part.shape, part.tobytes()) for part in w.fold), name)
-    if source == name:
-        _emit(out, name, w, wigner_table, wigner_svg, spec_doc, spec.formats)
-    else:
-        _copy_wigner(out, source, name, spec.formats)
+def _run_wigner(spec: ExperimentSpec, out: Path, spec_doc: dict, series: dict | None = None,
+                seen: dict | None = None) -> None:
+    """The panels of ``series`` (coupling -> name; ``{spec.g: "wigner"}`` by
+    default) from one solve; with ``seen``, a registry of the states written
+    so far, a panel whose state is bit-equal to one of them up to its last
+    nonzero amplitude is copied unevaluated: same state, so same panel."""
+    series = series or {spec.g: "wigner"}
+    ground = parity_ground_states(_model_config(spec), list(series))
+    for psi, name in zip(ground.psi, series.values()):
+        source = name if seen is None else seen.setdefault(np.trim_zeros(psi, "b").tobytes(), name)
+        if source == name:
+            w = _chain_wigner(psi, _quadrature_grid(spec))
+            _emit(out, name, w, wigner_table, wigner_svg, spec_doc, spec.formats)
+        else:
+            _copy_wigner(out, source, name, spec.formats)
 
 
 def _g_label(g: float) -> str:
@@ -286,14 +288,13 @@ def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> Non
     for name, nmax, dia in (("fig1a", 2, False), ("fig1b", 2, True),
                             ("fig2a", 15, False), ("fig2b", 15, True)):
         _run_spectrum(_figure(spec, "spectrum", nmax=nmax, diamagnetic=dia), out, spec_doc, name)
-    written: dict[tuple, str] = {}  # panel key -> name of the panel written with it
+    seen: dict[bytes, str] = {}  # trimmed chain vector -> name of the panel written from it
     for name, surface, nmax, dia in (("fig4a", "fig6a", 2, False), ("fig4b", "fig6b", 2, True),
                                      ("fig5a", "fig7a", 15, False), ("fig5b", "fig7b", 15, True)):
-        for g in (0.0, 0.5, 1.0, 3.0, 7.0, 10.0):
-            _run_wigner(_figure(spec, "wigner", nmax=nmax, diamagnetic=dia, g=g), out, spec_doc,
-                        f"{name}_g{_g_label(g)}", written)
-        _copy_wigner(out, f"{name}_g{_g_label(10.0)}", surface, spec.formats)
-    del written  # its keys, about 85 kB a panel, are not held through fig8
+        series = {g: f"{name}_g{_g_label(g)}" for g in (0.0, 0.5, 1.0, 3.0, 7.0, 10.0)}
+        _run_wigner(_figure(spec, "wigner", nmax=nmax, diamagnetic=dia), out, spec_doc, series,
+                    seen)
+        _copy_wigner(out, series[10.0], surface, spec.formats)
     for name, nmax in (("fig8a", 2), ("fig8b", 15)):
         _run_entropy(_figure(spec, "entropy", nmax=nmax), out, spec_doc, name)
 

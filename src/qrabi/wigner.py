@@ -3,9 +3,9 @@ quadrature grid.
 
 A ``DensityMatrix`` is a validated state with its subsystem dims; ``wigner``
 takes one over the cavity alone and names any other dims in its error.
-``ground_state_wigner`` builds the model's reduced cavity ground state
-straight from the parity-block ground state of ``spectra``, so no
-qubit (x) cavity matrix is formed.
+``_chain_wigner`` reduces a parity-block vector of ``spectra`` to the cavity
+from its amplitudes, so no qubit (x) cavity matrix is formed; through it,
+``ground_state_wigner`` and the CLI evaluate the model's ground states.
 
 Conventions: hbar = 1 and alpha = (q + i p) / sqrt(2), i.e. the quadratures
 are q = (a + a†)/sqrt(2) and p = -i (a - a†)/sqrt(2).  With this choice the
@@ -20,8 +20,8 @@ W(-q, p) exactly, so on a grid symmetric about both axes ``wigner``
 evaluates one quadrant and mirrors it; ``ground_state_wigner`` is ``wigner``
 of the model's reduced cavity ground state, always such a state.
 ``WignerGrid.fold`` finds the quadrant again from the values alone (both use
-``_mirror_index``), so the writers format, the heatmap colours and the CLI's
-panel dedupe compares byte for byte a quarter of a mirror-symmetric grid.
+``_mirror_index``), so the writers format and the heatmap colours a quarter
+of a mirror-symmetric grid.
 ``wigner_normalization`` and ``negativity_volume`` (the integral of
 |W| - W, Kenfack & Zyczkowski 2004) are trapezoidal integrals over the grid.
 """
@@ -276,11 +276,15 @@ def marginal_variance(w: WignerGrid, axis: str) -> float:
     return float(np.trapezoid((coords - mean) ** 2 * m, coords) / total)
 
 
-def ground_state_wigner(cfg: ModelConfig, grid: QuadratureGrid) -> WignerGrid:
-    """``wigner`` of the model's reduced cavity ground state, real and of
-    definite parity: rho_c[n, n'] = psi_n psi_n' for n = n' (mod 2), else 0."""
-    psi = parity_ground_states(cfg, [cfg.g]).psi[0]
+def _chain_wigner(psi: np.ndarray, grid: QuadratureGrid) -> WignerGrid:
+    """``wigner`` of the reduced cavity state of the parity-block vector
+    ``psi``: rho_c[n, n'] = psi_n psi_n' for n = n' (mod 2), else 0."""
     n = np.arange(psi.size)
     rho = np.outer(psi, psi) * ((n[:, None] - n) % 2 == 0)
     return wigner(DensityMatrix(rho, (psi.size,)), grid)
+
+
+def ground_state_wigner(cfg: ModelConfig, grid: QuadratureGrid) -> WignerGrid:
+    """``wigner`` of the model's reduced cavity ground state."""
+    return _chain_wigner(parity_ground_states(cfg, [cfg.g]).psi[0], grid)
 

@@ -9,14 +9,15 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qrabi import cli
+from qrabi import ModelConfig, cli
 from qrabi.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from qrabi.output import gnuplot_script
-from qrabi.wigner import QuadratureGrid, WignerGrid
+from qrabi.wigner import QuadratureGrid, ground_state_wigner
 
 
 def run_cli(*args):
@@ -711,94 +712,132 @@ def test_io_failure_out_path_under_a_file(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
-def test_reproduce_paper_copies_only_repeated_panels(tmp_path, monkeypatch):
-    # a small grid in place of the preset's 201 x 201 keeps the run short
-    monkeypatch.setattr(cli, "QuadratureGrid", lambda *a: QuadratureGrid(-3, 3, -3, 3, 9, 7))
-    panels, copies = [], {}
-    real_gsw, real_copy = cli.ground_state_wigner, cli._copy_wigner
+WIGNER_G = (0.0, 0.5, 1.0, 3.0, 7.0, 10.0)
+# the preset's 24 Wigner panels in the order it writes them: (name, nmax, dia, g)
+PANELS = [(f"{fig}_g{cli._g_label(g)}", nmax, dia, g)
+          for fig, nmax, dia in (("fig4a", 2, False), ("fig4b", 2, True),
+                                 ("fig5a", 15, False), ("fig5b", 15, True))
+          for g in WIGNER_G]
+SURFACES = {"fig6a": "fig4a_g10", "fig6b": "fig4b_g10", "fig7a": "fig5a_g10",
+            "fig7b": "fig5b_g10"}
 
-    def recording_gsw(cfg, grid):
-        panels.append(real_gsw(cfg, grid))
-        return panels[-1]
+
+def record_preset_wigner(monkeypatch):
+    """Lists of the couplings of each Wigner solve and of the panels
+    evaluated, and a map of each copy to its source, that fill as the CLI
+    runs."""
+    solves, evaluated, copies = [], [], {}
+    real_solve, real_eval, real_copy = cli.parity_ground_states, cli._chain_wigner, cli._copy_wigner
+
+    def recording_solve(cfg, g_grid):
+        solves.append(list(g_grid))
+        return real_solve(cfg, g_grid)
+
+    def recording_eval(psi, grid):
+        evaluated.append(real_eval(psi, grid))
+        return evaluated[-1]
 
     def recording_copy(out, source, name, formats):
         copies[name] = source
         real_copy(out, source, name, formats)
 
-    monkeypatch.setattr(cli, "ground_state_wigner", recording_gsw)
+    monkeypatch.setattr(cli, "parity_ground_states", recording_solve)
+    monkeypatch.setattr(cli, "_chain_wigner", recording_eval)
     monkeypatch.setattr(cli, "_copy_wigner", recording_copy)
+    return solves, evaluated, copies
+
+
+def check_copies_are_the_repeated_panels(omega0, evaluated, copies):
+    # a panel is a copy exactly when its values equal an earlier panel's,
+    # each panel's values being those of its own one-point solve; the panels
+    # evaluated are the others, bit for bit and in preset order
+    grid = cli.QuadratureGrid()  # small_preset's grid
+    written = {}
+    for name, nmax, dia, g in PANELS:
+        cfg = ModelConfig(omega_0=omega0, g=g, n_max=nmax, include_diamagnetic=dia)
+        values = ground_state_wigner(cfg, grid).values
+        source = next((s for s, v in written.items() if np.array_equal(v, values)), None)
+        assert copies.get(name) == source, name
+        if source is None:
+            written[name] = values
+    assert [w.values.tobytes() for w in evaluated] == [v.tobytes() for v in written.values()]
+    assert {name: copies[name] for name in SURFACES} == SURFACES
+
+
+def test_reproduce_paper_copies_only_repeated_panels(tmp_path, monkeypatch, small_preset):
+    # at omega0 = 1 each series is one solve; the three other vacua and every
+    # fig4b panel (X^2 = 1 at n_max = 2 only shifts the energy) are copies,
+    # so 16 of the 24 panels are evaluated
+    solves, evaluated, copies = record_preset_wigner(monkeypatch)
     out = tmp_path / "bundle"
     formats = ("csv", "json", "svg", "gnuplot")
     assert run_cli("reproduce-paper", "--format", ",".join(formats), "--out", str(out)) == EXIT_OK
 
-    names = [f"{fig}_g{cli._g_label(g)}" for fig in ("fig4a", "fig4b", "fig5a", "fig5b")
-             for g in (0.0, 0.5, 1.0, 3.0, 7.0, 10.0)]
-    assert len(panels) == len(names)
-    # a panel is a copy exactly when its values equal an earlier panel's
-    emitted = {}
-    for name, w in zip(names, panels):
-        source = next((s for s, v in emitted.items() if np.array_equal(v, w.values)), None)
-        assert copies.get(name) == source, name
-        if source is None:
-            emitted[name] = w.values
+    assert solves == [list(WIGNER_G)] * 4
+    assert len(evaluated) == 16
     vacuum = ["fig4a_g0", "fig4b_g0", "fig5a_g0", "fig5b_g0"]
-    assert all(copies[name] == "fig4a_g0" for name in vacuum[1:])
-    surfaces = {"fig6a": "fig4a_g10", "fig6b": "fig4b_g10", "fig7a": "fig5a_g10",
-                "fig7b": "fig5b_g10"}
-    assert {name: copies[name] for name in surfaces} == surfaces
+    assert copies == {"fig4b_g0": "fig4a_g0", "fig4b_g0p5": "fig4a_g0p5", "fig4b_g1": "fig4a_g1",
+                      "fig4b_g3": "fig4a_g3", "fig4b_g7": "fig4a_g7", "fig4b_g10": "fig4a_g10",
+                      "fig5a_g0": "fig4a_g0", "fig5b_g0": "fig4a_g0", **SURFACES}
+    check_copies_are_the_repeated_panels(1.0, evaluated, copies)
 
     # the vacuum panels equal a direct emission; every script names its own data
     spec_doc = json.loads((out / "fig4a_g0.json").read_text())["spec"]
-    cli._emit(tmp_path, "direct", panels[0], cli.wigner_table, cli.wigner_svg, spec_doc,
+    cli._emit(tmp_path, "direct", evaluated[0], cli.wigner_table, cli.wigner_svg, spec_doc,
               formats)
     for name in vacuum:
         for suffix in (".csv", ".json", ".svg", ".dat"):
             assert (out / f"{name}{suffix}").read_bytes() == \
                 (tmp_path / f"direct{suffix}").read_bytes(), name + suffix
-    for name in names + list(surfaces):
+    for name in [name for name, *_ in PANELS] + list(SURFACES):
         assert (out / f"{name}.gp").read_text() == gnuplot_script(f"{name}.dat")
+
+
+@pytest.mark.parametrize("omega0, n_copies", [(0.9, 8), (1.13, 10)])
+def test_reproduce_paper_copies_follow_the_state(tmp_path, monkeypatch, small_preset, omega0,
+                                                 n_copies):
+    # off resonance, eigh rounds the D * 1 shift of the n_max = 2 A^2 blocks
+    # into the last bits of some fig4b states, which are then written anew
+    # (omega0 = 1 is the test above); copies count the four surfaces, and the
+    # 24 panels less the panel copies are evaluated
+    solves, evaluated, copies = record_preset_wigner(monkeypatch)
+    argv = ["--omega0", str(omega0), "--format", "csv", "--out", str(tmp_path)]
+    assert run_cli("reproduce-paper", *argv) == EXIT_OK
+    assert solves == [list(WIGNER_G)] * 4
+    assert (len(copies), len(evaluated)) == (n_copies, 28 - n_copies)
+    check_copies_are_the_repeated_panels(omega0, evaluated, copies)
 
 
 def test_reproduce_paper_dedupes_panels_by_their_exact_bits(tmp_path, monkeypatch,
                                                             small_preset):
-    # crafted panels in preset order: fig4a_g0p5 is bit-equal to fig4a_g0,
-    # fig4a_g1 differs from it by one ulp in its centre cell and fig4a_g3 in
-    # the sign of its zero corners (the writers print both zeros as 0, but
-    # the key compares bits); every other panel is distinct
-    grid = QuadratureGrid(-3, 3, -3, 3, 9, 7)
-    q, p = np.meshgrid(grid.q_axis(), grid.p_axis())
-    base = np.exp(-q**2 - p**2) / np.pi
-    base[[0, 0, -1, -1], [0, -1, 0, -1]] = 0.0
-    one_ulp = base.copy()
-    one_ulp[grid.n_p // 2, grid.n_q // 2] = np.nextafter(base[grid.n_p // 2, grid.n_q // 2], 1)
-    signed_zero = base.copy()
-    signed_zero[[0, 0, -1, -1], [0, -1, 0, -1]] = -0.0
-    crafted = [base, base.copy(), one_ulp, signed_zero]
-    calls = []
+    # crafted states in preset order: fig4a_g0p5 is bit-equal to fig4a_g0 and
+    # fig4a_g7 is too once its trailing zeros are cut, so both are copies;
+    # fig4a_g1 differs from it by one ulp in one amplitude and fig4a_g3 in
+    # the sign of an inner zero (the writers print both zeros as 0, but the
+    # key compares bits), so both are written anew; every other state is
+    # distinct
+    base = np.array([0.6, 0.0, 0.8, 0.0])
+    one_ulp, signed_zero = base.copy(), base.copy()
+    one_ulp[0] = np.nextafter(0.6, 1.0)
+    signed_zero[1] = -0.0
+    crafted = [base, base.copy(), one_ulp, signed_zero, np.append(base, [0.0, -0.0])]
+    rows = iter(crafted + [np.array([np.cos(t), 0.0, np.sin(t)]) for t in 0.1 * np.arange(1, 20)])
 
-    def crafted_gsw(cfg, quad):
-        k = len(calls)
-        calls.append(k)
-        values = crafted[k] if k < len(crafted) else base * (1 - 0.01 * k)
-        return WignerGrid(quad, values.copy())
+    def crafted_solve(cfg, g_grid):
+        return SimpleNamespace(psi=[next(rows) for _ in g_grid])
 
-    emitted, copies = [], {}
-    real_emit, real_copy = cli._emit, cli._copy_wigner
+    _, evaluated, copies = record_preset_wigner(monkeypatch)
+    monkeypatch.setattr(cli, "parity_ground_states", crafted_solve)
+    emitted = []
+    real_emit = cli._emit
 
     def recording_emit(out, name, *args):
         emitted.append(name)
         real_emit(out, name, *args)
 
-    def recording_copy(out, source, name, formats):
-        copies[name] = source
-        real_copy(out, source, name, formats)
-
-    monkeypatch.setattr(cli, "ground_state_wigner", crafted_gsw)
     monkeypatch.setattr(cli, "_emit", recording_emit)
-    monkeypatch.setattr(cli, "_copy_wigner", recording_copy)
     out = tmp_path / "bundle"
     assert run_cli("reproduce-paper", "--format", "csv", "--out", str(out)) == EXIT_OK
-    assert len(calls) == 24
-    assert copies == {"fig4a_g0p5": "fig4a_g0", "fig6a": "fig4a_g10", "fig6b": "fig4b_g10",
-                      "fig7a": "fig5a_g10", "fig7b": "fig5b_g10"}
-    assert {"fig4a_g0", "fig4a_g1", "fig4a_g3"} <= set(emitted)
+    assert copies == {"fig4a_g0p5": "fig4a_g0", "fig4a_g7": "fig4a_g0", **SURFACES}
+    assert len(evaluated) == 22
+    assert {"fig4a_g0", "fig4a_g1", "fig4a_g3", "fig4a_g10"} <= set(emitted)

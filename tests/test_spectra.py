@@ -315,6 +315,21 @@ def test_truncation_report_points_are_one_point_reports(dia):
             assert getattr(one, name)[0] == getattr(ground, name)[i], name
 
 
+@pytest.mark.parametrize("n_max", [2, 15, 50, 100])
+@pytest.mark.parametrize("dia", [False, True], ids=["QRM", "QRMA"])
+def test_wigner_series_rows_are_one_point_solves(dia, n_max):
+    # reproduce-paper solves each Wigner series of six couplings at once, and
+    # its panels equal the wigner command's one-point solves only because
+    # every row of the series record is the one-point row, bit for bit
+    couplings = [0.0, 0.5, 1.0, 3.0, 7.0, 10.0]
+    cfg = ModelConfig(include_diamagnetic=dia, n_max=n_max)
+    series = parity_ground_states(cfg, couplings)
+    for i, g in enumerate(couplings):
+        one = parity_ground_states(dataclasses.replace(cfg, g=g), [g])
+        for name in ("psi", "levels"):
+            assert getattr(one, name)[0].tobytes() == getattr(series, name)[i].tobytes(), (name, g)
+
+
 @pytest.mark.parametrize("dia, top_fock_from, top_fock, shift_from, parity_plus", [
     (False, 2.16, 1.07e-4, 1.2, (2.505, 34)),
     (True, 1.845, 1.05e-4, 0.705, None),
