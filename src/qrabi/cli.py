@@ -20,7 +20,8 @@ manifest and otherwise ignored, beyond the checks every command makes.  A
 parameter rule lives in the library type that owns it: the CLI checks only
 what no type owns (finite floats, ``g_min``, the sweep grid, formats),
 builds the run's ``ModelConfig`` and, for wigner, its ``QuadratureGrid``,
-checks ``levels`` with the sweep's own ``k_levels`` rule, and reports their
+checks ``levels`` with the sweep's own ``k_levels`` rule and a sweep's
+largest g with its g/omega_c overflow rule, and reports their
 ``ValueError`` as a configuration error.  Every result is written by one
 emitter, ``_emit``, in the formats its caller passes: tables and gnuplot
 surfaces through the ``output`` writers, and SVG as the text of the
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .entanglement import entropy_sweep
-from .model import ModelConfig
+from .model import ModelConfig, _g_over_omega_c
 from .output import (
     crossings_table,
     entropy_table,
@@ -175,6 +176,10 @@ def _validate_spec(spec: ExperimentSpec) -> None:
             _check_k_levels(spec.levels, spec.nmax)
         if spec.command == "wigner":
             _quadrature_grid(spec)
+        # the preset sweeps its spectrum figures' grid; g_max is a grid's largest g
+        sweep = _figure(spec, "spectrum") if spec.command == "reproduce-paper" else spec
+        if sweep.command in _SWEEPS:
+            _g_over_omega_c(_model_config(sweep), np.array([sweep.g_max]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if spec.g_min < 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig
+from .model import ModelConfig, _coupling_grid, _g_over_omega_c
 from .spectra import GroundStates, parity_ground_states
 
 __all__ = ["EntropySweep", "entropy_sweep"]
@@ -52,15 +52,19 @@ def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
 
     ``base.include_diamagnetic`` is ignored: the table always contains one
     column per variant, computed from the same remaining parameters.
-    ``g_grid`` holds couplings g in the same unit as ``base.omega_c``.
+    ``g_grid`` holds couplings g in the same unit as ``base.omega_c``; a g
+    whose quotient by it overflows is a ``ValueError``, raised before any
+    solve.
     """
+    grid = _coupling_grid(g_grid)
+    g_axis = _g_over_omega_c(base, grid)
     columns = []
     for dia in (False, True):
-        ground = parity_ground_states(dataclasses.replace(base, include_diamagnetic=dia), g_grid)
+        ground = parity_ground_states(dataclasses.replace(base, include_diamagnetic=dia), grid)
         psi = ground.psi
         # the qubit state is diagonal: weights of the even and odd chain states
         lam = np.stack([(psi[:, 0::2] ** 2).sum(axis=1), (psi[:, 1::2] ** 2).sum(axis=1)], 1)
         columns += [_entropy_bits(lam), ground]
     s_qrm, ground_qrm, s_qrma, ground_qrma = columns
-    return EntropySweep(ground_qrm.couplings / base.omega_c, s_qrm, s_qrma, ground_qrm, ground_qrma)
+    return EntropySweep(g_axis, s_qrm, s_qrma, ground_qrm, ground_qrma)
 

@@ -114,6 +114,19 @@ def _coupling_grid(g_grid) -> np.ndarray:
     return grid
 
 
+def _g_over_omega_c(base: ModelConfig, grid: np.ndarray) -> np.ndarray:
+    """``grid`` divided by ``base.omega_c``, the g axis of a sweep; a finite
+    coupling whose quotient overflows is a ``ValueError`` (a non-finite one
+    is left to the solve's ``SweepError``)."""
+    with np.errstate(over="ignore"):
+        scaled = grid / base.omega_c
+    bad = np.isinf(scaled) & np.isfinite(grid)
+    if bad.any():
+        raise ValueError(f"g / omega_c overflows at g = {float(grid[bad][0])!r}, "
+                         f"omega_c = {base.omega_c!r}")
+    return scaled
+
+
 def parity_blocks(base: ModelConfig, g_grid) -> np.ndarray:
     """Real parity blocks of H over the non-empty 1-D ``g_grid`` (``base.g``
     is ignored), shape (2, len(g_grid), n_max, n_max): parity -1, then +1.

@@ -8,7 +8,8 @@ A heatmap is one embedded PNG with a pixel per grid point, written with
 stored deflate blocks so its bytes are the same on any machine.  Its
 colours are mapped on the grid's folded quadrant (``WignerGrid.fold``) and
 gathered to the full image, so a mirror-symmetric panel colours a quarter
-of its points.  The CLI writes a panel equal to a written one as a copy.
+of its points.  The CLI copies a panel whose state is bit-equal to one
+it has written, without evaluating or rendering it.
 A sweep's polyline formats all its points in one pass over the mapped
 coordinates."""
 

@@ -7,9 +7,11 @@ so a grid point's result does not depend on the rest of the grid.
 ``parity_ground_states`` is the one place that picks the ground state, and
 its ``GroundStates`` record holds every figure of that solve: the config
 and couplings solved, the state, parity, levels, quasi-degeneracy flag,
-doublet gap and top-Fock population.  ``entanglement.entropy_sweep``
-and ``wigner.ground_state_wigner`` read it, and ``truncation_report`` adds
-to it only the per-point level shift under doubling of n_max.
+doublet gap and top-Fock population.  ``entanglement.entropy_sweep``,
+``wigner.ground_state_wigner`` and the CLI's Wigner series
+(``cli._run_wigner``, each row through ``wigner._chain_wigner``) read it,
+and ``truncation_report`` adds to it only the per-point level shift under
+doubling of n_max.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, _coupling_grid, model_tag, parity_blocks
+from .model import ModelConfig, _coupling_grid, _g_over_omega_c, model_tag, parity_blocks
 
 __all__ = [
     "SpectrumSweep",
@@ -174,7 +176,9 @@ def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
         Configuration whose ``g`` is replaced by each grid value.
     g_grid : array_like
         Strictly ascending, non-empty coupling values g, in the same unit
-        as ``base.omega_c``; the sweep's ``g_grid`` holds them divided by it.
+        as ``base.omega_c``; the sweep's ``g_grid`` holds them divided by
+        it, and a g whose quotient overflows is a ``ValueError``, raised
+        before any solve.
     k_levels : int
         Number of levels per grid point; at most 2 * n_max.
     """
@@ -182,8 +186,9 @@ def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("g_grid must be strictly ascending")
     _check_k_levels(k_levels, base.n_max)
+    g_axis = _g_over_omega_c(base, grid)
     levels = _sorted_levels(base, grid)[:, :k_levels]
-    return SpectrumSweep(grid / base.omega_c, levels, model_tag(base))
+    return SpectrumSweep(g_axis, levels, model_tag(base))
 
 
 def _parabola_min(xs: np.ndarray, ys: np.ndarray, i: int) -> tuple[float, float]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_threads import run_python
+from test_threads import run_qrabi
 
 BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
 # OPENBLAS_CORETYPE is honoured only by a DYNAMIC_ARCH build
@@ -25,10 +25,8 @@ BOUND = 1e-12
 
 def run_bundle(cwd: Path, **variables) -> dict[str, Path]:
     """Run every command of COMMANDS in ``cwd``; return its files by name."""
-    code = ("import sys\nfrom qrabi.cli import main\n"
-            f"sys.exit(max(main(argv.split()) for argv in {COMMANDS!r}))")
     cwd.mkdir()
-    run_python(code, cwd=cwd, **variables)
+    run_qrabi(COMMANDS, cwd, **variables)
     return {p.name: p for p in sorted((cwd / "out").iterdir())}
 
 

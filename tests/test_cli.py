@@ -5,8 +5,6 @@ import os
 import re
 import stat
 import struct
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,6 +16,7 @@ from qrabi import ModelConfig, cli
 from qrabi.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from qrabi.output import gnuplot_script
 from qrabi.wigner import QuadratureGrid, ground_state_wigner
+from test_threads import run_python
 
 
 def run_cli(*args):
@@ -489,8 +488,15 @@ def test_repeated_format_is_rejected(tmp_path, capsys, argv):
     (("spectrum", "--format", ","), None, "at least one output format is required"),
     (("crossings", "--g-steps", "2"), None, "crossings needs at least 3 grid points"),
     (("crossings", "--levels", "1"), None, "crossings needs at least 2 levels"),
+    # g_max = 3 over omega_c = 1e-310 overflows a float; the preset sweeps [0, 3] too
+    (("spectrum", "--omega-c", "1e-310", "--g-steps", "5", "--format", "csv,json,svg"), None,
+     "g / omega_c overflows at g = 3.0, omega_c = 1e-310"),
+    (("entropy", "--omega-c", "1e-310"), None, "g / omega_c overflows at g = 3.0"),
+    (("crossings", "--omega-c", "1e-310"), None, "g / omega_c overflows at g = 3.0"),
+    (("reproduce-paper", "--omega-c", "1e-310"), None, "g / omega_c overflows at g = 3.0"),
 ], ids=["missing_config", "bad_config_value", "no_format", "crossings_two_points",
-        "crossings_one_level"])
+        "crossings_one_level", "spectrum_g_over_wc_overflows", "entropy_g_over_wc_overflows",
+        "crossings_g_over_wc_overflows", "preset_g_over_wc_overflows"])
 def test_configuration_error_messages(tmp_path, capsys, argv, config, message):
     # each is refused with exit 2 and its message before any output is written
     if config is not None:
@@ -503,45 +509,29 @@ def test_configuration_error_messages(tmp_path, capsys, argv, config, message):
 
 
 def test_cli_import_leaves_scipy_out():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, qrabi.cli; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert run_python("import sys, qrabi.cli; print('scipy' in sys.modules)").split() == ["False"]
 
 
 def test_package_import_loads_no_writer():
     # the writers and their json are loaded by qrabi.cli, not by the library
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = ("import sys, qrabi; "
             "print(*(m in sys.modules for m in ('qrabi.plotting', 'qrabi.output', 'json')))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.split() == ["False", "False", "False"]
+    assert run_python(code).split() == ["False", "False", "False"]
 
 
 def test_cli_leaves_openssl_out(tmp_path):
     # hashlib maps OpenSSL's libcrypto through _hashlib; neither the import
     # nor a reproduce-paper run should load it
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = """if True:
         import sys
         from qrabi import cli
         from qrabi.wigner import QuadratureGrid
         print("_hashlib" in sys.modules)
         cli.QuadratureGrid = lambda *a: QuadratureGrid(-3, 3, -3, 3, 9, 7)
-        code = cli.main(["reproduce-paper", "--format", "csv", "--out", sys.argv[1]])
+        code = cli.main(["reproduce-paper", "--format", "csv", "--out", "out"])
         print(code, "_hashlib" in sys.modules)
     """
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["False", str(EXIT_OK), "False"]
+    assert run_python(code, cwd=tmp_path).split() == ["False", str(EXIT_OK), "False"]
 
 
 @pytest.mark.parametrize("command, nmax, columns", [

@@ -1,9 +1,10 @@
-"""Every ```python block of README.md runs as written, and so does every
-``qrabi`` command of its ```sh blocks, so a public name or a CLI flag the
-README uses cannot be renamed or deleted without this test failing.  Every
-public name of ``import qrabi`` appears in README, and those names are the
-``__all__`` lists of the four library modules, which hold none of the
-tests' reference oracles."""
+"""Every ```python block of README.md runs as written, under the id that an
+HTML comment before its fence names, and so does every ``qrabi`` command of
+its ```sh blocks, so a public name or a CLI flag the README uses cannot be
+renamed or deleted without this test failing.  Every public name of
+``import qrabi`` appears in README, and those names are the ``__all__``
+lists of the four library modules, which hold none of the tests' reference
+oracles."""
 
 import ast
 import importlib
@@ -20,7 +21,11 @@ from qrabi.cli import EXIT_OK, main
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 TEXT = README.read_text(encoding="utf-8")
-BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, re.MULTILINE | re.DOTALL)
+# (id, source) of each ```python block; its id is named in a comment on the
+# line before its fence, "" where there is none, so no test id depends on
+# where a block sits in README
+BLOCKS = re.findall(r"^(?:<!-- test id: (\S+) -->\n)?```python\n(.*?)^```$", TEXT,
+                    re.MULTILINE | re.DOTALL)
 # each line of an sh block that runs qrabi, with its backslash continuations joined
 COMMANDS = [line for block in re.findall(r"^```sh\n(.*?)^```$", TEXT, re.MULTILINE | re.DOTALL)
             for line in block.replace("\\\n", " ").splitlines() if line.startswith("qrabi ")]
@@ -30,11 +35,18 @@ def test_readme_has_python_blocks():
     assert BLOCKS
 
 
+def test_readme_python_blocks_have_distinct_ids():
+    ids = [name for name, _ in BLOCKS]
+    assert "" not in ids, f"a ```python block has no <!-- test id: ... --> line: {ids}"
+    assert len(set(ids)) == len(ids), f"two ```python blocks share an id: {ids}"
+
+
 def test_readme_has_cli_commands():
     assert COMMANDS
 
 
-@pytest.mark.parametrize("source", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+@pytest.mark.parametrize("source", [source for _, source in BLOCKS],
+                         ids=[name for name, _ in BLOCKS])
 def test_readme_python_block_runs(source):
     exec(compile(source, str(README), "exec"), {"__name__": "readme"})
 

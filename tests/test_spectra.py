@@ -175,6 +175,25 @@ def test_sweep_error_carries_grid_point():
     assert err.value.g == 1e200
 
 
+def test_sweeps_refuse_a_g_over_omega_c_that_overflows(monkeypatch):
+    from qrabi import spectra
+
+    tiny = ModelConfig(omega_c=1e-300, n_max=4)
+    # 1 / 1e-300 = 1e300 is a float, so the axis is g / omega_c
+    assert sweep_spectrum(tiny, [0.0, 1.0], 2).g_grid.tolist() == [0.0, 1.0 / 1e-300]
+    assert entropy_sweep(tiny, [0.0, 1.0]).g_grid.tolist() == [0.0, 1.0 / 1e-300]
+
+    def no_solve(*args):
+        raise AssertionError("solved a grid whose g axis overflows")
+    monkeypatch.setattr(spectra, "solve_parity_blocks", no_solve)
+    # 1e9 / 1e-300 overflows; the rule is one check, made before any solve
+    message = r"g / omega_c overflows at g = 1000000000.0, omega_c = 1e-300"
+    with pytest.raises(ValueError, match=message):
+        sweep_spectrum(tiny, [0.0, 1.0, 1e9], 2)
+    with pytest.raises(ValueError, match=message):
+        entropy_sweep(tiny, [0.0, 1.0, 1e9])
+
+
 def test_batched_solve_failure_names_the_grid_point():
     from qrabi import SweepError
 
