@@ -20,20 +20,21 @@ manifest and otherwise ignored, beyond the checks every command makes.  A
 parameter rule lives in the library type that owns it: the CLI checks only
 what no type owns (finite floats, ``g_min``, the sweep grid, formats),
 builds the run's ``ModelConfig`` and, for wigner, its ``QuadratureGrid``,
-checks ``levels`` with the sweep's own ``k_levels`` rule and a sweep's
-largest g with its g/omega_c overflow rule, and reports their
-``ValueError`` as a configuration error.  Every result is written by one
-emitter, ``_emit``, in the formats its caller passes: tables and gnuplot
-surfaces through the ``output`` writers, and SVG as the text of the
+checks ``levels`` with the sweep's own ``k_levels`` rule, asks the model
+(``parity_blocks``; a sweep's g/omega_c rule) at each figure's largest g
+for each variant it solves, and reports their ``ValueError`` as a
+configuration error before any directory is made.  Every result is written
+by one emitter, ``_emit``, in the formats its caller passes: tables and
+gnuplot surfaces through the ``output`` writers, and SVG as the text of the
 ``plotting`` renderer the caller names.
-reproduce-paper computes nothing itself: each figure is a fresh spec of
-its command (``_figure``), run by that command's code, so its files equal
+reproduce-paper computes nothing itself: each of its ``_paper_figures`` is
+a fresh spec of its command, run by that command's code, so its files equal
 the command's; ``_run_wigner`` solves a series in one call and copies a
 panel whose state is bit-equal to one already written in the run, without
 evaluating it.  A flag, like a config key, must be spelled in full.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(including an array too large to allocate), 4 I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (a solve
+that fails, or an array too large to allocate), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import __version__
 from .entanglement import entropy_sweep
-from .model import ModelConfig, _g_over_omega_c
+from .model import ModelConfig, _g_over_omega_c, parity_blocks
 from .output import (
     crossings_table,
     entropy_table,
@@ -75,6 +76,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _FORMATS = ("csv", "json", "svg", "gnuplot")
+_PANELS = (0.0, 0.5, 1.0, 3.0, 7.0, 10.0)  # the couplings of a preset Wigner series
 
 class ConfigError(ValueError):
     """Invalid command line, config file, or parameter combination."""
@@ -176,35 +178,35 @@ def _validate_spec(spec: ExperimentSpec) -> None:
             _check_k_levels(spec.levels, spec.nmax)
         if spec.command == "wigner":
             _quadrature_grid(spec)
-        # the preset sweeps its spectrum figures' grid; g_max is a grid's largest g
-        sweep = _figure(spec, "spectrum") if spec.command == "reproduce-paper" else spec
-        if sweep.command in _SWEEPS:
-            _g_over_omega_c(_model_config(sweep), np.array([sweep.g_max]))
+        if spec.g_min < 0:
+            raise ConfigError("g_min must be >= 0")
+        if spec.command in _SWEEPS:
+            if spec.g_steps < 1 or spec.g_max < spec.g_min:
+                raise ConfigError("need g_min <= g_max and g_steps >= 1")
+            if spec.g_min == spec.g_max and spec.g_steps > 1:
+                raise ConfigError("g_min = g_max repeats one coupling; need g_steps = 1")
+            if spec.command == "crossings" and spec.g_steps < 3:
+                raise ConfigError("crossings needs at least 3 grid points")
+            if spec.command == "crossings" and spec.levels < 2:
+                raise ConfigError("crossings needs at least 2 levels")
+        # block entries do not decrease as g grows, so the model is asked at
+        # each figure's largest coupling, for each variant the figure solves
+        paper = spec.command == "reproduce-paper"
+        for figure in [f for _, f, _ in _paper_figures(spec)] if paper else [spec]:
+            sweep = figure.command in _SWEEPS
+            g = np.array([figure.g_max if sweep else figure.g])
+            for dia in (False, True) if figure.command == "entropy" else (figure.diamagnetic,):
+                model = dataclasses.replace(_model_config(figure), include_diamagnetic=dia)
+                (_g_over_omega_c if sweep else parity_blocks)(model, g)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if spec.g_min < 0:
-        raise ConfigError("g_min must be >= 0")
-    if spec.command in _SWEEPS:
-        if spec.g_steps < 1 or spec.g_max < spec.g_min:
-            raise ConfigError("need g_min <= g_max and g_steps >= 1")
-        if spec.g_min == spec.g_max and spec.g_steps > 1:
-            raise ConfigError("g_min = g_max repeats one coupling; need g_steps = 1")
-        if spec.command == "crossings" and spec.g_steps < 3:
-            raise ConfigError("crossings needs at least 3 grid points")
-        if spec.command == "crossings" and spec.levels < 2:
-            raise ConfigError("crossings needs at least 2 levels")
 
 
 def _model_config(spec: ExperimentSpec) -> ModelConfig:
     """The spec's model; a sweep replaces its ``g`` with each grid point."""
-    return ModelConfig(
-        omega_c=spec.omega_c,
-        omega_0=spec.omega_0,
-        g=spec.g,
-        include_diamagnetic=spec.diamagnetic,
-        d_override=spec.d_override,
-        n_max=spec.nmax,
-    )
+    return ModelConfig(omega_c=spec.omega_c, omega_0=spec.omega_0, g=spec.g,
+                       include_diamagnetic=spec.diamagnetic, d_override=spec.d_override,
+                       n_max=spec.nmax)
 
 
 def _quadrature_grid(spec: ExperimentSpec) -> QuadratureGrid:
@@ -213,12 +215,6 @@ def _quadrature_grid(spec: ExperimentSpec) -> QuadratureGrid:
 
 def _g_grid(spec: ExperimentSpec) -> np.ndarray:
     return np.linspace(spec.g_min, spec.g_max, spec.g_steps)
-
-
-def _spec_dict(spec: ExperimentSpec) -> dict:
-    doc = dataclasses.asdict(spec)
-    doc["version"] = __version__
-    return doc
 
 
 def _emit(out: Path, name: str, data, table, svg, spec_doc: dict, formats) -> None:
@@ -285,23 +281,31 @@ def _g_label(g: float) -> str:
     return f"{g:.12g}".replace(".", "p").replace("-", "m")
 
 
+def _paper_figures(spec: ExperimentSpec) -> list[tuple[str, ExperimentSpec, str | None]]:
+    """The preset's (name, figure, surface) in the order written, at n_max in
+    {2, 15}: spectra of both model variants (fig1, fig2), Wigner series (fig4,
+    fig5) whose panel at g = 10, the figure's g, is copied as a surface (fig6,
+    fig7), and entropy sweeps (fig8).  The sweeps ignore g."""
+    return [(name, _figure(spec, command, nmax=nmax, diamagnetic=dia, g=_PANELS[-1]), surface)
+            for name, command, nmax, dia, surface in (
+                ("fig1a", "spectrum", 2, False, None), ("fig1b", "spectrum", 2, True, None),
+                ("fig2a", "spectrum", 15, False, None), ("fig2b", "spectrum", 15, True, None),
+                ("fig4a", "wigner", 2, False, "fig6a"), ("fig4b", "wigner", 2, True, "fig6b"),
+                ("fig5a", "wigner", 15, False, "fig7a"), ("fig5b", "wigner", 15, True, "fig7b"),
+                ("fig8a", "entropy", 2, False, None), ("fig8b", "entropy", 15, False, None))]
+
+
 def _run_reproduce_paper(spec: ExperimentSpec, out: Path, spec_doc: dict) -> None:
-    """The preset at n_max in {2, 15}: spectra of both model variants (fig1,
-    fig2), Wigner panels (fig4, fig5) with copies of the g = 10 panels as
-    surfaces (fig6, fig7), and entropy sweeps (fig8); every JSON file
-    echoes the preset's spec."""
-    for name, nmax, dia in (("fig1a", 2, False), ("fig1b", 2, True),
-                            ("fig2a", 15, False), ("fig2b", 15, True)):
-        _run_spectrum(_figure(spec, "spectrum", nmax=nmax, diamagnetic=dia), out, spec_doc, name)
+    """Each of ``_paper_figures`` by its command's runner (a Wigner figure as
+    one series, then its surface); every JSON file echoes the preset's spec."""
     seen: dict[bytes, str] = {}  # trimmed chain vector -> name of the panel written from it
-    for name, surface, nmax, dia in (("fig4a", "fig6a", 2, False), ("fig4b", "fig6b", 2, True),
-                                     ("fig5a", "fig7a", 15, False), ("fig5b", "fig7b", 15, True)):
-        series = {g: f"{name}_g{_g_label(g)}" for g in (0.0, 0.5, 1.0, 3.0, 7.0, 10.0)}
-        _run_wigner(_figure(spec, "wigner", nmax=nmax, diamagnetic=dia), out, spec_doc, series,
-                    seen)
-        _copy_wigner(out, series[10.0], surface, spec.formats)
-    for name, nmax in (("fig8a", 2), ("fig8b", 15)):
-        _run_entropy(_figure(spec, "entropy", nmax=nmax), out, spec_doc, name)
+    for name, figure, surface in _paper_figures(spec):
+        if surface is None:
+            _COMMANDS[figure.command][2](figure, out, spec_doc, name)
+        else:
+            series = {g: f"{name}_g{_g_label(g)}" for g in _PANELS}
+            _run_wigner(figure, out, spec_doc, series, seen)
+            _copy_wigner(out, series[figure.g], surface, spec.formats)
 
 
 def _figure(spec: ExperimentSpec, command: str, **figure) -> ExperimentSpec:
@@ -397,7 +401,7 @@ def run(spec: ExperimentSpec) -> int:
         out.mkdir(parents=True, exist_ok=True)
         # a failed rerun must not leave the files under the last run's manifest
         (out / "manifest.json").unlink(missing_ok=True)
-        spec_doc = _spec_dict(spec)
+        spec_doc = dataclasses.asdict(spec) | {"version": __version__}
         _COMMANDS[spec.command][2](spec, out, spec_doc)
         write_manifest(out / "manifest.json", spec_doc)
         return EXIT_OK
@@ -416,13 +420,15 @@ def run(spec: ExperimentSpec) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         spec = resolve_spec(args)
     except ConfigError as exc:
         print(f"qrabi: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # the model's blocks at a cutoff too large to hold
+        print(f"qrabi: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return run(spec)
 
 

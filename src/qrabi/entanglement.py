@@ -52,15 +52,17 @@ def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
 
     ``base.include_diamagnetic`` is ignored: the table always contains one
     column per variant, computed from the same remaining parameters.
-    ``g_grid`` holds couplings g in the same unit as ``base.omega_c``; a g
-    whose quotient by it overflows is a ``ValueError``, raised before any
-    solve.
+    ``g_grid`` holds couplings g in the same unit as ``base.omega_c``.  A g
+    whose quotient overflows, or a grid either variant's ``parity_blocks``
+    refuses, is a ``ValueError``, raised before either variant is solved.
     """
     grid = _coupling_grid(g_grid)
-    g_axis = _g_over_omega_c(base, grid)
+    variants = [dataclasses.replace(base, include_diamagnetic=dia) for dia in (False, True)]
+    for variant in variants:  # both are checked before either is solved
+        g_axis = _g_over_omega_c(variant, grid)
     columns = []
-    for dia in (False, True):
-        ground = parity_ground_states(dataclasses.replace(base, include_diamagnetic=dia), grid)
+    for variant in variants:
+        ground = parity_ground_states(variant, grid)
         psi = ground.psi
         # the qubit state is diagonal: weights of the even and odd chain states
         lam = np.stack([(psi[:, 0::2] ** 2).sum(axis=1), (psi[:, 1::2] ** 2).sum(axis=1)], 1)

@@ -26,10 +26,8 @@ import numpy as np
 
 __all__ = [
     "ModelConfig",
-    "diamagnetic_constant",
     "bogoliubov_map",
     "parity_blocks",
-    "model_tag",
 ]
 
 
@@ -79,11 +77,6 @@ def _diamagnetic(cfg: ModelConfig, g: np.ndarray) -> np.ndarray:
     return g**2 / cfg.omega_c
 
 
-def diamagnetic_constant(cfg: ModelConfig) -> float:
-    """Diamagnetic coupling constant D for the given configuration."""
-    return float(_diamagnetic(cfg, np.asarray(cfg.g, dtype=float)))
-
-
 def bogoliubov_map(cfg: ModelConfig) -> tuple[ModelConfig, float, float]:
     """``(qrm, shift, squeeze)``: the QRM that ``cfg`` without its Fock cutoff
     is unitarily equivalent to (C. Nataf & C. Ciuti, Nat. Commun. 1, 72
@@ -95,12 +88,13 @@ def bogoliubov_map(cfg: ModelConfig) -> tuple[ModelConfig, float, float]:
     and cutoff, g' = g sqrt(omega_c / omega'), no A^2 term) plus ``shift``
     = (omega' - omega_c) / 2, parity by parity, and the same qubit entropy.
     Its Wigner function is W_QRMA(q, p) = W_qrm(s q, p / s) with ``squeeze``
-    s = sqrt(omega' / omega_c).  D is ``diamagnetic_constant(cfg)``; without
-    the A^2 term the map is the identity: ``(cfg, 0.0, 1.0)``.
+    s = sqrt(omega' / omega_c).  D is ``cfg.d_override``, else g^2 / omega_c;
+    without the A^2 term the map is the identity: ``(cfg, 0.0, 1.0)``.
     """
     if not cfg.include_diamagnetic:
         return cfg, 0.0, 1.0
-    omega = math.sqrt(cfg.omega_c**2 + 4.0 * diamagnetic_constant(cfg) * cfg.omega_c)
+    d = float(_diamagnetic(cfg, np.asarray(cfg.g, dtype=float)))
+    omega = math.sqrt(cfg.omega_c**2 + 4.0 * d * cfg.omega_c)
     qrm = ModelConfig(omega_c=omega, omega_0=cfg.omega_0, g=cfg.g * math.sqrt(cfg.omega_c / omega),
                       n_max=cfg.n_max)
     return qrm, (omega - cfg.omega_c) / 2.0, math.sqrt(omega / cfg.omega_c)
@@ -115,15 +109,17 @@ def _coupling_grid(g_grid) -> np.ndarray:
 
 
 def _g_over_omega_c(base: ModelConfig, grid: np.ndarray) -> np.ndarray:
-    """``grid`` divided by ``base.omega_c``, the g axis of a sweep; a finite
-    coupling whose quotient overflows is a ``ValueError`` (a non-finite one
-    is left to the solve's ``SweepError``)."""
+    """``grid`` divided by ``base.omega_c``, the g axis of a sweep; a finite g
+    whose quotient overflows, and a grid ``parity_blocks`` refuses at its
+    smallest or largest g (entries do not decrease as g >= 0 grows), are a
+    ``ValueError``."""
     with np.errstate(over="ignore"):
         scaled = grid / base.omega_c
     bad = np.isinf(scaled) & np.isfinite(grid)
     if bad.any():
         raise ValueError(f"g / omega_c overflows at g = {float(grid[bad][0])!r}, "
                          f"omega_c = {base.omega_c!r}")
+    parity_blocks(base, np.unique([grid.min(), grid.max()]))  # one point if they are equal
     return scaled
 
 
@@ -131,18 +127,19 @@ def parity_blocks(base: ModelConfig, g_grid) -> np.ndarray:
     """Real parity blocks of H over the non-empty 1-D ``g_grid`` (``base.g``
     is ignored), shape (2, len(g_grid), n_max, n_max): parity -1, then +1.
     Chain index n holds the qubit state with sigma_z = P (-1)^n, so block P
-    is diag(omega_c n + P (omega_0/2) (-1)^n) + g X + D(g) X @ X, X = a + a†."""
+    is diag(omega_c n + P (omega_0/2) (-1)^n) + g X + D(g) X @ X, X = a + a†.
+    A negative or NaN coupling, or one whose blocks are not finite, is a
+    ``ValueError`` that names the first such coupling."""
     grid = _coupling_grid(g_grid)
     n = np.arange(base.n_max)
     field = np.diag(np.sqrt(n[1:]), k=1)  # X: sqrt(n) on both off-diagonals
     field = field + field.T
-    d = _diamagnetic(base, grid) if base.include_diamagnetic else np.zeros_like(grid)
-    signs = np.array([[-1.0], [1.0]]) * (base.omega_0 / 2.0) * (-1.0) ** n
-    diagonal = np.eye(n.size) * (base.omega_c * n + signs)[:, None, None, :]
-    return diagonal + grid[:, None, None] * field + d[:, None, None] * (field @ field)
-
-
-def model_tag(cfg: ModelConfig) -> str:
-    """Short label for the model variant: 'QRMA' with the diamagnetic term,
-    'QRM' without."""
-    return "QRMA" if cfg.include_diamagnetic else "QRM"
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _diamagnetic(base, grid) if base.include_diamagnetic else np.zeros_like(grid)
+        signs = np.array([[-1.0], [1.0]]) * (base.omega_0 / 2.0) * (-1.0) ** n
+        diagonal = np.eye(n.size) * (base.omega_c * n + signs)[:, None, None, :]
+        blocks = diagonal + grid[:, None, None] * field + d[:, None, None] * (field @ field)
+    bad = ~((grid >= 0) & np.isfinite(blocks).all(axis=(0, 2, 3)))
+    if bad.any():
+        raise ValueError(f"need g >= 0 and a finite Hamiltonian, got g = {float(grid[bad][0])!r}")
+    return blocks

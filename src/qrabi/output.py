@@ -29,8 +29,7 @@ are the grid's, cached per grid and format, and each row puts in its p
 piece and its w cells: the quadrant row its mirror index names, with the
 quadrant gathered to the q columns once per body.  The writers pass header,
 rows and tail to the file as they come, so no text of a whole Wigner table
-is ever held.  The CLI copies a panel whose state is bit-equal to one it
-has written, without evaluating or formatting it.
+is ever held.
 
 :func:`write_gnuplot` is the one writer of a ``.gp`` script and its
 ``.dat`` grid; the grid is a Wigner table's body in the ``dat`` format.

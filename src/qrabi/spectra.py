@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, _coupling_grid, _g_over_omega_c, model_tag, parity_blocks
+from .model import ModelConfig, _coupling_grid, _g_over_omega_c, parity_blocks
 
 __all__ = [
     "SpectrumSweep",
@@ -38,7 +38,8 @@ DEGENERACY_RTOL = 1e-10
 
 
 class SweepError(RuntimeError):
-    """Failure of one grid point of a parameter sweep."""
+    """A solver's failure at one grid point of a parameter sweep; a grid
+    the model cannot represent is ``parity_blocks``'s ``ValueError``."""
 
     def __init__(self, g: float, cause: Exception):
         g = float(g)  # a numpy scalar's repr reads np.float64(...) on numpy 2
@@ -53,7 +54,8 @@ class SpectrumSweep:
 
     ``g_grid`` holds each coupling divided by omega_c, and ``levels[i]``
     the sorted lowest eigenvalues at ``g_grid[i]``, in the same unit as
-    omega_c.  Sweeps compare and hash by identity.
+    omega_c.  ``model_tag`` is "QRMA" with the A^2 term, "QRM" without.
+    Sweeps compare and hash by identity.
     """
 
     g_grid: np.ndarray
@@ -116,14 +118,10 @@ class GroundStates:
 
 
 def solve_parity_blocks(base: ModelConfig, grid: np.ndarray, solver):
-    """``solver`` on the stacked ``parity_blocks`` of ``base`` over ``grid``.
-    ``SweepError`` names the first point that is negative or gives a
-    non-finite Hamiltonian (checked before solving), or fails to solve."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        blocks = parity_blocks(base, grid)
-    bad = ~((grid >= 0) & np.isfinite(blocks).all(axis=(0, 2, 3)))
-    if bad.any():
-        raise SweepError(grid[bad][0], ValueError("need g >= 0 and a finite Hamiltonian"))
+    """``solver`` on the stacked ``parity_blocks`` of ``base`` over ``grid``;
+    when the stack fails, ``SweepError`` names the first point that fails
+    to solve alone."""
+    blocks = parity_blocks(base, grid)
     try:
         return solver(blocks)
     except np.linalg.LinAlgError:
@@ -177,8 +175,8 @@ def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
     g_grid : array_like
         Strictly ascending, non-empty coupling values g, in the same unit
         as ``base.omega_c``; the sweep's ``g_grid`` holds them divided by
-        it, and a g whose quotient overflows is a ``ValueError``, raised
-        before any solve.
+        it.  A g whose quotient overflows, or a grid ``parity_blocks``
+        refuses, is a ``ValueError``, raised before any solve.
     k_levels : int
         Number of levels per grid point; at most 2 * n_max.
     """
@@ -188,7 +186,7 @@ def sweep_spectrum(base: ModelConfig, g_grid, k_levels: int) -> SpectrumSweep:
     _check_k_levels(k_levels, base.n_max)
     g_axis = _g_over_omega_c(base, grid)
     levels = _sorted_levels(base, grid)[:, :k_levels]
-    return SpectrumSweep(g_axis, levels, model_tag(base))
+    return SpectrumSweep(g_axis, levels, "QRMA" if base.include_diamagnetic else "QRM")
 
 
 def _parabola_min(xs: np.ndarray, ys: np.ndarray, i: int) -> tuple[float, float]:

@@ -1,13 +1,14 @@
 """Independent references that the tests check the library against.
 
 None of these is on a path the library runs.  ``build_full`` is the dense
-Hamiltonian as Kronecker products, with its own X = a + a†, so it shares no
-code with ``qrabi.model.parity_blocks`` beyond ``ModelConfig`` and
-``diamagnetic_constant``.  ``PureState`` is a state vector over the same
-qubit (x) cavity basis, where the flat index of |s, n> is ``s * n_max + n``,
-and ``ground_state`` embeds the parity-block ground state of
-``qrabi.spectra.parity_ground_states`` in it.  ``parity_operator`` and
-``expectation`` are the dense parity and <psi|O|psi> over that basis.
+Hamiltonian as Kronecker products, with its own X = a + a† and its own D
+(``d_override``, else g^2 / omega_c), so it shares no code with
+``qrabi.model.parity_blocks`` beyond ``ModelConfig``.  ``PureState`` is a
+state vector over the same qubit (x) cavity basis, where the flat index of
+|s, n> is ``s * n_max + n``, and ``ground_state`` embeds the parity-block
+ground state of ``qrabi.spectra.parity_ground_states`` in it.
+``parity_operator`` and ``expectation`` are the dense parity and
+<psi|O|psi> over that basis.
 ``partial_trace`` and ``von_neumann_entropy`` are the dense entropy route:
 the reduced state of a ``qrabi.DensityMatrix`` and its entropy in bits from
 ``eigvalsh``, sharing no entropy code with ``qrabi.entropy_sweep``.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qrabi.model import ModelConfig, diamagnetic_constant
+from qrabi.model import ModelConfig
 from qrabi.spectra import parity_ground_states
 from qrabi.wigner import DensityMatrix
 
@@ -87,7 +88,8 @@ def build_full(cfg: ModelConfig) -> np.ndarray:
          + (cfg.omega_0 / 2.0) * np.kron(sigma_z, np.eye(n))
          + cfg.g * np.kron(sigma_x, field))
     if cfg.include_diamagnetic:
-        h += diamagnetic_constant(cfg) * np.kron(np.eye(2), field @ field)
+        d = cfg.g**2 / cfg.omega_c if cfg.d_override is None else cfg.d_override
+        h += d * np.kron(np.eye(2), field @ field)
     return h
 
 

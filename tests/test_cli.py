@@ -582,14 +582,55 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == EXIT_NUMERICAL
 
 
-def test_sweep_failure_names_the_coupling_as_a_float(tmp_path, capsys):
-    # D = 1e308 makes D X^2 overflow, so the Hamiltonian is not finite
-    code = run_cli("wigner", "--d-override", "1e308", "--diamagnetic", "on", "--g", "1",
-                   "--nmax", "3", "--n-q", "3", "--n-p", "3", "--out", str(tmp_path / "w"))
+def test_sweep_failure_names_the_coupling_as_a_float(tmp_path, monkeypatch, capsys):
+    # an eigensolver that fails at the one point of the series
+    def no_convergence(blocks):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    code = run_cli("wigner", "--g", "1", "--nmax", "3", "--n-q", "3", "--n-p", "3",
+                   "--out", str(tmp_path / "w"))
     assert code == EXIT_NUMERICAL
     assert capsys.readouterr().err.splitlines() == [
-        "qrabi: numerical failure: sweep failed at g = 1.0: "
-        "need g >= 0 and a finite Hamiltonian"]
+        "qrabi: numerical failure: sweep failed at g = 1.0: Eigenvalues did not converge"]
+
+
+@pytest.mark.parametrize("argv, g", [
+    (("wigner", "--omega-c", "1e-310", "--diamagnetic", "on", "--g", "7"), "7.0"),
+    (("spectrum", "--omega-c", "1e308", "--nmax", "15", "--g-steps", "3"), "3.0"),
+    (("entropy", "--omega-c", "1e-306"), "3.0"),  # only its QRMA column overflows
+    (("reproduce-paper", "--omega-c", "1e-307"), "3.0"),  # fig1a, fig1b and fig2a fit
+    (("spectrum", "--diamagnetic", "on", "--omega-c", "1e-300", "--g-max", "1e5",
+      "--g-steps", "3", "--nmax", "4"), "100000.0"),
+    # every sweep fits; the n_max = 15 QRMA Wigner panel at g = 10 does not
+    (("reproduce-paper", "--omega-c", "5e-306"), "10.0"),
+], ids=["wigner_d", "spectrum_omega_c_n", "entropy_qrma", "preset_spectrum", "spectrum_d",
+        "preset_wigner"])
+def test_the_model_refuses_an_unrepresentable_run_before_its_first_file(tmp_path, capsys, argv,
+                                                                         g):
+    # the model is asked at each figure's largest coupling, for each variant
+    # the figure solves, before any directory is made
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"qrabi: configuration error: need g >= 0 and a finite Hamiltonian, got g = {g}"]
+    assert not out.exists()
+
+
+def test_allocation_failure_in_the_model_check_exit_code(tmp_path, monkeypatch, capsys):
+    # a cutoff whose blocks cannot be held fails the check before the run:
+    # a numerical failure, as in the run, not a traceback
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+    monkeypatch.setattr(cli, "parity_blocks", no_memory)
+    monkeypatch.setattr("qrabi.model.parity_blocks", no_memory)
+    for command in ("wigner", "spectrum"):
+        out = tmp_path / command
+        assert run_cli(command, "--nmax", "2", "--out", str(out)) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.splitlines() == [
+            "qrabi: numerical failure: Unable to allocate 29.1 TiB for an array"]
+        assert not out.exists()
 
 
 def test_allocation_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import qrabi
-from qrabi import ModelConfig, diamagnetic_constant, model_tag
+from qrabi import ModelConfig, sweep_spectrum
 from qrabi.model import parity_blocks
 from oracles import build_full, parity_operator
 
@@ -14,6 +14,14 @@ def diamagnetic_term(cfg):
     """The QRMA matrix minus the QRM matrix of the same parameters."""
     on = build_full(dataclasses.replace(cfg, include_diamagnetic=True))
     return on - build_full(dataclasses.replace(cfg, include_diamagnetic=False))
+
+
+def library_diamagnetic_term(cfg):
+    """The QRMA parity blocks of ``parity_blocks`` at ``cfg.g`` minus the QRM
+    blocks: D X @ X in each parity block."""
+    on, off = (parity_blocks(dataclasses.replace(cfg, include_diamagnetic=dia), [cfg.g])
+               for dia in (True, False))
+    return on - off
 
 
 def rabi_4x4_closed_form(omega_c, omega_0, g):
@@ -64,9 +72,10 @@ def test_diamagnetic_truncated_square_diagonal():
     # untruncated diagonal 2n+1 = (1, 3, 5) loses the aa† contribution in
     # the top level, leaving (1, 3, 2)
     cfg = ModelConfig(g=1.0, n_max=3)
-    assert diamagnetic_constant(cfg) == pytest.approx(1.0)
     h = diamagnetic_term(cfg)
     x = np.array([[0, 1, 0], [1, 0, np.sqrt(2)], [0, np.sqrt(2), 0]])
+    # D = g^2 / omega_c = 1 in the library's blocks too
+    assert np.max(np.abs(library_diamagnetic_term(cfg) - x @ x)) <= 1e-14
     expected = np.kron(np.eye(2), x @ x)
     assert np.max(np.abs(h - expected)) <= 1e-14
     assert np.allclose(np.diag(h), [1, 3, 2, 1, 3, 2], atol=1e-14)
@@ -74,10 +83,11 @@ def test_diamagnetic_truncated_square_diagonal():
 
 def test_d_override_wins():
     cfg = ModelConfig(g=2.0, d_override=0.25, n_max=4)
-    assert diamagnetic_constant(cfg) == 0.25
     h = diamagnetic_term(cfg)
     base = diamagnetic_term(ModelConfig(g=0.5, n_max=4))  # D = 0.25
     assert np.max(np.abs(h - base)) <= 1e-14
+    lib = library_diamagnetic_term(ModelConfig(g=0.5, n_max=4))
+    assert np.max(np.abs(library_diamagnetic_term(cfg) - lib)) <= 1e-14
 
 
 def test_full_without_flag_equals_rabi():
@@ -206,7 +216,7 @@ def test_config_validation():
     # a truthy string would build the A^2 model
     with pytest.raises(ValueError, match="include_diamagnetic"):
         ModelConfig(include_diamagnetic="off")
-    assert model_tag(ModelConfig(include_diamagnetic=np.True_)) == "QRMA"
+    assert sweep_spectrum(ModelConfig(include_diamagnetic=np.True_), [0.0], 1).model_tag == "QRMA"
 
 
 @pytest.mark.parametrize("key", ["omega_c", "omega_0", "g", "d_override"])
@@ -227,12 +237,15 @@ def test_truncation_needs_a_whole_number_of_at_least_two():
 
 
 def test_the_cutoff_is_a_config_field_only():
-    assert not hasattr(qrabi, "FockTruncation")
-    assert not hasattr(qrabi.model, "FockTruncation")
-    assert "FockTruncation" not in qrabi.model.__all__
+    # neither is there an alias of a helper that was inlined into its one caller
+    for name in ("FockTruncation", "diamagnetic_constant", "model_tag"):
+        assert not hasattr(qrabi, name)
+        assert not hasattr(qrabi.model, name)
+        assert name not in qrabi.model.__all__
 
 
 def test_model_tag():
     cfg = ModelConfig(g=0.0, n_max=3)
-    assert model_tag(cfg) == "QRM"
-    assert model_tag(dataclasses.replace(cfg, include_diamagnetic=True)) == "QRMA"
+    assert sweep_spectrum(cfg, [0.0], 1).model_tag == "QRM"
+    qrma = dataclasses.replace(cfg, include_diamagnetic=True)
+    assert sweep_spectrum(qrma, [0.0], 1).model_tag == "QRMA"

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -154,25 +155,19 @@ def test_parity_ground_states_takes_any_1d_sequence():
 
 
 def test_sweep_error_carries_grid_point():
-    from qrabi import SweepError
-
+    # a grid the model cannot represent is the model's ValueError, which
+    # names the bad point as a float, before anything is solved
     cfg = ModelConfig(n_max=4)
-    with pytest.raises(SweepError) as err:
+    with pytest.raises(ValueError, match="got g = nan$"):
         sweep_spectrum(cfg, [float("nan")], 2)
-    assert np.isnan(err.value.g)
-    assert "nan" in str(err.value)
-    # the first bad point is named, before anything is solved
     for grid, bad in (([-0.5, 0.0, 1.0], -0.5), ([0.0, 1.0, float("inf")], float("inf"))):
-        with pytest.raises(SweepError) as err:
+        # a numpy scalar would print as np.float64(...)
+        with pytest.raises(ValueError, match=f"got g = {re.escape(repr(bad))}$"):
             sweep_spectrum(cfg, grid, 2)
-        assert err.value.g == bad
-        assert type(err.value.g) is float  # a numpy scalar would print as np.float64(...)
-        assert repr(bad) in str(err.value)
     # D = g^2 overflows: the Hamiltonian is not finite
     dia = dataclasses.replace(cfg, include_diamagnetic=True)
-    with pytest.raises(SweepError) as err:
+    with pytest.raises(ValueError, match="finite Hamiltonian, got g = 1e[+]200$"):
         sweep_spectrum(dia, [1.0, 1e200], 2)
-    assert err.value.g == 1e200
 
 
 def test_sweeps_refuse_a_g_over_omega_c_that_overflows(monkeypatch):
@@ -192,6 +187,32 @@ def test_sweeps_refuse_a_g_over_omega_c_that_overflows(monkeypatch):
         sweep_spectrum(tiny, [0.0, 1.0, 1e9], 2)
     with pytest.raises(ValueError, match=message):
         entropy_sweep(tiny, [0.0, 1.0, 1e9])
+
+
+@pytest.mark.parametrize("grid, bad", [
+    ((-0.5, 0.0, 1.0), -0.5),
+    ((float("nan"),), float("nan")),
+    ((0.0, 1.0, float("inf")), float("inf")),
+    ((0.0, 1.0, 1e200), 1e200),  # D = g^2 / omega_c overflows
+], ids=["negative", "nan", "inf", "d_overflows"])
+def test_the_model_refuses_a_grid_it_cannot_represent(monkeypatch, grid, bad):
+    from qrabi import spectra
+
+    def no_solve(*args):
+        raise AssertionError("solved a grid the model refuses")
+    monkeypatch.setattr(spectra, "solve_parity_blocks", no_solve)
+    qrma = ModelConfig(n_max=4, include_diamagnetic=True)
+    message = f"need g >= 0 and a finite Hamiltonian, got g = {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        parity_blocks(qrma, grid)
+    with pytest.raises(ValueError, match=message):
+        sweep_spectrum(qrma, grid, 2)
+    # entropy_sweep solves both variants whatever its base's A^2 flag
+    with pytest.raises(ValueError, match=message):
+        entropy_sweep(dataclasses.replace(qrma, include_diamagnetic=False), grid)
+    # parity_blocks names the first refused coupling of its grid
+    with pytest.raises(ValueError, match=message):
+        parity_blocks(qrma, (0.0, bad, -1.0, float("nan")))
 
 
 def test_batched_solve_failure_names_the_grid_point():
