@@ -52,9 +52,9 @@ def entropy_sweep(base: ModelConfig, g_grid) -> EntropySweep:
 
     ``base.include_diamagnetic`` is ignored: the table always contains one
     column per variant, computed from the same remaining parameters.
-    ``g_grid`` holds couplings g in the same unit as ``base.omega_c``.  A g
-    whose quotient overflows, or a grid either variant's ``parity_blocks``
-    refuses, is a ``ValueError``, raised before either variant is solved.
+    ``g_grid`` holds strictly ascending couplings g in the unit of ``base.omega_c``; a
+    grid that is not, a g whose quotient overflows, or a grid either variant's
+    ``parity_blocks`` refuses is a ``ValueError``, raised before either is solved.
     """
     grid = _coupling_grid(g_grid)
     variants = [dataclasses.replace(base, include_diamagnetic=dia) for dia in (False, True)]

@@ -110,9 +110,9 @@ def _coupling_grid(g_grid) -> np.ndarray:
 
 def _g_over_omega_c(base: ModelConfig, grid: np.ndarray) -> np.ndarray:
     """``grid`` divided by ``base.omega_c``, the g axis of a sweep; a finite g
-    whose quotient overflows, and a grid ``parity_blocks`` refuses at its
-    smallest or largest g (entries do not decrease as g >= 0 grows), are a
-    ``ValueError``."""
+    whose quotient overflows, a grid ``parity_blocks`` refuses at its
+    smallest or largest g (entries do not decrease as g >= 0 grows), and
+    then a grid that is not strictly ascending are a ``ValueError``."""
     with np.errstate(over="ignore"):
         scaled = grid / base.omega_c
     bad = np.isinf(scaled) & np.isfinite(grid)
@@ -120,6 +120,8 @@ def _g_over_omega_c(base: ModelConfig, grid: np.ndarray) -> np.ndarray:
         raise ValueError(f"g / omega_c overflows at g = {float(grid[bad][0])!r}, "
                          f"omega_c = {base.omega_c!r}")
     parity_blocks(base, np.unique([grid.min(), grid.max()]))  # one point if they are equal
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError("g_grid must be strictly ascending")
     return scaled
 
 
@@ -134,11 +136,18 @@ def parity_blocks(base: ModelConfig, g_grid) -> np.ndarray:
     n = np.arange(base.n_max)
     field = np.diag(np.sqrt(n[1:]), k=1)  # X: sqrt(n) on both off-diagonals
     field = field + field.T
+    # one stack, no block-sized temporary; each column's zero of diag(...)
+    # goes in with its sign, so that signed zeros are those of the plain sum
+    blocks = np.empty((2, grid.size, n.size, n.size))
     with np.errstate(over="ignore", invalid="ignore"):
         d = _diamagnetic(base, grid) if base.include_diamagnetic else np.zeros_like(grid)
-        signs = np.array([[-1.0], [1.0]]) * (base.omega_0 / 2.0) * (-1.0) ** n
-        diagonal = np.eye(n.size) * (base.omega_c * n + signs)[:, None, None, :]
-        blocks = diagonal + grid[:, None, None] * field + d[:, None, None] * (field @ field)
+        np.multiply(grid[:, None, None], field, out=blocks[0])
+        np.multiply(d[:, None, None], field @ field, out=blocks[1])  # scratch until the copy
+        blocks[0] += blocks[1]
+        blocks[1] = blocks[0]
+        diagonal = base.omega_c * n + np.array([[-1.0], [1.0]]) * (base.omega_0 / 2) * (-1.0) ** n
+        blocks += np.copysign(0.0, diagonal)[:, None, None]
+        blocks.reshape(2, grid.size, -1)[:, :, :: n.size + 1] += diagonal[:, None]
     bad = ~((grid >= 0) & np.isfinite(blocks).all(axis=(0, 2, 3)))
     if bad.any():
         raise ValueError(f"need g >= 0 and a finite Hamiltonian, got g = {float(grid[bad][0])!r}")

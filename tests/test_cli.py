@@ -572,14 +572,42 @@ def test_levels_rule_is_the_sweeps(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_numerical_failure_exit_code(tmp_path):
-    # grid extent far beyond the Laguerre overflow guard
-    code = run_cli(
-        "wigner", "--g", "0", "--nmax", "400",
-        "--q-min=-1e9", "--q-max=1e9", "--p-min=-1e9", "--p-max=1e9",
-        "--n-q", "5", "--n-p", "5", "--out", str(tmp_path / "w"),
-    )
+HUGE_GRID = ("--q-min=-1e9", "--q-max=1e9", "--p-min=-1e9", "--p-max=1e9", "--n-q", "5", "--n-p", "5")
+
+
+@pytest.mark.filterwarnings("error")
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    # |2 alpha|^n on a grid of extent 1e9 overflows the Laguerre recurrence
+    # of this 40-state ground state; nothing is written
+    out = tmp_path / "w"
+    code = run_cli("wigner", "--g", "1", "--nmax", "40", *HUGE_GRID, "--out", str(out))
     assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("qrabi: numerical failure: ") and "overflow" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_wigner_sum_that_fits_is_written_at_any_extent(tmp_path):
+    # the vacuum's sum on the same grid does not overflow: W is exactly 0
+    # off the centre and 1/pi at it
+    out = tmp_path / "w"
+    assert run_cli("wigner", "--g", "0", "--nmax", "400", *HUGE_GRID, "--out", str(out)) == EXIT_OK
+    rows = [line.split(",") for line in (out / "wigner.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 25
+    for q, p, w in rows:
+        assert w == ("0.318309886184" if q == p == "0" else "0"), (q, p, w)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_panel_at_n_max_300_is_written(tmp_path):
+    # n_max ln|2 alpha| reaches 745 at the corners of the preset's grid;
+    # every term of the sum still fits a float
+    out = tmp_path / "w"
+    assert run_cli("wigner", "--g", "3", "--nmax", "300", "--n-q", "21", "--n-p", "21",
+                   "--out", str(out)) == EXIT_OK
+    text = (out / "wigner.csv").read_text()
+    assert "nan" not in text and "inf" not in text
 
 
 def test_sweep_failure_names_the_coupling_as_a_float(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,48 @@ def test_parity_blocks_take_a_non_empty_1d_grid():
         with pytest.raises(ValueError, match="g_grid must be a non-empty 1-D sequence"):
             parity_blocks(cfg, bad)
     assert parity_blocks(cfg, (0.5,)).shape == (2, 1, 3, 3)
+
+
+def summed_parity_blocks(cfg, grid):
+    """The blocks as one sum of block-sized stacks: diag(...) + g X + D X @ X."""
+    n = np.arange(cfg.n_max)
+    field = np.diag(np.sqrt(n[1:]), k=1)
+    field = field + field.T
+    if not cfg.include_diamagnetic:
+        d = np.zeros_like(grid)
+    elif cfg.d_override is None:
+        d = grid**2 / cfg.omega_c
+    else:
+        d = np.full_like(grid, cfg.d_override)
+    signs = np.array([[-1.0], [1.0]]) * (cfg.omega_0 / 2.0) * (-1.0) ** n
+    diagonal = np.eye(n.size) * (cfg.omega_c * n + signs)[:, None, None, :]
+    return diagonal + grid[:, None, None] * field + d[:, None, None] * (field @ field)
+
+
+def test_parity_blocks_are_the_sum_built_in_one_stack():
+    # bit for bit, signs of zero included (g = -0.0 and D = -0.0 give -0.0
+    # terms), with no block-sized temporary: beside the stack, the build holds
+    # X and X @ X, half a one-point stack each
+    grid = np.concatenate([[-0.0, 0.0], np.linspace(0.0, 10.0, 21)])
+    for n_max in (2, 15, 100):
+        for dia in (False, True):
+            for omega_0 in (0.0, 0.9, 1.0):
+                for d_override in (None, -0.0, 0.3):
+                    cfg = ModelConfig(omega_c=0.7, omega_0=omega_0, include_diamagnetic=dia,
+                                      d_override=d_override, n_max=n_max)
+                    blocks = parity_blocks(cfg, grid)
+                    assert blocks.tobytes() == summed_parity_blocks(cfg, grid).tobytes(), cfg
+    for points, n_max, bound in ((101, 100, 1.6), (1, 400, 2.6)):
+        for dia in (False, True):
+            cfg = ModelConfig(include_diamagnetic=dia, n_max=n_max)
+            grid = np.linspace(0.0, 3.0, points)
+            tracemalloc.start()
+            try:
+                blocks = parity_blocks(cfg, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * blocks.nbytes, (points, n_max, dia, peak / blocks.nbytes)
 
 
 def test_config_validation():

@@ -135,6 +135,17 @@ def test_sweep_validation():
             sweep_spectrum(cfg, [0.0, 1.0], k_levels)
 
 
+@pytest.mark.parametrize("grid", [[3.0, 1.0, 2.0], [1.0, 1.0, 2.0]], ids=["unsorted", "repeated"])
+def test_both_sweeps_take_a_strictly_ascending_grid(grid):
+    # one rule in the g-axis helper that both sweeps call; an unsorted
+    # entropy grid used to be swept and plotted off its axis
+    cfg = ModelConfig(n_max=4)
+    with pytest.raises(ValueError, match="g_grid must be strictly ascending"):
+        sweep_spectrum(cfg, grid, 2)
+    with pytest.raises(ValueError, match="g_grid must be strictly ascending"):
+        entropy_sweep(cfg, grid)
+
+
 def test_parity_ground_states_takes_any_1d_sequence():
     # the grid goes through the sweeps' check: a list is the same grid as
     # its array, and an empty, 2-D or scalar grid is refused alike; the

@@ -321,6 +321,28 @@ def test_wigner_rejects_overflowing_grid():
         wigner(rho, huge)
 
 
+def test_coherent_state_far_from_the_origin_matches_its_closed_form():
+    # n_max ln|2 alpha| reaches 922 at the grid's corners: each step of the
+    # recurrence divides by sqrt(level + 1), so no term overflows
+    alpha, n_max = 10.0, 250
+    amp = coherent_amplitudes(alpha, n_max).real
+    grid = QuadratureGrid(-20, 20, -20, 20, 41, 41)
+    w = wigner(DensityMatrix(np.outer(amp, amp), (n_max,)), grid)
+    qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis())
+    exact = np.exp(-((qq - np.sqrt(2.0) * alpha) ** 2) - pp**2) / np.pi
+    assert np.max(np.abs(w.values - exact)) <= 1e-13
+
+
+def test_deep_strong_panel_converges_on_a_grid_that_holds_its_lobes():
+    # the lobes of g = 10 lie near q = +-sqrt(2) g, so the grid spans +-18,
+    # where n_max 200 is not yet converged
+    grid = QuadratureGrid(-18, 18, -18, 18, 37, 37)
+    w = {n_max: ground_state_wigner(ModelConfig(g=10.0, n_max=n_max), grid).values
+         for n_max in (200, 250, 300)}
+    assert np.max(np.abs(w[250] - w[300])) <= 1e-12
+    assert np.max(np.abs(w[200] - w[300])) > 1e-11
+
+
 def test_quadrature_grid_validation():
     with pytest.raises(ValueError):
         QuadratureGrid(q_min=1.0, q_max=-1.0)
